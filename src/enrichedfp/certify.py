@@ -311,7 +311,8 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
             sample.points, images, k, mode
         )
         if infeasible:
-            # a zero-displacement pair with nonzero numerator rules k out
+            # a zero-displacement pair with nonzero numerator, or a NaN
+            # pair value, rules k out
             if fallback_witness is None:
                 fallback_witness = _witness(sample, zpair)
             continue

@@ -15,7 +15,14 @@ from enrichedfp import (
 )
 from enrichedfp.certify import SampleSet, default_sample, grid_sample, random_sample
 from enrichedfp.exceptions import DegenerateSampleError, InvalidConstantError
-from enrichedfp.mappings import AffineMap, AveragedMap, PiecewiseTable, Reflection1D, Scale1D
+from enrichedfp.mappings import (
+    AffineMap,
+    AveragedMap,
+    Mapping,
+    PiecewiseTable,
+    Reflection1D,
+    Scale1D,
+)
 
 
 class TestSampleSet:
@@ -283,3 +290,40 @@ class TestCheckMonotone:
         cert = check_monotone(rot, plane_sample)
         assert cert.max_violation == 0.0
         assert cert.satisfied
+
+
+class _ScaleWithHole(Mapping):
+    """x -> 0.3 x on R^1, except that x = 0.5 maps to NaN."""
+
+    @property
+    def dim(self):
+        return 1
+
+    def _apply(self, point):
+        return np.array([np.nan]) if point[0] == 0.5 else 0.3 * point
+
+
+class TestNonFiniteImages:
+    # one NaN image among 11 grid points: the finite pairs alone violate
+    # (k=0, a=0.25) by 0.125, and the NaN pairs must not be dropped either
+
+    @pytest.fixture
+    def grid11(self):
+        return grid_sample([(0.0, 1.0)], 11)
+
+    def test_check_kannan_fails_closed(self, grid11):
+        cert = check_enriched_kannan(_ScaleWithHole(), k=0.0, a=0.25, sample=grid11)
+        assert not cert.satisfied
+        assert cert.max_violation == math.inf
+        assert [w[0] for w in cert.witness] == [0.0, 0.5]
+
+    def test_estimate_kannan_refuses(self, grid11):
+        cert = estimate_kannan_constants(_ScaleWithHole(), grid11)
+        assert not cert.feasible
+        assert not cert.satisfied
+        assert [w[0] for w in cert.witness] == [0.0, 0.5]
+
+    def test_check_monotone_fails_closed(self, grid11):
+        cert = check_monotone(_ScaleWithHole(), grid11)
+        assert not cert.satisfied
+        assert cert.max_violation == math.inf
