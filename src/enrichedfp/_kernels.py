@@ -24,6 +24,13 @@ The floating-point semantics, which the brute-force oracles in
 * A NaN pair value fails closed: ``violation_max`` returns ``+inf`` and
   ``inner_min`` ``-inf``, and ``ratio_sup`` reports the pair as infeasible.
   The witness is then the smallest NaN pair in the same order.
+* Diagonal pairs are masked with the extremum's sentinel (``-inf`` for a
+  maximum, ``+inf`` for a minimum) and are never a witness, even when every
+  distinct pair ties with the sentinel.
+
+Overflow and invalid operations on huge or non-finite inputs are expected
+(their inf and NaN results go through the rules above), so each kernel runs
+with those floating-point warnings off.
 
 ``perfbench/`` measures these kernels end to end and per call.
 """
@@ -127,6 +134,8 @@ class _Smallest:
         self.pair, self.key = None, -1
 
     def offer(self, i, j):
+        if i.size == 0:
+            return
         keys = self.rank[i] * self.rank.shape[0] + self.rank[j]
         p = int(np.argmin(keys))
         if self.pair is None or keys[p] < self.key:
@@ -137,7 +146,7 @@ class _Extremum:
     """Running max (or min) of pair values over row blocks.
 
     Keeps the winning pair and, apart from it, the smallest pair whose value
-    is NaN.
+    is NaN. Diagonal pairs, which carry the sentinel, never join the ties.
     """
 
     def __init__(self, rank, largest):
@@ -164,7 +173,8 @@ class _Extremum:
             self.winner = _Smallest(self.rank)
         if better or m == self.value:
             i, j = np.nonzero(vals == m)
-            self.winner.offer(i + lo, j)
+            off_diagonal = i + lo != j
+            self.winner.offer(i[off_diagonal] + lo, j[off_diagonal])
 
     @property
     def pair(self):
@@ -178,37 +188,38 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
     lexicographically smallest argmax. Any NaN pair value gives
     ``(inf, smallest NaN pair)``.
     """
-    x, t, disp, pnorm, tnorm = _prepare(points, images)
-    k, rate, guard_eps = float(k), float(rate), float(guard_eps)
-    xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
-    banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
-    blocks = _Block(x.shape[0], 4 if banach else 3)
-    best = _Extremum(_row_rank(x), largest=True)
-    for acc, diff, tmp, *extra in blocks:
-        dx_sq = extra[0] if banach else None
-        blocks.enriched_sq(xt, tt, k, acc, diff, tmp, dx_sq)
-        num = np.sqrt(acc, out=acc)
-        rhs = diff
-        if mode == MODE_KANNAN:
-            blocks.outer(np.add, disp, rhs)
-        elif mode == MODE_BIANCHINI:
-            blocks.outer(np.maximum, disp, rhs)
-        else:
-            np.sqrt(dx_sq, out=rhs)
-        rhs *= rate
-        guard = np.add(num, rhs, out=tmp)
-        guard += pnorm[blocks.lo : blocks.hi, None]
-        guard += pnorm
-        guard += tnorm[blocks.lo : blocks.hi, None]
-        guard += tnorm
-        guard *= guard_eps
-        viol = np.subtract(num, rhs, out=num)
-        viol -= guard
-        blocks.set_diagonal(viol, -np.inf)
-        best.update(viol, blocks.lo)
-    if best.nan.pair is not None:
-        return np.inf, best.nan.pair
-    return best.value, best.pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, t, disp, pnorm, tnorm = _prepare(points, images)
+        k, rate, guard_eps = float(k), float(rate), float(guard_eps)
+        xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
+        banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
+        blocks = _Block(x.shape[0], 4 if banach else 3)
+        best = _Extremum(_row_rank(x), largest=True)
+        for acc, diff, tmp, *extra in blocks:
+            dx_sq = extra[0] if banach else None
+            blocks.enriched_sq(xt, tt, k, acc, diff, tmp, dx_sq)
+            num = np.sqrt(acc, out=acc)
+            rhs = diff
+            if mode == MODE_KANNAN:
+                blocks.outer(np.add, disp, rhs)
+            elif mode == MODE_BIANCHINI:
+                blocks.outer(np.maximum, disp, rhs)
+            else:
+                np.sqrt(dx_sq, out=rhs)
+            rhs *= rate
+            guard = np.add(num, rhs, out=tmp)
+            guard += pnorm[blocks.lo : blocks.hi, None]
+            guard += pnorm
+            guard += tnorm[blocks.lo : blocks.hi, None]
+            guard += tnorm
+            guard *= guard_eps
+            viol = np.subtract(num, rhs, out=num)
+            viol -= guard
+            blocks.set_diagonal(viol, -np.inf)
+            best.update(viol, blocks.lo)
+        if best.nan.pair is not None:
+            return np.inf, best.nan.pair
+        return best.value, best.pair
 
 
 def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
@@ -220,37 +231,37 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
     pair whose ratio is NaN; ``(zi, zj)`` is then the smallest such pair,
     NaN pairs first.
     """
-    x, t, disp, _, _ = _prepare(points, images)
-    k = float(k)
-    xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
-    rank = _row_rank(x)
-    # the rhs scale is zero exactly on pairs of two fixed points
-    fixed = np.flatnonzero(disp == 0.0)
-    best = _Extremum(rank, largest=True)
-    zero = _Smallest(rank)
-    blocks = _Block(x.shape[0], 3)
-    for acc, den, tmp in blocks:
-        blocks.enriched_sq(xt, tt, k, acc, den, tmp)
-        num = np.sqrt(acc, out=acc)
-        blocks.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, t, disp, _, _ = _prepare(points, images)
+        k = float(k)
+        xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
+        rank = _row_rank(x)
+        # the rhs scale is zero exactly on pairs of two fixed points
+        fixed = np.flatnonzero(disp == 0.0)
+        best = _Extremum(rank, largest=True)
+        zero = _Smallest(rank)
+        blocks = _Block(x.shape[0], 3)
+        for acc, den, tmp in blocks:
+            blocks.enriched_sq(xt, tt, k, acc, den, tmp)
+            num = np.sqrt(acc, out=acc)
+            blocks.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
             ratio = np.divide(num, den, out=den)
-        fixed_rows = fixed[(fixed >= blocks.lo) & (fixed < blocks.hi)]
-        if fixed_rows.size:
-            sub = np.ix_(fixed_rows - blocks.lo, fixed)
-            off_diag = fixed_rows[:, None] != fixed[None, :]
-            bad_i, bad_j = np.nonzero((num[sub] > zero_num_tol) & off_diag)
-            if bad_i.size:
-                zero.offer(fixed_rows[bad_i], fixed[bad_j])
-            # zero pairs carry no ratio; a NaN numerator still fails closed
-            ratio[sub] = np.where(np.isnan(num[sub]) & off_diag, np.nan, -np.inf)
-        blocks.set_diagonal(ratio, -np.inf)
-        best.update(ratio, blocks.lo)
-    valid = disp[~np.isnan(disp)]
-    has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
-    pair = best.pair if best.value > -np.inf else (-1, -1)
-    zpair = best.nan.pair or zero.pair
-    return best.value, pair, has_pos, zpair is not None, zpair or (-1, -1)
+            fixed_rows = fixed[(fixed >= blocks.lo) & (fixed < blocks.hi)]
+            if fixed_rows.size:
+                sub = np.ix_(fixed_rows - blocks.lo, fixed)
+                off_diag = fixed_rows[:, None] != fixed[None, :]
+                bad_i, bad_j = np.nonzero((num[sub] > zero_num_tol) & off_diag)
+                if bad_i.size:
+                    zero.offer(fixed_rows[bad_i], fixed[bad_j])
+                # zero pairs carry no ratio; a NaN numerator still fails closed
+                ratio[sub] = np.where(np.isnan(num[sub]) & off_diag, np.nan, -np.inf)
+            blocks.set_diagonal(ratio, -np.inf)
+            best.update(ratio, blocks.lo)
+        valid = disp[~np.isnan(disp)]
+        has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
+        pair = best.pair if best.value > -np.inf else (-1, -1)
+        zpair = best.nan.pair or zero.pair
+        return best.value, pair, has_pos, zpair is not None, zpair or (-1, -1)
 
 
 def inner_min(points, images):
@@ -258,22 +269,23 @@ def inner_min(points, images):
 
     Any NaN pair value gives ``(-inf, smallest NaN pair)``.
     """
-    x = np.ascontiguousarray(points, dtype=np.float64)
-    g = np.ascontiguousarray(images, dtype=np.float64)
-    if x.shape != g.shape or x.ndim != 2:
-        raise ValueError(f"points/images shape mismatch: {x.shape} vs {g.shape}")
-    xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
-    blocks = _Block(x.shape[0], 3)
-    best = _Extremum(_row_rank(x), largest=False)
-    for acc, diff, tmp in blocks:
-        acc.fill(0.0)
-        for xc, gc in zip(xt, gt):
-            blocks.outer(np.subtract, gc, diff)
-            blocks.outer(np.subtract, xc, tmp)
-            diff *= tmp
-            acc += diff
-        blocks.set_diagonal(acc, np.inf)
-        best.update(acc, blocks.lo)
-    if best.nan.pair is not None:
-        return -np.inf, best.nan.pair
-    return best.value, best.pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ascontiguousarray(points, dtype=np.float64)
+        g = np.ascontiguousarray(images, dtype=np.float64)
+        if x.shape != g.shape or x.ndim != 2:
+            raise ValueError(f"points/images shape mismatch: {x.shape} vs {g.shape}")
+        xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
+        blocks = _Block(x.shape[0], 3)
+        best = _Extremum(_row_rank(x), largest=False)
+        for acc, diff, tmp in blocks:
+            acc.fill(0.0)
+            for xc, gc in zip(xt, gt):
+                blocks.outer(np.subtract, gc, diff)
+                blocks.outer(np.subtract, xc, tmp)
+                diff *= tmp
+                acc += diff
+            blocks.set_diagonal(acc, np.inf)
+            best.update(acc, blocks.lo)
+        if best.nan.pair is not None:
+            return -np.inf, best.nan.pair
+        return best.value, best.pair

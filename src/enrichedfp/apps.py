@@ -227,21 +227,17 @@ class VipResult:
 
 def _orbit_sample(trace: solve.IterationTrace, seed: int, random_points: int = 100) -> SampleSet | None:
     """Orbit iterates plus seeded random points in an inflated orbit box."""
-    pts = certify._dedupe_rows(np.stack(trace.iterates))
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    orbit = np.stack(trace.iterates)
+    lo = orbit.min(axis=0)
+    hi = orbit.max(axis=0)
     margin = np.maximum(0.5 * (hi - lo), 0.5)
     lo, hi = lo - margin, hi + margin
     rng = np.random.default_rng(seed)
-    extra = lo + rng.uniform(size=(random_points, pts.shape[1])) * (hi - lo)
-    pts = certify._dedupe_rows(np.concatenate([pts, extra]))
-    if pts.shape[0] < 2:
-        return None
-    return SampleSet(
-        points=pts,
-        description=f"orbit ({trace.iterations + 1} iterates) + "
-        f"{random_points} random pts (seed {seed})",
-        seed=seed,
+    extra = lo + rng.uniform(size=(random_points, orbit.shape[1])) * (hi - lo)
+    return certify.distinct_sample(
+        np.concatenate([orbit, extra]),
+        f"orbit ({trace.iterations + 1} iterates) + {random_points} random pts (seed {seed})",
+        seed,
     )
 
 
@@ -321,14 +317,11 @@ def solve_vip(
     vi_residual = float(np.min((samples - point) @ g_at_point))
     vi_ok = vi_residual >= -vi_tol
 
+    mono_sample = certify.distinct_sample(
+        samples, f"{n_samples} seeded pts in C (seed {seed})", seed
+    )
     mono_cert = None
-    mono_pts = certify._dedupe_rows(samples)
-    if mono_pts.shape[0] >= 2:
-        mono_sample = SampleSet(
-            points=mono_pts,
-            description=f"{n_samples} seeded pts in C (seed {seed})",
-            seed=seed,
-        )
+    if mono_sample is not None:
         mono_cert = certify.check_monotone(instance.operator, mono_sample)
 
     cert, note = _attempt_certificate(

@@ -87,6 +87,18 @@ def _dedupe_rows(points: np.ndarray) -> np.ndarray:
     return points[np.sort(idx)]
 
 
+def distinct_sample(points, description: str, seed: int | None) -> SampleSet | None:
+    """Sample of the distinct rows of ``points``, first occurrences in order.
+
+    Returns None when fewer than 2 distinct rows remain, so callers can skip
+    a pairwise check that has no pair to sweep.
+    """
+    pts = _dedupe_rows(np.asarray(points, dtype=np.float64))
+    if pts.shape[0] < 2:
+        return None
+    return SampleSet(points=pts, description=description, seed=seed)
+
+
 def _as_bounds(bounds) -> list[tuple[float, float]]:
     out = []
     for axis, pair in enumerate(bounds):

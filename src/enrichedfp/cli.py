@@ -91,13 +91,12 @@ class _Settings:
         if not isinstance(self.config, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
 
-    def _flag(self, name):
-        return getattr(self.args, name, None)
-
     def get(self, flag_name, config_path, default=None):
-        value = self._flag(flag_name)
-        if value is not None:
-            return value
+        value = getattr(self.args, flag_name, None)
+        return self.config_value(config_path, default) if value is None else value
+
+    def config_value(self, config_path, default=None):
+        """Value at a dotted config path, or ``default`` when it is absent."""
         node = self.config
         for part in config_path.split("."):
             if not isinstance(node, dict) or part not in node:
@@ -136,7 +135,7 @@ class _Settings:
 
     @property
     def rate(self):
-        value = self.get("_never_", "solver.rate", None)
+        value = self.config_value("solver.rate")
         return None if value is None else float(value)
 
     @property
@@ -150,15 +149,15 @@ class _Settings:
 
     @property
     def grid_points(self) -> int:
-        return int(self.get("_never_", "sample.grid_points", 101))
+        return int(self.config_value("sample.grid_points", 101))
 
     @property
     def random_points(self) -> int:
-        return int(self.get("_never_", "sample.random_points", 100))
+        return int(self.config_value("sample.random_points", 100))
 
     @property
     def bounds(self):
-        return self.get("_never_", "sample.bounds", None)
+        return self.config_value("sample.bounds")
 
     @property
     def x0(self):
@@ -250,22 +249,20 @@ def cmd_certify(settings: _Settings) -> int:
     return EXIT_OK if (kannan.feasible or bianchini.feasible) else EXIT_CERT_INFEASIBLE
 
 
-def _certified_config(settings: _Settings, mapping: Mapping):
-    """Resolve lambda/rate, estimating a certificate when lam is 'auto'."""
-    lam = settings.lam_or(solve.AUTO)
+def _solve_config(settings: _Settings, default_lam, estimators, auto_target):
+    """Solver settings for one run; an 'auto' averaging factor certifies first.
+
+    ``auto_target()`` returns the ``(mapping, sample)`` pair to certify, and
+    is called only when lambda is 'auto'. ``solve.certify_for_auto`` tries
+    ``estimators`` in order; ``krasnoselskij`` then derives lambda and rate
+    from the certificate.
+    """
+    lam = settings.lam_or(default_lam)
     cert = None
     if lam == solve.AUTO:
-        sample = _sample_for(settings, mapping)
-        cert = certify.estimate_kannan_constants(mapping, sample, settings.k_grid)
-        if not cert.feasible:
-            alt = certify.estimate_bianchini_constants(mapping, sample, settings.k_grid)
-            if alt.feasible:
-                cert = alt
-        if not cert.feasible:
-            raise AutoLambdaError(
-                f"auto lambda refused: no feasible certificate on {sample.description}"
-            )
-    cfg = solve.SolveConfig(
+        mapping, sample = auto_target()
+        cert = solve.certify_for_auto(mapping, sample, settings.k_grid, estimators)
+    return solve.SolveConfig(
         lam=lam,
         tol=settings.tol,
         max_iter=settings.max_iter,
@@ -273,16 +270,29 @@ def _certified_config(settings: _Settings, mapping: Mapping):
         rate=settings.rate,
         certificate=cert,
     )
-    return cfg, cert
+
+
+def _c_sample(settings: _Settings, c_set: convex.ConvexSet) -> certify.SampleSet:
+    """The 200 seeded points in C that auto lambda certifies sfp and vip on."""
+    sample = certify.distinct_sample(
+        convex.sample_points(c_set, 200, settings.seed),
+        f"200 seeded pts in C (seed {settings.seed})",
+        settings.seed,
+    )
+    if sample is None:
+        raise AutoLambdaError("auto lambda refused: C collapses to a single point")
+    return sample
 
 
 def cmd_solve(settings: _Settings) -> int:
     mapping = serialize.mapping_from_dict(settings.input_payload("mapping"))
-    try:
-        cfg, cert = _certified_config(settings, mapping)
-    except AutoLambdaError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CERT_INFEASIBLE
+    cfg = _solve_config(
+        settings,
+        solve.AUTO,
+        (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
+        lambda: (mapping, _sample_for(settings, mapping)),
+    )
+    cert = cfg.certificate
     x0 = _default_x0(settings, mapping.dim, mapping)
     trace = solve.krasnoselskij(mapping, x0, cfg)
     serialize.write_trace_csv(trace, settings.out_dir / "trace.csv")
@@ -306,36 +316,6 @@ def cmd_solve(settings: _Settings) -> int:
     return _STATUS_EXIT[trace.status]
 
 
-def _operator_lambda(settings: _Settings, operator, default, estimators):
-    """Resolve the averaging factor for a projection operator.
-
-    An explicit value is used as-is; 'auto' estimates constants over a
-    seeded sample of C and refuses when no class certifies; unset falls
-    back to the command default.
-    """
-    lam = settings.lam_or(default)
-    if lam != solve.AUTO:
-        return float(lam), settings.rate
-    pts = certify._dedupe_rows(
-        convex.sample_points(operator.instance.c_set, 200, settings.seed)
-    )
-    if pts.shape[0] < 2:
-        raise AutoLambdaError("auto lambda refused: C collapses to a single point")
-    sample = certify.SampleSet(
-        points=pts, description=f"200 seeded pts in C (seed {settings.seed})", seed=settings.seed
-    )
-    cert = None
-    for estimator in estimators:
-        cert = estimator(operator, sample, settings.k_grid)
-        if cert.feasible:
-            break
-    if cert is None or not cert.feasible:
-        raise AutoLambdaError(
-            f"auto lambda refused: no feasible certificate on {sample.description}"
-        )
-    return solve.auto_lambda(cert.k), solve.rate_from_certificate(cert)
-
-
 def cmd_sfp(settings: _Settings) -> int:
     instance = serialize.sfp_instance_from_dict(settings.input_payload("instance"))
     if settings.args.gamma is not None:
@@ -343,23 +323,11 @@ def cmd_sfp(settings: _Settings) -> int:
         instance = apps.SfpInstance(
             c_set=instance.c_set, q_set=instance.q_set, matrix=instance.matrix, gamma=gamma
         )
-    operator = apps.sfp_operator(instance)
-    try:
-        lam, rate = _operator_lambda(
-            settings,
-            operator,
-            default=0.5,
-            estimators=(certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
-        )
-    except AutoLambdaError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CERT_INFEASIBLE
-    cfg = solve.SolveConfig(
-        lam=lam,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-        stop_rule=settings.stop_rule,
-        rate=rate,
+    cfg = _solve_config(
+        settings,
+        0.5,
+        (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
+        lambda: (apps.sfp_operator(instance), _c_sample(settings, instance.c_set)),
     )
     x0 = _default_x0(settings, instance.c_set.dim)
     result = apps.solve_sfp(instance, cfg, x0, cert_seed=settings.seed, k_grid=settings.k_grid)
@@ -395,22 +363,11 @@ def cmd_sfp(settings: _Settings) -> int:
 
 def cmd_vip(settings: _Settings) -> int:
     instance = serialize.vip_instance_from_dict(settings.input_payload("instance"))
-    try:
-        lam, rate = _operator_lambda(
-            settings,
-            apps.vip_operator(instance),
-            default=1.0,
-            estimators=(certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
-        )
-    except AutoLambdaError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CERT_INFEASIBLE
-    cfg = solve.SolveConfig(
-        lam=lam,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-        stop_rule=settings.stop_rule,
-        rate=rate,
+    cfg = _solve_config(
+        settings,
+        1.0,
+        (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
+        lambda: (apps.vip_operator(instance), _c_sample(settings, instance.c_set)),
     )
     x0 = _default_x0(settings, instance.c_set.dim)
     result = apps.solve_vip(instance, cfg, x0, seed=settings.seed, k_grid=settings.k_grid)
@@ -552,11 +509,11 @@ def cmd_bench(settings: _Settings) -> int:
         raise ConfigError(f"sweep values must lie in (0, 1]: {lambdas}")
 
     x0 = _default_x0(settings, mapping.dim, mapping)
-    fixed_point = settings.get("_never_", "fixed_point", None)
+    fixed_point = settings.config_value("fixed_point")
     if fixed_point is not None:
         reference = np.asarray(fixed_point, dtype=np.float64)
     else:
-        ref_settings_lam = settings.get("_never_", "reference_lambda", solve.AUTO)
+        ref_settings_lam = settings.config_value("reference_lambda", solve.AUTO)
         ref_cfg = solve.SolveConfig(
             lam=ref_settings_lam if ref_settings_lam == solve.AUTO else float(ref_settings_lam),
             tol=1e-13,
@@ -622,6 +579,9 @@ def main(argv=None) -> int:
     try:
         settings = _Settings(args)
         return _HANDLERS[args.command](settings)
+    except AutoLambdaError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CERT_INFEASIBLE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

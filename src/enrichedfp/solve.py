@@ -137,10 +137,11 @@ class SolveConfig:
     """Configuration for a single averaged-iteration run.
 
     ``lam`` may be the string "auto", in which case the factor is derived
-    from ``certificate`` (or a fresh estimate on the mapping's domain) via
-    ``auto_lambda``; an infeasible certification refuses auto mode. ``rate``
-    defaults to the certificate-implied step-contraction factor when one is
-    available and the chosen lam matches its pairing.
+    from ``certificate`` (or from ``certify_for_auto`` on the mapping's
+    domain box, sampled with seed 0, over ``k_grid``) via ``auto_lambda``;
+    an infeasible certification refuses auto mode. ``rate`` defaults to the
+    certificate-implied step-contraction factor when one is available and
+    the chosen lam matches its pairing.
     """
 
     lam: float | str = AUTO
@@ -150,7 +151,6 @@ class SolveConfig:
     rate: float | None = None
     certificate: certify.ContractionCertificate | None = None
     k_grid: tuple = certify.DEFAULT_K_GRID
-    sample_seed: int = 0
 
     def __post_init__(self):
         if not (self.tol > 0.0):
@@ -202,11 +202,34 @@ class IterationTrace:
         return self.status == STATUS_CONVERGED
 
 
+def certify_for_auto(mapping: Mapping, sample, k_grid, estimators):
+    """First feasible estimate on ``sample``, trying ``estimators`` in order.
+
+    Auto mode pairs this certificate's k with lam = 1/(k+1). Raises
+    ``AutoLambdaError`` naming the sample when no estimator certifies.
+    """
+    for estimator in estimators:
+        cert = estimator(mapping, sample, k_grid)
+        if cert.feasible:
+            return cert
+    raise AutoLambdaError(
+        f"auto lambda refused: no feasible certificate on {sample.description}"
+    )
+
+
 def _resolve(mapping: Mapping, cfg: SolveConfig):
     cert = cfg.certificate
     if cfg.lam == AUTO:
         if cert is None:
-            cert = _fresh_certificate(mapping, cfg)
+            if mapping.domain is None:
+                raise AutoLambdaError(
+                    "auto lambda needs a certificate or a bounded mapping domain "
+                    "to sample for estimation"
+                )
+            lo, hi = mapping.domain
+            sample = certify.default_sample(list(zip(lo.tolist(), hi.tolist())))
+            estimators = (certify.estimate_kannan_constants, certify.estimate_bianchini_constants)
+            cert = certify_for_auto(mapping, sample, cfg.k_grid, estimators)
         if not cert.feasible:
             raise AutoLambdaError(
                 "auto lambda refused: certification is infeasible "
@@ -230,25 +253,6 @@ def _resolve(mapping: Mapping, cfg: SolveConfig):
             "a posteriori stopping requires a known contraction rate"
         )
     return lam, rate, stop_rule
-
-
-def _fresh_certificate(mapping: Mapping, cfg: SolveConfig):
-    box = mapping.domain
-    if box is None:
-        raise AutoLambdaError(
-            "auto lambda needs a certificate or a bounded mapping domain "
-            "to sample for estimation"
-        )
-    lo, hi = box
-    sample = certify.default_sample(
-        list(zip(lo.tolist(), hi.tolist())), seed=cfg.sample_seed
-    )
-    cert = certify.estimate_kannan_constants(mapping, sample, cfg.k_grid)
-    if not cert.feasible:
-        alt = certify.estimate_bianchini_constants(mapping, sample, cfg.k_grid)
-        if alt.feasible:
-            return alt
-    return cert
 
 
 def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:

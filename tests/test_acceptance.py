@@ -19,7 +19,6 @@ import pytest
 from enrichedfp import catalog, certify, convex, solve
 from enrichedfp.apps import sfp_operator, solve_sfp, solve_vip, spectral_radius_ata
 from enrichedfp.certify import (
-    SampleSet,
     check_enriched_bianchini,
     check_enriched_kannan,
     default_sample,
@@ -128,10 +127,10 @@ def _certified_run(entry):
             np.asarray(entry.x0),
             SolveConfig(lam=lam, tol=1e-12, max_iter=5000, stop_rule=solve.STOP_STEP_NORM),
         )
-        covering = SampleSet(
-            points=certify._dedupe_rows(np.concatenate([base.points, np.stack(probe.iterates)])),
-            description=f"{base.description} + orbit",
-            seed=base.seed,
+        covering = certify.distinct_sample(
+            np.concatenate([base.points, np.stack(probe.iterates)]),
+            f"{base.description} + orbit",
+            base.seed,
         )
         cert = estimator(entry.mapping, covering, entry.k_grid)
         assert cert.feasible, f"{entry.name}: covering sample broke the certificate"

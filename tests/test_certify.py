@@ -13,7 +13,13 @@ from enrichedfp import (
     estimate_bianchini_constants,
     estimate_kannan_constants,
 )
-from enrichedfp.certify import SampleSet, default_sample, grid_sample, random_sample
+from enrichedfp.certify import (
+    SampleSet,
+    default_sample,
+    distinct_sample,
+    grid_sample,
+    random_sample,
+)
 from enrichedfp.exceptions import DegenerateSampleError, InvalidConstantError
 from enrichedfp.mappings import (
     AffineMap,
@@ -33,6 +39,15 @@ class TestSampleSet:
         grid = np.linspace(0.0, 1.0, 101)
         present = {float(p[0]) for p in unit_sample.points}
         assert all(g in present for g in grid)
+
+    def test_distinct_sample_keeps_first_occurrences(self):
+        pts = np.array([[0.5], [0.0], [0.5], [1.0], [0.0]])
+        sample = distinct_sample(pts, "five pts", seed=3)
+        assert sample.points.tolist() == [[0.5], [0.0], [1.0]]
+        assert (sample.description, sample.seed) == ("five pts", 3)
+
+    def test_distinct_sample_none_below_two_points(self):
+        assert distinct_sample(np.array([[1.0], [1.0]]), "one pt", seed=None) is None
 
     def test_needs_two_points(self):
         with pytest.raises(InvalidConstantError):

@@ -171,6 +171,23 @@ class TestSfpVip:
         assert summary["lambda"] == 1.0
         assert np.allclose(summary["final_point"], [1.0, 1.0], atol=1e-8)
 
+    def test_sfp_auto_lambda_refused_on_single_point_c(self, tmp_path):
+        instance = write_json(
+            tmp_path / "degenerate.json",
+            {
+                "type": "sfp",
+                "C": {"variant": "box", "lower": [0], "upper": [0]},
+                "Q": {"variant": "box", "lower": [1], "upper": [1]},
+                "A": [[1]],
+                "gamma": 0.5,
+            },
+        )
+        result = run_cli(
+            "sfp", "--input", instance, "--out", str(tmp_path / "o"), "--lambda", "auto",
+        )
+        assert result.returncode == cli.EXIT_CERT_INFEASIBLE
+        assert "collapses" in result.stderr
+
     def test_vip_auto_lambda_refused_when_uncertifiable(self, tmp_path):
         instance = write_json(
             tmp_path / "vip.json",
@@ -295,6 +312,16 @@ class TestBench:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fastest_lambda"] == 1.0
         assert summary["non_convergent"] == []
+
+    def test_refused_reference_solve_exits_4(self, tmp_path):
+        # without a fixed_point the reference solve runs auto lambda, which
+        # factor-1/2 scaling cannot certify
+        mapping = write_json(
+            tmp_path / "half.json", {"variant": "scale_1d", "c": 0.5, "domain": [0.0, 1.0]}
+        )
+        result = run_cli("bench", "--input", mapping, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CERT_INFEASIBLE
+        assert "refused" in result.stderr
 
     def test_loose_tolerance_zero_iterations(self, tmp_path, reflection_json):
         out = tmp_path / "bench0"

@@ -299,6 +299,33 @@ def test_ratio_nan_between_fixed_points():
     assert _bits(got) == _bits(expected)
 
 
+def test_all_fixed_overflow_never_picks_a_diagonal_witness():
+    # fixed points at +-1e308: every inner product overflows to +inf, the
+    # value that masks the diagonal, and every kernel follows its oracle
+    pts = np.array([[1e308], [-1e308], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected_inner = brute_inner(pts, pts)
+        expected = {
+            mode: (brute_violation(pts, pts, 0.5, 0.25, mode), brute_ratio(pts, pts, 0.5, mode))
+            for mode in (MODE_KANNAN, MODE_BIANCHINI)
+        }
+    assert inner_min(pts, pts) == expected_inner == (math.inf, (1, 2))
+    for mode, (viol, ratio) in expected.items():
+        assert _bits(violation_max(pts, pts, 0.5, 0.25, mode)) == _bits(viol)
+        assert _bits(ratio_sup(pts, pts, 0.5, mode)) == _bits(ratio)
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH])
+def test_violation_sentinel_ties_never_pick_a_diagonal_witness(mode):
+    # displacements and norms overflow, so every guard is inf and every pair
+    # value is -inf, the value that masks the diagonal
+    pts = np.array([[0.0, 1e200], [1.0, 1e200], [2.0, 1e200]])
+    images = pts * np.array([0.5, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = brute_violation(pts, images, 0.5, 0.25, mode)
+    assert violation_max(pts, images, 0.5, 0.25, mode) == expected == (-math.inf, (0, 1))
+
+
 def test_inner_min_fails_closed_on_nan():
     pts, images = _nan_case()
     got = inner_min(pts, images)

@@ -263,6 +263,48 @@ class TestAutoMode:
         assert trace.converged
 
 
+class TestCertifyForAuto:
+    @staticmethod
+    def _recording(calls, estimator):
+        def run(mapping, sample, k_grid):
+            calls.append(estimator.__name__)
+            return estimator(mapping, sample, k_grid)
+
+        return run
+
+    def test_kannan_first_falls_back_to_bianchini(self, scale_third, unit_sample):
+        # factor-1/3 scaling sits at the displacement-sum boundary at k = 0
+        calls = []
+        estimators = (
+            self._recording(calls, certify.estimate_kannan_constants),
+            self._recording(calls, certify.estimate_bianchini_constants),
+        )
+        cert = solve.certify_for_auto(scale_third, unit_sample, (0.0,), estimators)
+        assert calls == ["estimate_kannan_constants", "estimate_bianchini_constants"]
+        assert cert.class_tag == "bianchini"
+        assert cert.rate == pytest.approx(0.5, abs=1e-12)
+
+    def test_bianchini_first_returns_it_directly(self, scale_third, unit_sample):
+        calls = []
+        estimators = (
+            self._recording(calls, certify.estimate_bianchini_constants),
+            self._recording(calls, certify.estimate_kannan_constants),
+        )
+        cert = solve.certify_for_auto(scale_third, unit_sample, (0.0,), estimators)
+        assert calls == ["estimate_bianchini_constants"]
+        assert cert.class_tag == "bianchini"
+
+    def test_refusal_names_the_sample(self, unit_sample):
+        estimators = (certify.estimate_kannan_constants, certify.estimate_bianchini_constants)
+        with pytest.raises(AutoLambdaError) as info:
+            solve.certify_for_auto(
+                Scale1D(c=0.5, bounds=(0.0, 1.0)), unit_sample, (0.0,), estimators
+            )
+        assert str(info.value) == (
+            f"auto lambda refused: no feasible certificate on {unit_sample.description}"
+        )
+
+
 class TestRateFromCertificate:
     def test_kannan_rate(self, unit_sample):
         cert = certify.check_enriched_kannan(Reflection1D(), 0.5, 0.25, unit_sample)
