@@ -19,13 +19,14 @@ solution instead of refusing to run.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import certify, convex, solve
 from .certify import ContractionCertificate, SampleSet
 from .exceptions import (
+    AutoLambdaError,
     DegenerateSampleError,
     DimensionMismatchError,
     GammaRangeError,
@@ -253,6 +254,21 @@ def _attempt_certificate(operator, trace, seed, k_grid, estimator):
     return cert, note
 
 
+def _auto_config(operator, c_set, cfg, seed, k_grid, estimators) -> solve.SolveConfig:
+    """``cfg`` with a certificate for auto lambda when it lacks one: the first
+    feasible estimate in ``estimators`` order over 200 seeded points in C.
+    """
+    if cfg.lam != AUTO or cfg.certificate is not None:
+        return cfg
+    sample = certify.distinct_sample(
+        convex.sample_points(c_set, 200, seed), f"200 seeded pts in C (seed {seed})", seed
+    )
+    if sample is None:
+        raise AutoLambdaError("auto lambda refused: C collapses to a single point")
+    cert = solve.certify_for_auto(operator, sample, k_grid, estimators)
+    return replace(cfg, certificate=cert)
+
+
 def solve_sfp(
     instance: SfpInstance,
     cfg: solve.SolveConfig,
@@ -267,9 +283,14 @@ def solve_sfp(
     measured by dist(x*, C) and ||Ax* - P_Q(Ax*)||; converging to a fixed
     point with residuals above ``feas_tol`` flags the instance as
     inconsistent (a distinct outcome, not an error). An estimation-based
-    certificate attempt over the orbit is attached either way.
+    certificate attempt over the orbit is attached either way. Auto lambda
+    without a certificate certifies on C, displacement-sum class first.
     """
     operator = sfp_operator(instance)
+    cfg = _auto_config(
+        operator, instance.c_set, cfg, cert_seed, k_grid,
+        (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
+    )
     start = instance.c_set.project(as_point(x0))
     trace = solve.krasnoselskij(operator, start, cfg)
     point = trace.final
@@ -308,8 +329,13 @@ def solve_vip(
     points z in C, min <G(x*), z - x*> must not drop below ``-vi_tol``. A
     monotonicity certificate for G over the same region and a
     max-displacement certification attempt for the operator are attached.
+    Auto lambda without a certificate certifies on C, max-displacement first.
     """
     operator = vip_operator(instance)
+    cfg = _auto_config(
+        operator, instance.c_set, cfg, seed, k_grid,
+        (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
+    )
     trace = solve.krasnoselskij(operator, as_point(x0), cfg)
     point = trace.final
     g_at_point = instance.operator.apply(point)

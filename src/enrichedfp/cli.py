@@ -1,15 +1,35 @@
 """Configuration-driven command line entry point.
 
-Commands
---------
-certify   estimate displacement-sum and max-displacement constants for a
+Usage::
+
+    enrichedfp <command> [--config cfg.json] [--input obj.json] [--out DIR]
+               [--seed N] [--tol F] [--max-iter N] [--lambda F|auto]
+               [--x0 F,F,...] [--gamma F|auto] [--k-grid F,F,...]
+               [--stop-rule auto|aposteriori_bound|step_norm]
+               [--lambdas F,F,...]
+
+Commands (each takes --config, --out and --seed, plus the flags listed)
+-----------------------------------------------------------------------
+certify   --input --k-grid
+          estimate displacement-sum and max-displacement constants for a
           mapping over a sampled box, write certificate.json
-solve     run the averaged iteration on a mapping, write trace.csv
-sfp       solve a split feasibility instance
-vip       solve a variational inequality instance
-demo      end-to-end walkthrough on the 1-D reflection map, including the
+solve     --input --tol --max-iter --lambda --x0 --k-grid --stop-rule
+          run the averaged iteration on a mapping, write trace.csv
+sfp       the solve flags and --gamma
+          solve a split feasibility instance
+vip       the solve flags
+          solve a variational inequality instance
+demo      --tol --max-iter
+          end-to-end walkthrough on the 1-D reflection map, including the
           non-convergent plain-iteration comparison
-bench     sweep the averaging factor and record iterations-to-tolerance
+bench     --input --tol --max-iter --x0 --lambdas
+          sweep the averaging factor and record iterations-to-tolerance
+
+Flags override config keys (input_path, output_dir, x0, solver.{lambda,
+tol,max_iter,stop_rule,rate}, sample.{grid_points,random_points,seed,
+bounds}, k_grid, lambdas, fixed_point, reference_lambda). A flag or config
+value that does not convert, and an unknown, abbreviated or untaken flag,
+is a configuration error naming the flag or the dotted config path.
 
 Exit codes: 0 success, 1 bad configuration/input, 2 iteration cap reached,
 3 divergence, 4 certification infeasible (including refused auto lambda),
@@ -22,13 +42,14 @@ rerunning an identical configuration reproduces output files byte for byte
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import apps, certify, convex, serialize, solve
+from . import apps, certify, serialize, solve
 from .exceptions import AutoLambdaError, ConfigError, EnrichedFPError
 from .mappings import Mapping, Reflection1D
 
@@ -41,7 +62,6 @@ EXIT_SFP_INFEASIBLE = 5
 EXIT_VI_RESIDUAL = 6
 
 _STATUS_EXIT = {
-    solve.STATUS_CONVERGED: EXIT_OK,
     solve.STATUS_MAX_ITER: EXIT_MAX_ITER,
     solve.STATUS_DIVERGED: EXIT_DIVERGED,
 }
@@ -49,37 +69,39 @@ _STATUS_EXIT = {
 DEMO_K_GRID = (0.0, 0.25, 0.5, 0.75)
 BENCH_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
+_FLAGS = {
+    "--config": {"help": "JSON run configuration"},
+    "--input": {"help": "mapping/instance JSON (overrides config input_path)"},
+    "--out": {"help": "output directory"},
+    "--seed": {"help": "seed for all randomized sampling"},
+    "--tol": {"help": "stopping tolerance"},
+    "--max-iter": {"help": "iteration cap"},
+    "--lambda": {"help": "averaging factor in (0,1] or 'auto'"},
+    "--x0": {"help": "start point, comma-separated"},
+    "--gamma": {"help": "projection step length or 'auto'"},
+    "--k-grid": {"help": "enrichment grid, comma-separated"},
+    "--stop-rule": {"choices": [solve.STOP_AUTO, solve.STOP_APOSTERIORI, solve.STOP_STEP_NORM]},
+    "--lambdas": {"help": "bench sweep values, comma-separated"},
+}
+_RUN_FLAGS = ("--config", "--out", "--seed")
+_SOLVE_FLAGS = (
+    *_RUN_FLAGS, "--input", "--tol", "--max-iter", "--lambda", "--x0", "--k-grid", "--stop-rule",
+)
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got '{text}'") from exc
+
+def _float_or_auto(value):
+    return value if value == solve.AUTO else float(value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enrichedfp",
-        description="fixed-point toolkit: certify contraction constants, run "
-        "averaged iteration, solve split-feasibility and variational-"
-        "inequality instances",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("certify", "solve", "sfp", "vip", "demo", "bench"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="JSON run configuration")
-        cmd.add_argument("--input", help="mapping/instance JSON (overrides config input_path)")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--seed", type=int, help="seed for all randomized sampling")
-        cmd.add_argument("--tol", type=float, help="stopping tolerance")
-        cmd.add_argument("--max-iter", type=int, dest="max_iter")
-        cmd.add_argument("--lambda", dest="lam", help="averaging factor in (0,1] or 'auto'")
-        cmd.add_argument("--x0", help="start point, comma-separated")
-        cmd.add_argument("--gamma", help="projection step length or 'auto'")
-        cmd.add_argument("--k-grid", dest="k_grid", help="enrichment grid, comma-separated")
-        cmd.add_argument("--stop-rule", dest="stop_rule", choices=[solve.STOP_AUTO, solve.STOP_APOSTERIORI, solve.STOP_STEP_NORM])
-        cmd.add_argument("--lambdas", help="bench sweep values, comma-separated")
-    return parser
+def _floats(value) -> tuple:
+    """Comma-separated text or a JSON list, as a tuple of floats."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip() != ""]
+    return tuple(float(v) for v in value)
+
+
+def _bounds(value) -> list:
+    return [(float(lo), float(hi)) for lo, hi in value]
 
 
 class _Settings:
@@ -91,97 +113,68 @@ class _Settings:
         if not isinstance(self.config, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
 
-    def get(self, flag_name, config_path, default=None):
-        value = getattr(self.args, flag_name, None)
-        return self.config_value(config_path, default) if value is None else value
+    def get(self, flag, config_path, default=None, convert=None):
+        """The value of ``flag``, else of the dotted ``config_path``, else
+        ``default`` (returned as is); either source may be None.
 
-    def config_value(self, config_path, default=None):
-        """Value at a dotted config path, or ``default`` when it is absent."""
-        node = self.config
-        for part in config_path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                return default
-            node = node[part]
-        return node
+        ``convert`` turns a given value into its type. A value it rejects
+        raises ``ConfigError`` naming the flag or the config path.
+        """
+        source, value = flag, None
+        if flag is not None:
+            value = getattr(self.args, flag[2:].replace("-", "_"), None)
+        if value is None and config_path is not None:
+            source, value = config_path, self.config
+            for part in config_path.split("."):
+                if not isinstance(value, dict) or part not in value:
+                    value = None
+                    break
+                value = value[part]
+        if value is None:
+            return default
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
 
     @property
     def out_dir(self) -> Path:
-        out = Path(self.get("out", "output_dir", "out"))
+        out = self.get("--out", "output_dir", Path("out"), Path)
         out.mkdir(parents=True, exist_ok=True)
         return out
 
     @property
     def seed(self) -> int:
-        return int(self.get("seed", "sample.seed", 0))
+        return self.get("--seed", "sample.seed", 0, int)
 
     @property
     def tol(self) -> float:
-        return float(self.get("tol", "solver.tol", 1e-10))
+        return self.get("--tol", "solver.tol", 1e-10, float)
 
     @property
     def max_iter(self) -> int:
-        return int(self.get("max_iter", "solver.max_iter", 1000))
-
-    def lam_or(self, default):
-        """Averaging factor: flag/config when given, else the command default."""
-        value = self.get("lam", "solver.lambda", default)
-        if isinstance(value, str) and value != solve.AUTO:
-            value = float(value)
-        return value
-
-    @property
-    def stop_rule(self) -> str:
-        return self.get("stop_rule", "solver.stop_rule", solve.STOP_AUTO)
-
-    @property
-    def rate(self):
-        value = self.config_value("solver.rate")
-        return None if value is None else float(value)
+        return self.get("--max-iter", "solver.max_iter", 1000, int)
 
     @property
     def k_grid(self) -> tuple:
-        value = self.get("k_grid", "k_grid", None)
-        if value is None:
-            return certify.DEFAULT_K_GRID
-        if isinstance(value, str):
-            value = _parse_floats(value)
-        return tuple(float(v) for v in value)
-
-    @property
-    def grid_points(self) -> int:
-        return int(self.config_value("sample.grid_points", 101))
-
-    @property
-    def random_points(self) -> int:
-        return int(self.config_value("sample.random_points", 100))
-
-    @property
-    def bounds(self):
-        return self.config_value("sample.bounds")
-
-    @property
-    def x0(self):
-        value = self.get("x0", "x0", None)
-        if isinstance(value, str):
-            value = _parse_floats(value)
-        return value
+        return self.get("--k-grid", "k_grid", certify.DEFAULT_K_GRID, _floats)
 
     def input_payload(self, kind: str) -> dict:
-        path = self.get("input", "input_path", None)
-        if path is None:
-            inline = self.config.get(kind)
-            if inline is None:
-                raise ConfigError(
-                    f"no input: pass --input or set input_path/{kind} in the config"
-                )
-            return inline
-        return serialize.load_json(path)
+        path = self.get("--input", "input_path")
+        if path is not None:
+            return serialize.load_json(path)
+        inline = self.get(None, kind)
+        if inline is None:
+            raise ConfigError(f"no input: pass --input or set input_path/{kind} in the config")
+        return inline
 
 
 def _mapping_bounds(settings: _Settings, mapping: Mapping):
-    bounds = settings.bounds
+    bounds = settings.get(None, "sample.bounds", None, _bounds)
     if bounds is not None:
-        return [(float(lo), float(hi)) for lo, hi in bounds]
+        return bounds
     if mapping.domain is not None:
         lo, hi = mapping.domain
         return list(zip(lo.tolist(), hi.tolist()))
@@ -190,17 +183,17 @@ def _mapping_bounds(settings: _Settings, mapping: Mapping):
     )
 
 
-def _sample_for(settings: _Settings, mapping: Mapping) -> certify.SampleSet:
+def _box_sample(settings: _Settings, bounds) -> certify.SampleSet:
     return certify.default_sample(
-        _mapping_bounds(settings, mapping),
-        grid_points=settings.grid_points,
-        random_points=settings.random_points,
+        bounds,
+        grid_points=settings.get(None, "sample.grid_points", 101, int),
+        random_points=settings.get(None, "sample.random_points", 100, int),
         seed=settings.seed,
     )
 
 
 def _default_x0(settings: _Settings, dim: int, mapping: Mapping | None = None) -> np.ndarray:
-    value = settings.x0
+    value = settings.get("--x0", "x0", None, _floats)
     if value is not None:
         arr = np.asarray(value, dtype=np.float64)
         if arr.shape != (dim,):
@@ -212,15 +205,52 @@ def _default_x0(settings: _Settings, dim: int, mapping: Mapping | None = None) -
     return np.zeros(dim)
 
 
-def _write_summary(settings: _Settings, payload: dict) -> None:
-    payload = dict(payload)
-    payload["timestamp"] = time.time()
-    serialize.write_json(settings.out_dir / "summary.json", payload)
+def _write_summary(settings: _Settings, command: str, payload: dict) -> None:
+    serialize.write_json(
+        settings.out_dir / "summary.json",
+        {"command": command, "seed": settings.seed, **payload, "timestamp": time.time()},
+    )
+
+
+def _solve_config(settings: _Settings, default_lam, auto_certificate=None):
+    """Solver settings for solve, sfp and vip.
+
+    With lambda 'auto', ``auto_certificate()`` (when given) supplies the
+    certificate ``krasnoselskij`` derives lambda and rate from; sfp and vip
+    pass none, and ``apps.solve_sfp``/``solve_vip`` certify on C.
+    """
+    lam = settings.get("--lambda", "solver.lambda", default_lam, _float_or_auto)
+    cert = auto_certificate() if lam == solve.AUTO and auto_certificate else None
+    return solve.SolveConfig(
+        lam=lam,
+        tol=settings.tol,
+        max_iter=settings.max_iter,
+        stop_rule=settings.get("--stop-rule", "solver.stop_rule", solve.STOP_AUTO),
+        rate=settings.get(None, "solver.rate", None, float),
+        certificate=cert,
+    )
+
+
+def _report(settings, command, trace, certificate, fields, detail, check_exit=EXIT_OK) -> int:
+    """Write trace.csv, certificate.json (if any) and summary.json (the trace
+    summary plus ``fields``) for solve, sfp and vip; print the status line.
+
+    Returns the code of an unconverged trace's status, else ``check_exit``,
+    the verdict of the command's own check.
+    """
+    serialize.write_trace_csv(trace, settings.out_dir / "trace.csv")
+    if certificate is not None:
+        serialize.write_json(
+            settings.out_dir / "certificate.json", serialize.certificate_to_dict(certificate)
+        )
+    _write_summary(settings, command, {**serialize.trace_summary(trace), **fields})
+    print(f"status={trace.status} {detail}")
+    return check_exit if trace.converged else _STATUS_EXIT[trace.status]
 
 
 def cmd_certify(settings: _Settings) -> int:
     mapping = serialize.mapping_from_dict(settings.input_payload("mapping"))
-    sample = _sample_for(settings, mapping)
+    sample = _box_sample(settings, _mapping_bounds(settings, mapping))
     kannan = certify.estimate_kannan_constants(mapping, sample, settings.k_grid)
     bianchini = certify.estimate_bianchini_constants(mapping, sample, settings.k_grid)
     serialize.write_json(
@@ -232,9 +262,8 @@ def cmd_certify(settings: _Settings) -> int:
     )
     _write_summary(
         settings,
+        "certify",
         {
-            "command": "certify",
-            "seed": settings.seed,
             "sample": sample.description,
             "kannan_feasible": kannan.feasible,
             "kannan_k": kannan.k,
@@ -249,100 +278,44 @@ def cmd_certify(settings: _Settings) -> int:
     return EXIT_OK if (kannan.feasible or bianchini.feasible) else EXIT_CERT_INFEASIBLE
 
 
-def _solve_config(settings: _Settings, default_lam, estimators, auto_target):
-    """Solver settings for one run; an 'auto' averaging factor certifies first.
-
-    ``auto_target()`` returns the ``(mapping, sample)`` pair to certify, and
-    is called only when lambda is 'auto'. ``solve.certify_for_auto`` tries
-    ``estimators`` in order; ``krasnoselskij`` then derives lambda and rate
-    from the certificate.
-    """
-    lam = settings.lam_or(default_lam)
-    cert = None
-    if lam == solve.AUTO:
-        mapping, sample = auto_target()
-        cert = solve.certify_for_auto(mapping, sample, settings.k_grid, estimators)
-    return solve.SolveConfig(
-        lam=lam,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-        stop_rule=settings.stop_rule,
-        rate=settings.rate,
-        certificate=cert,
-    )
-
-
-def _c_sample(settings: _Settings, c_set: convex.ConvexSet) -> certify.SampleSet:
-    """The 200 seeded points in C that auto lambda certifies sfp and vip on."""
-    sample = certify.distinct_sample(
-        convex.sample_points(c_set, 200, settings.seed),
-        f"200 seeded pts in C (seed {settings.seed})",
-        settings.seed,
-    )
-    if sample is None:
-        raise AutoLambdaError("auto lambda refused: C collapses to a single point")
-    return sample
-
-
 def cmd_solve(settings: _Settings) -> int:
     mapping = serialize.mapping_from_dict(settings.input_payload("mapping"))
     cfg = _solve_config(
         settings,
         solve.AUTO,
-        (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
-        lambda: (mapping, _sample_for(settings, mapping)),
+        lambda: solve.certify_for_auto(
+            mapping,
+            _box_sample(settings, _mapping_bounds(settings, mapping)),
+            settings.k_grid,
+            (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
+        ),
     )
     cert = cfg.certificate
-    x0 = _default_x0(settings, mapping.dim, mapping)
-    trace = solve.krasnoselskij(mapping, x0, cfg)
-    serialize.write_trace_csv(trace, settings.out_dir / "trace.csv")
-    if cert is not None:
-        serialize.write_json(
-            settings.out_dir / "certificate.json", serialize.certificate_to_dict(cert)
-        )
-    _write_summary(
+    trace = solve.krasnoselskij(mapping, _default_x0(settings, mapping.dim, mapping), cfg)
+    return _report(
         settings,
-        {
-            "command": "solve",
-            "seed": settings.seed,
-            **serialize.trace_summary(trace),
-            "certificate": None if cert is None else serialize.certificate_to_dict(cert),
-        },
+        "solve",
+        trace,
+        cert,
+        {"certificate": None if cert is None else serialize.certificate_to_dict(cert)},
+        f"iterations={trace.iterations} final={trace.final.tolist()}",
     )
-    print(
-        f"status={trace.status} iterations={trace.iterations} "
-        f"final={trace.final.tolist()}"
-    )
-    return _STATUS_EXIT[trace.status]
 
 
 def cmd_sfp(settings: _Settings) -> int:
     instance = serialize.sfp_instance_from_dict(settings.input_payload("instance"))
-    if settings.args.gamma is not None:
-        gamma = settings.args.gamma if settings.args.gamma == "auto" else float(settings.args.gamma)
-        instance = apps.SfpInstance(
-            c_set=instance.c_set, q_set=instance.q_set, matrix=instance.matrix, gamma=gamma
-        )
-    cfg = _solve_config(
-        settings,
-        0.5,
-        (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
-        lambda: (apps.sfp_operator(instance), _c_sample(settings, instance.c_set)),
-    )
+    gamma = settings.get("--gamma", None, None, _float_or_auto)
+    if gamma is not None:
+        instance = dataclasses.replace(instance, gamma=gamma)
+    cfg = _solve_config(settings, 0.5)
     x0 = _default_x0(settings, instance.c_set.dim)
     result = apps.solve_sfp(instance, cfg, x0, cert_seed=settings.seed, k_grid=settings.k_grid)
-    serialize.write_trace_csv(result.trace, settings.out_dir / "trace.csv")
-    if result.certificate is not None:
-        serialize.write_json(
-            settings.out_dir / "certificate.json",
-            serialize.certificate_to_dict(result.certificate),
-        )
-    _write_summary(
+    return _report(
         settings,
+        "sfp",
+        result.trace,
+        result.certificate,
         {
-            "command": "sfp",
-            "seed": settings.seed,
-            **serialize.trace_summary(result.trace),
             "residual_c": result.residual_c,
             "residual_q": result.residual_q,
             "feasible": result.feasible,
@@ -350,54 +323,36 @@ def cmd_sfp(settings: _Settings) -> int:
             "rho": result.rho,
             "certificate_note": result.certificate_note,
         },
-    )
-    print(
-        f"status={result.trace.status} point={result.point.tolist()} "
+        f"point={result.point.tolist()} "
         f"residuals=({result.residual_c:.3e}, {result.residual_q:.3e}) "
-        f"feasible={result.feasible} [{result.certificate_note}]"
+        f"feasible={result.feasible} [{result.certificate_note}]",
+        EXIT_OK if result.feasible else EXIT_SFP_INFEASIBLE,
     )
-    if result.trace.status != solve.STATUS_CONVERGED:
-        return _STATUS_EXIT[result.trace.status]
-    return EXIT_OK if result.feasible else EXIT_SFP_INFEASIBLE
 
 
 def cmd_vip(settings: _Settings) -> int:
     instance = serialize.vip_instance_from_dict(settings.input_payload("instance"))
-    cfg = _solve_config(
-        settings,
-        1.0,
-        (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
-        lambda: (apps.vip_operator(instance), _c_sample(settings, instance.c_set)),
-    )
+    cfg = _solve_config(settings, 1.0)
     x0 = _default_x0(settings, instance.c_set.dim)
     result = apps.solve_vip(instance, cfg, x0, seed=settings.seed, k_grid=settings.k_grid)
-    serialize.write_trace_csv(result.trace, settings.out_dir / "trace.csv")
-    payload = {
-        "command": "vip",
-        "seed": settings.seed,
-        **serialize.trace_summary(result.trace),
-        "vi_residual": result.vi_residual,
-        "vi_ok": result.vi_ok,
-        "gamma": result.gamma,
-        "certificate_note": result.certificate_note,
-        "monotone_satisfied": None
-        if result.monotone_certificate is None
-        else result.monotone_certificate.satisfied,
-    }
-    if result.certificate is not None:
-        serialize.write_json(
-            settings.out_dir / "certificate.json",
-            serialize.certificate_to_dict(result.certificate),
-        )
-    _write_summary(settings, payload)
-    print(
-        f"status={result.trace.status} point={result.point.tolist()} "
-        f"vi_residual={result.vi_residual:.3e} vi_ok={result.vi_ok} "
-        f"[{result.certificate_note}]"
+    return _report(
+        settings,
+        "vip",
+        result.trace,
+        result.certificate,
+        {
+            "vi_residual": result.vi_residual,
+            "vi_ok": result.vi_ok,
+            "gamma": result.gamma,
+            "certificate_note": result.certificate_note,
+            "monotone_satisfied": None
+            if result.monotone_certificate is None
+            else result.monotone_certificate.satisfied,
+        },
+        f"point={result.point.tolist()} vi_residual={result.vi_residual:.3e} "
+        f"vi_ok={result.vi_ok} [{result.certificate_note}]",
+        EXIT_OK if result.vi_ok else EXIT_VI_RESIDUAL,
     )
-    if result.trace.status != solve.STATUS_CONVERGED:
-        return _STATUS_EXIT[result.trace.status]
-    return EXIT_OK if result.vi_ok else EXIT_VI_RESIDUAL
 
 
 def cmd_demo(settings: _Settings) -> int:
@@ -405,12 +360,7 @@ def cmd_demo(settings: _Settings) -> int:
     the plain-iteration comparison that motivates averaging.
     """
     mapping = Reflection1D()
-    sample = certify.default_sample(
-        [(0.0, 1.0)],
-        grid_points=settings.grid_points,
-        random_points=settings.random_points,
-        seed=settings.seed,
-    )
+    sample = _box_sample(settings, [(0.0, 1.0)])
 
     per_k = {}
     for k in DEMO_K_GRID:
@@ -466,9 +416,8 @@ def cmd_demo(settings: _Settings) -> int:
     )
     _write_summary(
         settings,
+        "demo",
         {
-            "command": "demo",
-            "seed": settings.seed,
             "estimates_per_k": {
                 str(k): serialize._finite_or_none(c.rate) for k, c in per_k.items()
             },
@@ -499,23 +448,15 @@ def cmd_bench(settings: _Settings) -> int:
     (against a reference fixed point) drops to tol.
     """
     mapping = serialize.mapping_from_dict(settings.input_payload("mapping"))
-    lambdas = settings.get("lambdas", "lambdas", None)
-    if lambdas is None:
-        lambdas = BENCH_LAMBDAS
-    elif isinstance(lambdas, str):
-        lambdas = _parse_floats(lambdas)
-    lambdas = sorted(float(v) for v in lambdas)
+    lambdas = sorted(settings.get("--lambdas", "lambdas", BENCH_LAMBDAS, _floats))
     if any(not (0.0 < v <= 1.0) for v in lambdas):
         raise ConfigError(f"sweep values must lie in (0, 1]: {lambdas}")
 
     x0 = _default_x0(settings, mapping.dim, mapping)
-    fixed_point = settings.config_value("fixed_point")
-    if fixed_point is not None:
-        reference = np.asarray(fixed_point, dtype=np.float64)
-    else:
-        ref_settings_lam = settings.config_value("reference_lambda", solve.AUTO)
+    reference = settings.get(None, "fixed_point", None, lambda v: np.asarray(v, dtype=np.float64))
+    if reference is None:
         ref_cfg = solve.SolveConfig(
-            lam=ref_settings_lam if ref_settings_lam == solve.AUTO else float(ref_settings_lam),
+            lam=settings.get(None, "reference_lambda", solve.AUTO, _float_or_auto),
             tol=1e-13,
             max_iter=max(100000, settings.max_iter),
         )
@@ -538,9 +479,8 @@ def cmd_bench(settings: _Settings) -> int:
     fastest = min(convergent)[1] if convergent else None
     _write_summary(
         settings,
+        "bench",
         {
-            "command": "bench",
-            "seed": settings.seed,
             "tol": settings.tol,
             "reference_point": reference.tolist(),
             "fastest_lambda": fastest,
@@ -564,21 +504,46 @@ def _iterations_to_tol(mapping, x0, lam, reference, tol, max_iter):
     return max_iter, False
 
 
-_HANDLERS = {
-    "certify": cmd_certify,
-    "solve": cmd_solve,
-    "sfp": cmd_sfp,
-    "vip": cmd_vip,
-    "demo": cmd_demo,
-    "bench": cmd_bench,
+# each command's handler and the flags it reads; no other flag is accepted
+_COMMANDS = {
+    "certify": (cmd_certify, (*_RUN_FLAGS, "--input", "--k-grid")),
+    "solve": (cmd_solve, _SOLVE_FLAGS),
+    "sfp": (cmd_sfp, (*_SOLVE_FLAGS, "--gamma")),
+    "vip": (cmd_vip, _SOLVE_FLAGS),
+    "demo": (cmd_demo, (*_RUN_FLAGS, "--tol", "--max-iter")),
+    "bench": (cmd_bench, (*_RUN_FLAGS, "--input", "--tol", "--max-iter", "--x0", "--lambdas")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` on a parse error: argparse's own exit 2 is the
+    iteration-cap code here.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="enrichedfp",
+        description="fixed-point toolkit: certify contraction constants, run "
+        "averaged iteration, solve split-feasibility and variational-"
+        "inequality instances",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        settings = _Settings(args)
-        return _HANDLERS[args.command](settings)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_Settings(args))
     except AutoLambdaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CERT_INFEASIBLE

@@ -12,7 +12,7 @@ from enrichedfp.apps import (
     spectral_radius_ata,
     vip_operator,
 )
-from enrichedfp.exceptions import GammaRangeError, InvalidConstantError
+from enrichedfp.exceptions import AutoLambdaError, GammaRangeError, InvalidConstantError
 from enrichedfp.mappings import AffineMap
 
 
@@ -165,8 +165,27 @@ class TestSolveSfp:
         assert convex.contains(inst.c_set, result.point, 1e-10)
         assert convex.contains(inst.q_set, inst.matrix @ result.point, 1e-10)
 
+    def test_auto_lambda_certifies_on_c(self):
+        # the operator is constant on C, so the points in C certify k=0
+        cfg = solve.SolveConfig(lam=solve.AUTO, tol=1e-10, max_iter=50)
+        result = solve_sfp(catalog.standard_sfp(), cfg, [0.0, 0.0], cert_seed=3)
+        assert result.trace.lam == 1.0
+        assert np.allclose(result.point, [1.0, 1.0], atol=1e-12)
+
+    def test_auto_lambda_refused_on_single_point_c(self):
+        cfg = solve.SolveConfig(lam=solve.AUTO, tol=1e-10, max_iter=50)
+        with pytest.raises(AutoLambdaError, match="collapses to a single point"):
+            solve_sfp(catalog.degenerate_sfp(), cfg, [0.0])
+
 
 class TestSolveVip:
+    def test_auto_lambda_certifies_on_c(self):
+        # G(x) = x - 1 makes T a 1/2-scaling, which no class certifies; the
+        # refusal names the sample in C it tried
+        cfg = solve.SolveConfig(lam=solve.AUTO, tol=1e-10, max_iter=50)
+        with pytest.raises(AutoLambdaError, match=r"200 seeded pts in C \(seed 4\)"):
+            solve_vip(catalog.vip_line(), cfg, [0.0], seed=4)
+
     def test_interior_solution(self):
         cfg = solve.SolveConfig(lam=1.0, tol=1e-10, max_iter=200)
         result = solve_vip(catalog.vip_line(), cfg, [0.0])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from enrichedfp import cli
+from enrichedfp import apps, cli
 
 RUN = [sys.executable, "-m", "enrichedfp.cli"]
 
@@ -379,3 +380,88 @@ class TestDeterminism:
         sa.pop("timestamp")
         sb.pop("timestamp")
         assert json.dumps(sa, sort_keys=True) == json.dumps(sb, sort_keys=True)
+
+
+SOLVE_FLAGS = {
+    "--config", "--input", "--out", "--seed", "--tol", "--max-iter",
+    "--lambda", "--x0", "--k-grid", "--stop-rule",
+}
+COMMAND_FLAGS = {
+    "certify": {"--config", "--input", "--out", "--seed", "--k-grid"},
+    "solve": SOLVE_FLAGS,
+    "sfp": SOLVE_FLAGS | {"--gamma"},
+    "vip": SOLVE_FLAGS,
+    "demo": {"--config", "--out", "--seed", "--tol", "--max-iter"},
+    "bench": {"--config", "--input", "--out", "--seed", "--tol", "--max-iter", "--x0", "--lambdas"},
+}
+
+
+class TestFlagsAndValues:
+    def test_each_command_takes_exactly_its_flags(self):
+        (subparsers,) = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        taken = {
+            name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert taken == COMMAND_FLAGS
+        assert sum(len(flags) for flags in taken.values()) == 49
+
+    @pytest.mark.parametrize(
+        "command, flags, config, named",
+        [
+            ("sfp", ["--lambda", "abc"], None, "--lambda"),
+            ("sfp", ["--gamma", "abc"], None, "--gamma"),
+            ("solve", ["--tol", "abc"], None, "--tol"),
+            ("solve", ["--seed", "x"], None, "--seed"),
+            ("solve", ["--k-grid", "0,a"], None, "--k-grid"),
+            ("solve", [], {"solver": {"max_iter": "x"}}, "solver.max_iter"),
+            ("certify", [], {"sample": {"bounds": [["a", 1]]}}, "sample.bounds"),
+            ("solve", ["--lambda", "0.5"], {"solver": {"rate": "x"}}, "solver.rate"),
+            ("bench", [], {"lambdas": ["a"]}, "lambdas"),
+        ],
+    )
+    def test_bad_value_is_a_configuration_error(
+        self, tmp_path, reflection_json, sfp_json, command, flags, config, named
+    ):
+        argv = [command, "--input", sfp_json if command == "sfp" else reflection_json, *flags]
+        if config is not None:
+            argv += ["--config", write_json(tmp_path / "cfg.json", config)]
+        result = run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.startswith(f"configuration error: {named}: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["demo", "--gamma", "7"], ["certify", "--tol", "1"], ["bench", "--lambda", "0.3"],
+         ["solve", "--bogus", "1"], ["solve", "--max", "5"]],
+    )
+    def test_untaken_or_abbreviated_flag_exits_1(self, tmp_path, reflection_json, argv):
+        result = run_cli(*argv, "--input", reflection_json, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.startswith(
+            f"configuration error: unrecognized arguments: {' '.join(argv[1:])}"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_command_exits_1_and_help_exits_0(self):
+        assert run_cli().returncode == cli.EXIT_CONFIG_ERROR
+        result = run_cli("sfp", "--help")
+        assert result.returncode == cli.EXIT_OK
+        assert "--gamma" in result.stdout
+
+    def test_bad_value_returns_1_in_process(self, tmp_path, sfp_json, capsys):
+        argv = ["sfp", "--input", sfp_json, "--out", str(tmp_path / "o"), "--lambda", "abc"]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error: --lambda: ")
+
+    def test_sfp_auto_lambda_runs_power_iteration_once(self, tmp_path, sfp_json, monkeypatch):
+        calls = []
+        real = apps.power_iteration
+        monkeypatch.setattr(apps, "power_iteration", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        argv = ["sfp", "--input", sfp_json, "--out", str(tmp_path / "o"), "--lambda", "auto", "--x0", "0,0"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(calls) == 1
