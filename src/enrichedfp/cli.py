@@ -80,7 +80,7 @@ _FLAGS = {
     "--x0": {"help": "start point, comma-separated"},
     "--gamma": {"help": "projection step length or 'auto'"},
     "--k-grid": {"help": "enrichment grid, comma-separated"},
-    "--stop-rule": {"choices": [solve.STOP_AUTO, solve.STOP_APOSTERIORI, solve.STOP_STEP_NORM]},
+    "--stop-rule": {"help": "auto, aposteriori_bound or step_norm"},
     "--lambdas": {"help": "bench sweep values, comma-separated"},
 }
 _RUN_FLAGS = ("--config", "--out", "--seed")
@@ -102,6 +102,25 @@ def _floats(value) -> tuple:
 
 def _bounds(value) -> list:
     return [(float(lo), float(hi)) for lo, hi in value]
+
+
+def _point(dim: int):
+    """Converter to a float64 point of dimension ``dim`` (text or list)."""
+
+    def convert(value) -> np.ndarray:
+        arr = np.asarray(_floats(value), dtype=np.float64)
+        if arr.shape != (dim,):
+            raise ValueError(f"has dim {arr.shape}, expected ({dim},)")
+        return arr
+
+    return convert
+
+
+def _stop_rule(value) -> str:
+    rules = (solve.STOP_AUTO, solve.STOP_APOSTERIORI, solve.STOP_STEP_NORM)
+    if value not in rules:
+        raise ValueError(f"unknown stop rule {value!r}, expected one of {', '.join(rules)}")
+    return value
 
 
 class _Settings:
@@ -193,12 +212,9 @@ def _box_sample(settings: _Settings, bounds) -> certify.SampleSet:
 
 
 def _default_x0(settings: _Settings, dim: int, mapping: Mapping | None = None) -> np.ndarray:
-    value = settings.get("--x0", "x0", None, _floats)
+    value = settings.get("--x0", "x0", None, _point(dim))
     if value is not None:
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != (dim,):
-            raise ConfigError(f"x0 has dim {arr.shape}, expected ({dim},)")
-        return arr
+        return value
     if mapping is not None and mapping.domain is not None:
         lo, hi = mapping.domain
         return (lo + hi) / 2.0
@@ -225,7 +241,7 @@ def _solve_config(settings: _Settings, default_lam, auto_certificate=None):
         lam=lam,
         tol=settings.tol,
         max_iter=settings.max_iter,
-        stop_rule=settings.get("--stop-rule", "solver.stop_rule", solve.STOP_AUTO),
+        stop_rule=settings.get("--stop-rule", "solver.stop_rule", solve.STOP_AUTO, _stop_rule),
         rate=settings.get(None, "solver.rate", None, float),
         certificate=cert,
     )
@@ -453,7 +469,7 @@ def cmd_bench(settings: _Settings) -> int:
         raise ConfigError(f"sweep values must lie in (0, 1]: {lambdas}")
 
     x0 = _default_x0(settings, mapping.dim, mapping)
-    reference = settings.get(None, "fixed_point", None, lambda v: np.asarray(v, dtype=np.float64))
+    reference = settings.get(None, "fixed_point", None, _point(mapping.dim))
     if reference is None:
         ref_cfg = solve.SolveConfig(
             lam=settings.get(None, "reference_lambda", solve.AUTO, _float_or_auto),

@@ -9,7 +9,6 @@ with sorted keys so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import Any
 
@@ -297,33 +296,30 @@ def trace_summary(trace: solve.IterationTrace) -> dict:
     }
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return FLOAT_FMT % value
-
-
 def write_trace_csv(trace: solve.IterationTrace, path) -> None:
-    """Write one row per iterate: iter, components, step_norm, ratio, bounds."""
+    """Write one row per iterate: iter, components, step_norm, ratio, bounds.
+
+    Rows end in "\r\n" as in the csv module's default dialect; no cell ever
+    needs quoting. Each row is one %-template, so a missing value (the first
+    row, a ratio of None, bounds without a rate) is an empty cell.
+    """
+    blank = [None] * len(trace.iterates)
+    rows = zip(
+        trace.iterates,
+        [None, *trace.step_norms],
+        [None, *trace.ratios],
+        [None, *trace.apriori] if trace.apriori else blank,
+        [None, *trace.aposteriori] if trace.aposteriori else blank,
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "components", "step_norm", "ratio", "apriori", "aposteriori"])
-        for n, point in enumerate(trace.iterates):
-            components = ";".join(FLOAT_FMT % c for c in point)
-            if n == 0:
-                writer.writerow([0, components, "", "", "", ""])
-                continue
-            i = n - 1
-            writer.writerow(
-                [
-                    n,
-                    components,
-                    _cell(trace.step_norms[i]),
-                    _cell(trace.ratios[i]),
-                    _cell(trace.apriori[i]) if trace.apriori else "",
-                    _cell(trace.aposteriori[i]) if trace.aposteriori else "",
-                ]
+        fh.write("iter,components,step_norm,ratio,apriori,aposteriori\r\n")
+        for n, (point, *cells) in enumerate(rows):
+            values = point.tolist()
+            template = ",".join(
+                ["%d", ";".join([FLOAT_FMT] * len(values))]
+                + ["" if c is None else FLOAT_FMT for c in cells]
             )
+            fh.write((template + "\r\n") % (n, *values, *[c for c in cells if c is not None]))
 
 
 def write_json(path, payload: dict) -> None:

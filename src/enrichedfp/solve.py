@@ -22,6 +22,7 @@ import numpy as np
 from . import certify
 from .exceptions import (
     AutoLambdaError,
+    DimensionMismatchError,
     DomainEscapeError,
     InvalidConstantError,
     OutOfDomainError,
@@ -266,6 +267,10 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     """
     lam, rate, stop_rule = _resolve(mapping, cfg)
     x = as_point(x0)
+    if x.shape[0] != mapping.dim:
+        raise DimensionMismatchError(
+            f"{type(mapping).__name__} acts on R^{mapping.dim}, got dim {x.shape[0]}"
+        )
     trace = IterationTrace(
         iterates=[x.copy()],
         apriori=[] if rate is not None else None,
@@ -275,31 +280,44 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
         stop_rule=stop_rule,
         tol=cfg.tol,
     )
+    # x0 is checked once above and a non-finite iterate ends the run, so the
+    # loop skips Mapping.apply's point checks and calls the parts it needs.
+    if rate is not None:
+        # the same expressions as apriori_bound and aposteriori_bound; rate
+        # was validated by _resolve
+        complement = 1.0 - rate
+        aposteriori_scale = rate / complement
 
     for n in range(1, cfg.max_iter + 1):
         try:
-            tx = mapping.apply(x)
+            mapping._check_domain(x)
         except OutOfDomainError as exc:
             raise DomainEscapeError(
                 f"iterate {n - 1} escaped the mapping domain: {exc}",
                 point=x.copy(),
                 iteration=n - 1,
             ) from exc
-        xn = (1.0 - lam) * x + lam * tx
-        step = float(np.linalg.norm(xn - x))
+        xn = (1.0 - lam) * x + lam * mapping._apply(x)
+        if xn.shape != x.shape:
+            raise DimensionMismatchError(
+                f"{type(mapping).__name__} maps R^{x.shape[0]} to shape {xn.shape}"
+            )
+        dx = xn - x
+        step = math.sqrt(dx @ dx)
 
         prev = trace.step_norms[-1] if trace.step_norms else None
-        trace.iterates.append(xn.copy())
+        trace.iterates.append(xn)
         trace.step_norms.append(step)
         if prev is None or prev < RATIO_MIN_STEP:
             trace.ratios.append(None)
         else:
             trace.ratios.append(step / prev)
         if rate is not None:
-            trace.apriori.append(apriori_bound(rate, trace.step_norms[0], n))
-            trace.aposteriori.append(aposteriori_bound(rate, step))
+            trace.apriori.append(rate**n / complement * trace.step_norms[0])
+            trace.aposteriori.append(aposteriori_scale * step)
 
-        if not np.all(np.isfinite(xn)) or step > DIVERGENCE_LIMIT:
+        # a NaN or inf component makes the norm NaN or inf
+        if not step <= DIVERGENCE_LIMIT:
             trace.status = STATUS_DIVERGED
             return trace
 

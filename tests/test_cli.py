@@ -421,6 +421,11 @@ class TestFlagsAndValues:
             ("certify", [], {"sample": {"bounds": [["a", 1]]}}, "sample.bounds"),
             ("solve", ["--lambda", "0.5"], {"solver": {"rate": "x"}}, "solver.rate"),
             ("bench", [], {"lambdas": ["a"]}, "lambdas"),
+            ("solve", [], {"solver": {"stop_rule": "aposteriori"}}, "solver.stop_rule"),
+            ("solve", ["--stop-rule", "aposteriori"], None, "--stop-rule"),
+            ("solve", ["--x0", "0,0"], None, "--x0"),
+            ("bench", [], {"x0": [0.5, 7.0]}, "x0"),
+            ("bench", [], {"fixed_point": [0.5, 7.0]}, "fixed_point"),
         ],
     )
     def test_bad_value_is_a_configuration_error(

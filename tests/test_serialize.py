@@ -1,3 +1,6 @@
+import csv
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from enrichedfp.exceptions import ConfigError
 from enrichedfp.mappings import (
     AffineMap,
     AveragedMap,
+    Mapping,
     PiecewiseTable,
     Reflection1D,
     Scale1D,
@@ -137,3 +141,84 @@ class TestTraceCsv:
         serialize.write_trace_csv(trace, path)
         row = path.read_text().strip().splitlines()[2].split(",")
         assert row[4] == "" and row[5] == ""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: _run(Reflection1D(), [0.0], lam=2.0 / 3.0, rate=1.0 / 3.0), id="rate"),
+            pytest.param(lambda: _run(Scale1D(c=0.5), [1.0], lam=0.5), id="no_rate"),
+            # every step after one below RATIO_MIN_STEP has no ratio
+            pytest.param(lambda: _run(Scale1D(c=1e-20), [1.0], tol=1e-300), id="none_ratios"),
+            pytest.param(lambda: _run(AffineMap(matrix=-np.eye(3), offset=np.zeros(3)), [-0.0, 0.0, 1.0], lam=0.5),
+                         id="negative_zero"),
+            pytest.param(lambda: _run(_Blowup(bad=np.nan), [1.0], rate=0.5), id="nan"),
+            pytest.param(lambda: _run(_Blowup(bad=np.inf), [1.0], rate=0.5), id="inf"),
+            pytest.param(lambda: _run(AffineMap(matrix=2.0 * np.eye(1), offset=np.zeros(1)), [1.0], max_iter=100),
+                         id="step_limit"),
+            pytest.param(lambda: _run(_rotation(20), np.zeros(20), lam=0.5, rate=0.99, max_iter=300), id="d20"),
+            pytest.param(lambda: solve.IterationTrace(iterates=[np.array([0.25, -0.0])]), id="x0_only"),
+            pytest.param(
+                lambda: solve.IterationTrace(iterates=[np.array([0.5])], apriori=[], aposteriori=[], rate=0.5),
+                id="x0_only_with_rate",
+            ),
+        ],
+    )
+    def test_bytes_match_csv_module_writer(self, tmp_path, build):
+        trace = build()
+        serialize.write_trace_csv(trace, tmp_path / "got.csv")
+        reference_write_trace_csv(trace, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == len(trace.iterates) + 1
+
+
+def reference_write_trace_csv(trace, path):
+    """The trace writer as it was when it used ``csv.writer``."""
+
+    def cell(value):
+        return "" if value is None else serialize.FLOAT_FMT % value
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "components", "step_norm", "ratio", "apriori", "aposteriori"])
+        for n, point in enumerate(trace.iterates):
+            components = ";".join(serialize.FLOAT_FMT % c for c in point)
+            if n == 0:
+                writer.writerow([0, components, "", "", "", ""])
+                continue
+            i = n - 1
+            writer.writerow(
+                [
+                    n,
+                    components,
+                    cell(trace.step_norms[i]),
+                    cell(trace.ratios[i]),
+                    cell(trace.apriori[i]) if trace.apriori else "",
+                    cell(trace.aposteriori[i]) if trace.aposteriori else "",
+                ]
+            )
+
+
+def _run(mapping, x0, lam=1.0, rate=None, tol=1e-10, max_iter=200):
+    stop_rule = solve.STOP_AUTO if rate is not None else solve.STOP_STEP_NORM
+    cfg = solve.SolveConfig(lam=lam, tol=tol, max_iter=max_iter, stop_rule=stop_rule, rate=rate)
+    return solve.krasnoselskij(mapping, x0, cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class _Blowup(Mapping):
+    """x -> 3x on R^1 until |x| passes 10, then ``bad``."""
+
+    bad: float
+
+    @property
+    def dim(self):
+        return 1
+
+    def _apply(self, point):
+        return np.array([self.bad]) if abs(point[0]) > 10.0 else 3.0 * point
+
+
+def _rotation(d):
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    return AffineMap(matrix=q, offset=np.linspace(-1.0, 1.0, d))

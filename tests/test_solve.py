@@ -1,15 +1,28 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enrichedfp import certify, solve
+from enrichedfp import apps, catalog, certify, solve
+from enrichedfp.convex import Ball, Box
 from enrichedfp.exceptions import (
     AutoLambdaError,
+    DimensionMismatchError,
     DomainEscapeError,
     InvalidConstantError,
+    OutOfDomainError,
 )
-from enrichedfp.mappings import AffineMap, Reflection1D, Scale1D
+from enrichedfp.mappings import (
+    AffineMap,
+    AveragedMap,
+    Mapping,
+    PiecewiseTable,
+    Reflection1D,
+    Scale1D,
+    as_point,
+)
 from enrichedfp.solve import (
     SolveConfig,
     aposteriori_bound,
@@ -345,3 +358,221 @@ class TestContractionInvariants:
             err = float(np.linalg.norm(trace.iterates[n] - p))
             assert err <= trace.apriori[n - 1] + 1e-10
             assert err <= trace.aposteriori[n - 1] + 1e-10
+
+
+# --- oracle: the per-step Mapping.apply loop, kept literally ---------------
+
+
+def reference_krasnoselskij(mapping, x0, cfg):
+    """The solver loop as it was before it called ``_apply`` directly: every
+    step goes through ``Mapping.apply`` and the checked bound helpers.
+    """
+    lam, rate, stop_rule = solve._resolve(mapping, cfg)
+    x = as_point(x0)
+    trace = solve.IterationTrace(
+        iterates=[x.copy()],
+        apriori=[] if rate is not None else None,
+        aposteriori=[] if rate is not None else None,
+        lam=lam,
+        rate=rate,
+        stop_rule=stop_rule,
+        tol=cfg.tol,
+    )
+
+    for n in range(1, cfg.max_iter + 1):
+        try:
+            tx = mapping.apply(x)
+        except OutOfDomainError as exc:
+            raise DomainEscapeError(
+                f"iterate {n - 1} escaped the mapping domain: {exc}",
+                point=x.copy(),
+                iteration=n - 1,
+            ) from exc
+        xn = (1.0 - lam) * x + lam * tx
+        step = float(np.linalg.norm(xn - x))
+
+        prev = trace.step_norms[-1] if trace.step_norms else None
+        trace.iterates.append(xn.copy())
+        trace.step_norms.append(step)
+        if prev is None or prev < solve.RATIO_MIN_STEP:
+            trace.ratios.append(None)
+        else:
+            trace.ratios.append(step / prev)
+        if rate is not None:
+            trace.apriori.append(apriori_bound(rate, trace.step_norms[0], n))
+            trace.aposteriori.append(aposteriori_bound(rate, step))
+
+        if not np.all(np.isfinite(xn)) or step > solve.DIVERGENCE_LIMIT:
+            trace.status = solve.STATUS_DIVERGED
+            return trace
+
+        criterion = trace.aposteriori[-1] if stop_rule == solve.STOP_APOSTERIORI else step
+        x = xn
+        if criterion <= cfg.tol:
+            trace.status = solve.STATUS_CONVERGED
+            return trace
+
+    trace.status = solve.STATUS_MAX_ITER
+    return trace
+
+
+def _bits(values):
+    if values is None:
+        return None
+    return [None if v is None else (type(v), np.float64(v).tobytes()) for v in values]
+
+
+def assert_same_trace(got, want):
+    assert [(x.dtype, x.shape, x.tobytes()) for x in got.iterates] == [
+        (x.dtype, x.shape, x.tobytes()) for x in want.iterates
+    ]
+    for name in ("step_norms", "ratios", "apriori", "aposteriori"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert (got.status, got.lam, got.rate, got.stop_rule, got.tol) == (
+        want.status, want.lam, want.rate, want.stop_rule, want.tol
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Poisoned(Mapping):
+    """Doubles x; once |x_0| passes 4 the first image component is ``bad``."""
+
+    bad: float
+    size: int = 3
+
+    @property
+    def dim(self):
+        return self.size
+
+    def _apply(self, point):
+        image = 2.0 * point
+        if abs(point[0]) > 4.0:
+            image[0] = self.bad
+        return image
+
+
+def _contraction(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d))
+    m *= 0.9 / np.linalg.norm(m, 2)
+    return AffineMap(matrix=m, offset=rng.uniform(-1.0, 1.0, d))
+
+
+def _sfp(d, seed):
+    rng = np.random.default_rng(seed)
+    return apps.sfp_operator(
+        apps.SfpInstance(
+            c_set=Box(lower=-np.ones(d), upper=np.ones(d)),
+            q_set=Ball(center=rng.uniform(-0.2, 0.2, d), radius=0.2),
+            matrix=rng.standard_normal((d, d)) / np.sqrt(d),
+        )
+    )
+
+
+def _vip(d, seed):
+    rng = np.random.default_rng(seed)
+    skew = rng.standard_normal((d, d))
+    operator = AffineMap(matrix=np.eye(d) + 0.3 * (skew - skew.T), offset=rng.uniform(-2, 2, d))
+    return apps.vip_operator(
+        apps.VipInstance(c_set=Box(lower=-np.ones(d), upper=np.ones(d)), operator=operator, gamma=0.2)
+    )
+
+
+ORACLE_MAPS = {
+    "affine_d1": lambda: _contraction(1, 1),
+    "affine_d2": lambda: _contraction(2, 2),
+    "affine_d5": lambda: _contraction(5, 5),
+    "affine_d20": lambda: _contraction(20, 20),
+    "averaged_reflection": lambda: AveragedMap(inner=Reflection1D(), lam=0.5),
+    "piecewise": lambda: PiecewiseTable(
+        breakpoints=np.array([0.0, 0.5, 1.0]),
+        slopes=np.array([0.25, 0.2]),
+        intercepts=np.array([0.0, 0.5]),
+    ),
+    "scale_bounded": lambda: Scale1D(c=1.0 / 3.0, bounds=(0.0, 1.0)),
+    "reflection": lambda: Reflection1D(),
+    "sfp_d6": lambda: _sfp(6, 7),
+    "sfp_standard": lambda: apps.sfp_operator(catalog.standard_sfp()),
+    "vip_d6": lambda: _vip(6, 8),
+    "vip_plane": lambda: apps.vip_operator(catalog.vip_plane()),
+}
+
+ORACLE_SETTINGS = [
+    dict(lam=1.0, stop_rule=solve.STOP_STEP_NORM),
+    dict(lam=1.0, stop_rule=solve.STOP_APOSTERIORI, rate=0.95),
+    dict(lam=0.5, stop_rule=solve.STOP_STEP_NORM),
+    dict(lam=0.5, stop_rule=solve.STOP_APOSTERIORI, rate=0.95),
+    dict(lam=2.0 / 3.0, stop_rule=solve.STOP_AUTO, rate=1.0 / 3.0),
+]
+
+
+def _start(mapping):
+    if mapping.domain is not None:
+        lo, hi = mapping.domain
+        return lo + 0.3 * (hi - lo)
+    return np.linspace(-1.0, 1.0, mapping.dim)
+
+
+class TestLeanLoopMatchesOracle:
+    @pytest.mark.parametrize("settings", ORACLE_SETTINGS, ids=lambda s: f"{s['lam']:.3g}-{s['stop_rule']}")
+    @pytest.mark.parametrize("name", ORACLE_MAPS)
+    def test_bit_identical_trace(self, name, settings):
+        mapping = ORACLE_MAPS[name]()
+        cfg = SolveConfig(tol=1e-12, max_iter=400, **settings)
+        x0 = _start(mapping)
+        assert_same_trace(krasnoselskij(mapping, x0, cfg), reference_krasnoselskij(mapping, x0, cfg))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rate", [None, 0.5])
+    def test_non_finite_image_diverges(self, bad, rate):
+        mapping = Poisoned(bad=bad)
+        cfg = SolveConfig(lam=0.5, tol=1e-12, max_iter=100, stop_rule=solve.STOP_STEP_NORM, rate=rate)
+        trace = krasnoselskij(mapping, [1.0, -1.0, 0.5], cfg)
+        assert trace.status == solve.STATUS_DIVERGED
+        assert not np.all(np.isfinite(trace.final))
+        assert_same_trace(trace, reference_krasnoselskij(mapping, [1.0, -1.0, 0.5], cfg))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c, d", [(2.0, 1), (1.5, 5), (1e300, 2)])
+    def test_large_step_diverges(self, c, d):
+        # 1e300 overflows the squared norm: the step is inf on the first step
+        mapping = AffineMap(matrix=c * np.eye(d), offset=np.zeros(d))
+        cfg = SolveConfig(lam=1.0, tol=1e-12, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
+        trace = krasnoselskij(mapping, np.ones(d), cfg)
+        assert trace.status == solve.STATUS_DIVERGED
+        assert trace.step_norms[-1] > solve.DIVERGENCE_LIMIT
+        assert_same_trace(trace, reference_krasnoselskij(mapping, np.ones(d), cfg))
+
+    def test_domain_escape_mid_run(self):
+        mapping = Scale1D(c=1.3, bounds=(0.0, 1.0))
+        cfg = SolveConfig(lam=0.8, tol=1e-10, max_iter=50, stop_rule=solve.STOP_STEP_NORM)
+        errors = []
+        for run in (krasnoselskij, reference_krasnoselskij):
+            with pytest.raises(DomainEscapeError) as err:
+                run(mapping, [0.5], cfg)
+            errors.append(err.value)
+        got, want = errors
+        assert got.iteration == want.iteration > 1
+        assert got.point.tobytes() == want.point.tobytes()
+        assert str(got) == str(want)
+        assert type(got.__cause__) is type(want.__cause__) is OutOfDomainError
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [0.5]])
+    def test_wrong_dimension_start(self, x0):
+        mapping = _contraction(2, 2)
+        cfg = SolveConfig(lam=0.5, tol=1e-10, max_iter=10, stop_rule=solve.STOP_STEP_NORM)
+        messages = []
+        for run in (krasnoselskij, reference_krasnoselskij):
+            with pytest.raises(DimensionMismatchError) as err:
+                run(mapping, x0, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "AffineMap acts on R^2, got dim " + str(len(x0))
+
+    def test_mutating_start_after_the_call_leaves_trace(self):
+        mapping = _contraction(5, 5)
+        cfg = SolveConfig(lam=0.5, tol=1e-12, max_iter=400, stop_rule=solve.STOP_STEP_NORM)
+        x0 = np.linspace(-1.0, 1.0, 5)
+        want = reference_krasnoselskij(mapping, x0.copy(), cfg)
+        trace = krasnoselskij(mapping, x0, cfg)
+        x0[:] = 99.0
+        assert_same_trace(trace, want)
