@@ -7,6 +7,17 @@ with B derived from N so that one block buffer is 256 KB and the three or
 four buffers a kernel uses stay in L2 cache; the extremum and its tied
 candidates are found in the same pass.
 
+A sweep of at least ``_PARALLEL_WORK`` (2**20) N*N*d terms splits its row
+blocks into one contiguous range per CPU the process may run on
+(``os.sched_getaffinity``, so ``taskset`` confines it to fewer cores). The
+calling thread sweeps the first range and one thread each of the others,
+with its own buffers and running extremum; numpy releases the interpreter
+lock inside each block operation. The partial results are merged in row
+order by the same rules a single pass applies block by block, so the
+results, witnesses included, are bit-identical for any number of workers.
+Smaller sweeps stay on the calling thread. Workers call only the private
+helpers below, never a public kernel.
+
 The floating-point semantics, which the brute-force oracles in
 ``tests/test_kernels.py`` reproduce bit for bit:
 
@@ -37,6 +48,9 @@ with those floating-point warnings off.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
@@ -59,6 +73,13 @@ MODE_BANACH = 2  # rhs scale: ||x - y||
 HAVE_NUMBA = False
 
 _BLOCK_BYTES = 1 << 18  # one B x N float64 block buffer
+
+# A large sweep splits its row blocks across the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Sweeps of fewer n * n * d terms stay on the calling thread: below this,
+# starting a thread and merging cost more than the second core saves.
+_PARALLEL_WORK = 1 << 20
 
 
 def _prepare(points, images):
@@ -84,17 +105,61 @@ def _row_rank(x):
     return rank
 
 
-class _Block:
-    """Row block ``lo:hi`` of the pair matrix, with reusable B x N buffers."""
+def _block_rows(n):
+    return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
 
-    def __init__(self, n, buffers):
-        self.n = n
-        self.rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-        self._bufs = [np.empty((min(self.rows, n), n)) for _ in range(buffers)]
+
+def _split(n, d, sweep):
+    """Results of ``sweep(start, stop)`` over contiguous ranges of whole row blocks.
+
+    A sweep of at least ``_PARALLEL_WORK`` terms gets one range per worker,
+    at most one per block; the calling thread sweeps the first range and one
+    new thread each later range, under the caller's floating-point error
+    state (threads do not inherit it). The results come back in row order,
+    so merging them in that order reproduces the serial pass bit for bit.
+    A worker's exception is raised in the caller.
+    """
+    rows = _block_rows(n)
+    blocks = -(-n // rows)
+    workers = min(_WORKERS, blocks) if n * n * d >= _PARALLEL_WORK else 1
+    if workers <= 1:
+        return [sweep(0, n)]
+    cuts = [min(n, rows * (blocks * w // workers)) for w in range(workers + 1)]
+    results = [None] * workers
+    errors = []
+    errstate = np.geterr()
+
+    def run(w):
+        try:
+            with np.errstate(**errstate):
+                results[w] = sweep(cuts[w], cuts[w + 1])
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = sweep(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+class _Block:
+    """Row blocks ``lo:hi`` of rows ``start:stop`` of the pair matrix, with reusable B x N buffers."""
+
+    def __init__(self, n, buffers, start, stop):
+        self.rows = _block_rows(n)
+        self.start, self.stop = start, stop
+        self._bufs = [np.empty((min(self.rows, stop - start), n)) for _ in range(buffers)]
 
     def __iter__(self):
-        for lo in range(0, self.n, self.rows):
-            hi = min(lo + self.rows, self.n)
+        for lo in range(self.start, self.stop, self.rows):
+            hi = min(lo + self.rows, self.stop)
             self.lo, self.hi = lo, hi
             yield [b[: hi - lo] for b in self._bufs]
 
@@ -138,8 +203,17 @@ class _Smallest:
             return
         keys = self.rank[i] * self.rank.shape[0] + self.rank[j]
         p = int(np.argmin(keys))
-        if self.pair is None or keys[p] < self.key:
-            self.pair, self.key = (int(i[p]), int(j[p])), int(keys[p])
+        self._keep((int(i[p]), int(j[p])), int(keys[p]))
+
+    def merge(self, later):
+        """Fold in the pair of a pass over later rows."""
+        if later.pair is not None:
+            self._keep(later.pair, later.key)
+
+    def _keep(self, pair, key):
+        # strictly smaller: on equal points the pair offered first stays
+        if self.pair is None or key < self.key:
+            self.pair, self.key = pair, key
 
 
 class _Extremum:
@@ -176,9 +250,27 @@ class _Extremum:
             off_diagonal = i + lo != j
             self.winner.offer(i[off_diagonal] + lo, j[off_diagonal])
 
+    def merge(self, later):
+        """Fold in the extremum of a pass over later rows, as ``update`` would."""
+        self.nan.merge(later.nan)
+        better = later.value > self.value if self.largest else later.value < self.value
+        if better:
+            self.value, self.winner = later.value, later.winner
+        elif later.value == self.value:
+            self.winner.merge(later.winner)
+
     @property
     def pair(self):
         return self.winner.pair or (-1, -1)
+
+
+def _merged(parts):
+    """Fold per-range results, each a tuple of accumulators, in row order."""
+    first, *rest = parts
+    for later in rest:
+        for acc, more in zip(first, later):
+            acc.merge(more)
+    return first
 
 
 def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
@@ -193,30 +285,36 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
         k, rate, guard_eps = float(k), float(rate), float(guard_eps)
         xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
         banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
-        blocks = _Block(x.shape[0], 4 if banach else 3)
-        best = _Extremum(_row_rank(x), largest=True)
-        for acc, diff, tmp, *extra in blocks:
-            dx_sq = extra[0] if banach else None
-            blocks.enriched_sq(xt, tt, k, acc, diff, tmp, dx_sq)
-            num = np.sqrt(acc, out=acc)
-            rhs = diff
-            if mode == MODE_KANNAN:
-                blocks.outer(np.add, disp, rhs)
-            elif mode == MODE_BIANCHINI:
-                blocks.outer(np.maximum, disp, rhs)
-            else:
-                np.sqrt(dx_sq, out=rhs)
-            rhs *= rate
-            guard = np.add(num, rhs, out=tmp)
-            guard += pnorm[blocks.lo : blocks.hi, None]
-            guard += pnorm
-            guard += tnorm[blocks.lo : blocks.hi, None]
-            guard += tnorm
-            guard *= guard_eps
-            viol = np.subtract(num, rhs, out=num)
-            viol -= guard
-            blocks.set_diagonal(viol, -np.inf)
-            best.update(viol, blocks.lo)
+        rank = _row_rank(x)
+
+        def sweep(start, stop):
+            blocks = _Block(x.shape[0], 4 if banach else 3, start, stop)
+            best = _Extremum(rank, largest=True)
+            for acc, diff, tmp, *extra in blocks:
+                dx_sq = extra[0] if banach else None
+                blocks.enriched_sq(xt, tt, k, acc, diff, tmp, dx_sq)
+                num = np.sqrt(acc, out=acc)
+                rhs = diff
+                if mode == MODE_KANNAN:
+                    blocks.outer(np.add, disp, rhs)
+                elif mode == MODE_BIANCHINI:
+                    blocks.outer(np.maximum, disp, rhs)
+                else:
+                    np.sqrt(dx_sq, out=rhs)
+                rhs *= rate
+                guard = np.add(num, rhs, out=tmp)
+                guard += pnorm[blocks.lo : blocks.hi, None]
+                guard += pnorm
+                guard += tnorm[blocks.lo : blocks.hi, None]
+                guard += tnorm
+                guard *= guard_eps
+                viol = np.subtract(num, rhs, out=num)
+                viol -= guard
+                blocks.set_diagonal(viol, -np.inf)
+                best.update(viol, blocks.lo)
+            return (best,)
+
+        (best,) = _merged(_split(*x.shape, sweep))
         if best.nan.pair is not None:
             return np.inf, best.nan.pair
         return best.value, best.pair
@@ -238,25 +336,30 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
         rank = _row_rank(x)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
-        best = _Extremum(rank, largest=True)
-        zero = _Smallest(rank)
-        blocks = _Block(x.shape[0], 3)
-        for acc, den, tmp in blocks:
-            blocks.enriched_sq(xt, tt, k, acc, den, tmp)
-            num = np.sqrt(acc, out=acc)
-            blocks.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
-            ratio = np.divide(num, den, out=den)
-            fixed_rows = fixed[(fixed >= blocks.lo) & (fixed < blocks.hi)]
-            if fixed_rows.size:
-                sub = np.ix_(fixed_rows - blocks.lo, fixed)
-                off_diag = fixed_rows[:, None] != fixed[None, :]
-                bad_i, bad_j = np.nonzero((num[sub] > zero_num_tol) & off_diag)
-                if bad_i.size:
-                    zero.offer(fixed_rows[bad_i], fixed[bad_j])
-                # zero pairs carry no ratio; a NaN numerator still fails closed
-                ratio[sub] = np.where(np.isnan(num[sub]) & off_diag, np.nan, -np.inf)
-            blocks.set_diagonal(ratio, -np.inf)
-            best.update(ratio, blocks.lo)
+
+        def sweep(start, stop):
+            best = _Extremum(rank, largest=True)
+            zero = _Smallest(rank)
+            blocks = _Block(x.shape[0], 3, start, stop)
+            for acc, den, tmp in blocks:
+                blocks.enriched_sq(xt, tt, k, acc, den, tmp)
+                num = np.sqrt(acc, out=acc)
+                blocks.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
+                ratio = np.divide(num, den, out=den)
+                fixed_rows = fixed[(fixed >= blocks.lo) & (fixed < blocks.hi)]
+                if fixed_rows.size:
+                    sub = np.ix_(fixed_rows - blocks.lo, fixed)
+                    off_diag = fixed_rows[:, None] != fixed[None, :]
+                    bad_i, bad_j = np.nonzero((num[sub] > zero_num_tol) & off_diag)
+                    if bad_i.size:
+                        zero.offer(fixed_rows[bad_i], fixed[bad_j])
+                    # zero pairs carry no ratio; a NaN numerator still fails closed
+                    ratio[sub] = np.where(np.isnan(num[sub]) & off_diag, np.nan, -np.inf)
+                blocks.set_diagonal(ratio, -np.inf)
+                best.update(ratio, blocks.lo)
+            return best, zero
+
+        best, zero = _merged(_split(*x.shape, sweep))
         valid = disp[~np.isnan(disp)]
         has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
         pair = best.pair if best.value > -np.inf else (-1, -1)
@@ -275,17 +378,23 @@ def inner_min(points, images):
         if x.shape != g.shape or x.ndim != 2:
             raise ValueError(f"points/images shape mismatch: {x.shape} vs {g.shape}")
         xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
-        blocks = _Block(x.shape[0], 3)
-        best = _Extremum(_row_rank(x), largest=False)
-        for acc, diff, tmp in blocks:
-            acc.fill(0.0)
-            for xc, gc in zip(xt, gt):
-                blocks.outer(np.subtract, gc, diff)
-                blocks.outer(np.subtract, xc, tmp)
-                diff *= tmp
-                acc += diff
-            blocks.set_diagonal(acc, np.inf)
-            best.update(acc, blocks.lo)
+        rank = _row_rank(x)
+
+        def sweep(start, stop):
+            blocks = _Block(x.shape[0], 3, start, stop)
+            best = _Extremum(rank, largest=False)
+            for acc, diff, tmp in blocks:
+                acc.fill(0.0)
+                for xc, gc in zip(xt, gt):
+                    blocks.outer(np.subtract, gc, diff)
+                    blocks.outer(np.subtract, xc, tmp)
+                    diff *= tmp
+                    acc += diff
+                blocks.set_diagonal(acc, np.inf)
+                best.update(acc, blocks.lo)
+            return (best,)
+
+        (best,) = _merged(_split(*x.shape, sweep))
         if best.nan.pair is not None:
             return -np.inf, best.nan.pair
         return best.value, best.pair

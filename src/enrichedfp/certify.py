@@ -174,8 +174,10 @@ class ContractionCertificate:
     ``max_violation`` is the worst guarded excess lhs - rhs over all
     distinct ordered sample pairs; the condition holds on the sample iff it
     is <= 0. ``witness`` is the (lexicographically smallest) pair attaining
-    it, kept for failure forensics. ``feasible`` is False when the rate
-    falls outside its class range (estimation found no admissible constant).
+    it, kept for failure forensics; it is never a pair of equal points, so a
+    kernel that returned a diagonal pair fails here. ``feasible`` is False
+    when the rate falls outside its class range (estimation found no
+    admissible constant).
     """
 
     class_tag: str
@@ -185,6 +187,13 @@ class ContractionCertificate:
     witness: tuple[np.ndarray, np.ndarray] | None
     sample: SampleSet
     feasible: bool = True
+
+    def __post_init__(self):
+        if self.witness is not None and np.array_equal(*self.witness):
+            raise EnrichedFPError(
+                f"{self.class_tag} certificate witness is a pair of equal points: "
+                f"{self.witness[0].tolist()}"
+            )
 
     @property
     def satisfied(self) -> bool:

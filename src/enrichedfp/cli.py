@@ -296,6 +296,8 @@ def cmd_certify(settings: _Settings) -> int:
 
 def cmd_solve(settings: _Settings) -> int:
     mapping = serialize.mapping_from_dict(settings.input_payload("mapping"))
+    # a bad start point is refused before --lambda auto sweeps its sample
+    x0 = _default_x0(settings, mapping.dim, mapping)
     cfg = _solve_config(
         settings,
         solve.AUTO,
@@ -307,7 +309,7 @@ def cmd_solve(settings: _Settings) -> int:
         ),
     )
     cert = cfg.certificate
-    trace = solve.krasnoselskij(mapping, _default_x0(settings, mapping.dim, mapping), cfg)
+    trace = solve.krasnoselskij(mapping, x0, cfg)
     return _report(
         settings,
         "solve",

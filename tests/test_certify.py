@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import (
+    certify,
     check_banach,
     check_enriched_bianchini,
     check_enriched_kannan,
@@ -20,7 +21,7 @@ from enrichedfp.certify import (
     grid_sample,
     random_sample,
 )
-from enrichedfp.exceptions import DegenerateSampleError, InvalidConstantError
+from enrichedfp.exceptions import DegenerateSampleError, EnrichedFPError, InvalidConstantError
 from enrichedfp.mappings import (
     AffineMap,
     AveragedMap,
@@ -107,6 +108,12 @@ class TestCheckKannan:
         assert cert.satisfied
         x, y = cert.witness
         assert not np.array_equal(x, y)
+
+    def test_equal_witness_points_refuse_the_certificate(self, reflection, unit_sample, monkeypatch):
+        # a kernel that hands back a diagonal pair must fail, not certify
+        monkeypatch.setattr(certify._kernels, "violation_max", lambda *a, **kw: (-1.0, (3, 3)))
+        with pytest.raises(EnrichedFPError, match="pair of equal points"):
+            check_enriched_kannan(reflection, k=0.5, a=0.25, sample=unit_sample)
 
     @pytest.mark.parametrize("k,a", [(-0.1, 0.25), (0.5, 0.5), (0.5, -0.01), (np.inf, 0.2)])
     def test_invalid_constants(self, reflection, unit_sample, k, a):

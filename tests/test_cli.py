@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from enrichedfp import apps, cli
+from enrichedfp import apps, cli, solve
 
 RUN = [sys.executable, "-m", "enrichedfp.cli"]
 
@@ -462,6 +462,17 @@ class TestFlagsAndValues:
         argv = ["sfp", "--input", sfp_json, "--out", str(tmp_path / "o"), "--lambda", "abc"]
         assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("configuration error: --lambda: ")
+
+    def test_bad_x0_is_refused_before_auto_lambda_certifies(
+        self, tmp_path, reflection_json, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(solve, "certify_for_auto", lambda *a, **kw: calls.append(a))
+        argv = ["solve", "--input", reflection_json, "--out", str(tmp_path / "o"),
+                "--x0", "0,0", "--lambda", "auto"]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error: --x0: ")
+        assert calls == []
 
     def test_sfp_auto_lambda_runs_power_iteration_once(self, tmp_path, sfp_json, monkeypatch):
         calls = []

@@ -9,6 +9,9 @@ their extremum and tie-break across blocks.
 """
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -152,9 +155,21 @@ def _tie_heavy_case(seed, n, d):
     return pts, images
 
 
+def _every_kernel(pts, images):
+    """(call, oracle) for every kernel and mode at fixed constants."""
+    for mode in (MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH):
+        yield (lambda m=mode: violation_max(pts, images, 0.5, 0.2, m),
+               lambda m=mode: brute_violation(pts, images, 0.5, 0.2, m))
+    for mode in (MODE_KANNAN, MODE_BIANCHINI):
+        for k in (0.0, 1.0):
+            yield (lambda m=mode, k=k: ratio_sup(pts, images, k, m),
+                   lambda m=mode, k=k: brute_ratio(pts, images, k, m))
+    yield lambda: inner_min(pts, images), lambda: brute_inner(pts, images)
+
+
 def test_multi_block_size_spans_blocks():
     # the oracle cases below rely on N_MULTI_BLOCK rows needing several blocks
-    assert _kernels._Block(N_MULTI_BLOCK, 1).rows < N_MULTI_BLOCK
+    assert _kernels._block_rows(N_MULTI_BLOCK) < N_MULTI_BLOCK
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -185,14 +200,8 @@ def test_tie_heavy_samples_match_oracle(d):
     # exact ties within and across blocks, duplicate rows, -0.0/0.0 and
     # zero-displacement pairs, on every kernel and mode
     pts, images = _tie_heavy_case(seed=d, n=N_MULTI_BLOCK, d=d)
-    for mode in (MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH):
-        got = violation_max(pts, images, 0.5, 0.2, mode)
-        assert _bits(got) == _bits(brute_violation(pts, images, 0.5, 0.2, mode))
-    for mode in (MODE_KANNAN, MODE_BIANCHINI):
-        for k in (0.0, 1.0):
-            got = ratio_sup(pts, images, k, mode)
-            assert _bits(got) == _bits(brute_ratio(pts, images, k, mode))
-    assert _bits(inner_min(pts, images)) == _bits(brute_inner(pts, images))
+    for call, oracle in _every_kernel(pts, images):
+        assert _bits(call()) == _bits(oracle())
 
 
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH])
@@ -343,3 +352,153 @@ def test_nan_witness_is_smallest_across_blocks():
     assert violation_max(pts, images, 0.0, 0.25, MODE_KANNAN) == (math.inf, expected)
     assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[3:] == (True, expected)
     assert inner_min(pts, images) == (-math.inf, expected)
+
+
+# --- row blocks split across workers ------------------------------------------
+
+BLOCK_BYTES_8_BLOCKS = 8 * N_MULTI_BLOCK * 25  # 25 rows a block: 8 blocks of 200 rows
+
+
+@pytest.fixture
+def split_sweeps(monkeypatch):
+    """Small blocks and no work threshold; returns a setter for the worker count."""
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", BLOCK_BYTES_8_BLOCKS)
+    monkeypatch.setattr(_kernels, "_PARALLEL_WORK", 0)
+    return lambda workers: monkeypatch.setattr(_kernels, "_WORKERS", workers)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Record every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+@pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_split_sweep_matches_oracle_for_any_worker_count(split_sweeps, started_threads, case, d):
+    assert -(-N_MULTI_BLOCK // _kernels._block_rows(N_MULTI_BLOCK)) == 8
+    pts, images = case(seed=100 + d, n=N_MULTI_BLOCK, d=d)
+    for call, oracle in _every_kernel(pts, images):
+        expected = _bits(oracle())
+        for workers in (1, 2, 3):
+            split_sweeps(workers)
+            assert _bits(call()) == expected, workers
+    assert len(started_threads) == 8 * (1 + 2)  # 8 kernel calls with 2 and 3 workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_merge_decides_ties_nan_and_zero_pairs_from_later_workers(split_sweeps, workers):
+    # points descend, so each winning pair below starts in the last block,
+    # and the candidate an earlier worker found must give way to it
+    split_sweeps(workers)
+    n = N_MULTI_BLOCK
+    pts = np.linspace(0.0, 1.0, n)[::-1, None].copy()
+    tie = violation_max(pts, 1.0 - pts, 0.0, 0.49, MODE_KANNAN)
+    assert tie == brute_violation(pts, 1.0 - pts, 0.0, 0.49, MODE_KANNAN)
+    assert tie[1] == (n - 1, 0)
+
+    images = 0.3 * pts
+    images[[1, n - 2]] = np.nan
+    assert violation_max(pts, images, 0.0, 0.25, MODE_KANNAN) == (math.inf, (n - 1, n - 2))
+    assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[3:] == (True, (n - 1, n - 2))
+    assert inner_min(pts, images) == (-math.inf, (n - 1, n - 2))
+
+    images = 0.3 * pts
+    fixed = [0, 1, n - 2, n - 1]
+    images[fixed] = pts[fixed]
+    got = ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    assert _bits(got) == _bits(brute_ratio(pts, images, 0.5, MODE_KANNAN))
+    assert got[3:] == (True, (n - 1, n - 2))
+
+
+def test_equal_points_tie_keeps_the_earlier_worker(split_sweeps):
+    # rows 0 and n-1 are the same point, so (0, 1) and (n-1, 1) tie on value
+    # and on points; the first in row-major order wins across workers
+    split_sweeps(2)
+    n = N_MULTI_BLOCK
+    pts = np.linspace(0.0, 1.0, n)[:, None].copy()
+    pts[n - 1] = pts[0]
+    images = 1.0 - pts
+    got = violation_max(pts, images, 0.0, 0.49, MODE_KANNAN)
+    assert got == brute_violation(pts, images, 0.0, 0.49, MODE_KANNAN)
+    assert got[1] == (0, n - 2)
+
+
+def test_worker_threads_raise_no_float_warnings(split_sweeps):
+    # overflowing and NaN images: the workers run under the kernels' own
+    # error state, so they warn no more than the calling thread does
+    split_sweeps(2)
+    pts = np.linspace(-1.0, 1.0, N_MULTI_BLOCK)[:, None] * np.array([1e308, 1.0])
+    images = pts * np.array([-1.0, 0.5])
+    images[N_MULTI_BLOCK - 3] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (
+            brute_violation(pts, images, 0.5, 0.25, MODE_BIANCHINI),
+            brute_ratio(pts, images, 0.5, MODE_KANNAN),
+            brute_inner(pts, images),
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (
+            violation_max(pts, images, 0.5, 0.25, MODE_BIANCHINI),
+            ratio_sup(pts, images, 0.5, MODE_KANNAN),
+            inner_min(pts, images),
+        )
+    assert _bits(got) == _bits(expected)
+    assert got[0][0] == math.inf and got[1][3] and got[2][0] == -math.inf
+
+
+def test_sweep_below_the_threshold_starts_no_thread(monkeypatch, started_threads):
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    pts, images = _random_case(seed=1, n=N_MULTI_BLOCK, d=2)
+    assert N_MULTI_BLOCK**2 * 2 < _kernels._PARALLEL_WORK
+    ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    assert started_threads == []
+
+
+def test_large_sweep_starts_one_thread_per_extra_worker(monkeypatch, started_threads):
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    pts, images = _random_case(seed=2, n=2000, d=5)
+    ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    assert len(started_threads) == 1
+    assert not started_threads[0].is_alive()
+
+
+def test_worker_exception_is_raised_in_the_caller(split_sweeps, monkeypatch):
+    split_sweeps(3)
+    update = _kernels._Extremum.update
+
+    def fail_after_first_range(self, vals, lo):
+        if lo >= 3 * _kernels._block_rows(N_MULTI_BLOCK):
+            raise MemoryError("block buffer")
+        update(self, vals, lo)
+
+    monkeypatch.setattr(_kernels._Extremum, "update", fail_after_first_range)
+    before = threading.active_count()
+    pts, images = _random_case(seed=3, n=N_MULTI_BLOCK, d=2)
+    with pytest.raises(MemoryError, match="block buffer"):
+        inner_min(pts, images)
+    assert threading.active_count() == before
+
+
+def test_more_workers_than_cores_with_fast_switching(split_sweeps):
+    # a time-bounded stress run: 8 workers on 8 blocks, switching threads
+    # every microsecond; a lost partial result would change the answer
+    pts, images = _tie_heavy_case(seed=9, n=N_MULTI_BLOCK, d=3)
+    expected = _bits(ratio_sup(pts, images, 1.0, MODE_BIANCHINI))
+    split_sweeps(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _bits(ratio_sup(pts, images, 1.0, MODE_BIANCHINI)) == expected
+    finally:
+        sys.setswitchinterval(interval)
