@@ -2,18 +2,35 @@
 
 Certification sweeps all distinct ordered pairs of an N-point sample, an
 O(N^2 d) loop that dominates runtime for the default sample sizes. Each
-kernel is one numpy pass over the pairs in blocks of B rows by N columns,
-with B derived from N so that one block buffer is 256 KB and the three or
-four buffers a kernel uses stay in L2 cache; the extremum and its tied
-candidates are found in the same pass.
+kernel is one numpy pass over the pairs i < j only, each unordered pair
+once, in upper-triangle blocks: a block pairs rows ``lo:hi`` with columns
+``lo:n``. Each block is a contiguous ``(hi - lo, n - lo)`` view of a flat
+256 KB buffer, so the blocks grow taller as the columns right of the
+diagonal run out, and the three or four buffers a kernel uses stay in L2
+cache; the extremum and its tied candidates are found in the same pass.
+Entries left of a block's diagonal repeat pairs found right of it and are
+passed over.
 
-A sweep of at least ``_PARALLEL_WORK`` (2**20) N*N*d terms splits its row
+One pass over i < j gives the bits of a pass over all ordered pairs.
+Round-to-nearest is sign-symmetric, so ``k * (x_i - x_j) + (t_i - t_j)``
+is the exact negative of the (j, i) term, with the same square, and the
+pair sum starts from ``+0.0``, so a ``-0.0`` term cannot change it;
+``disp_i + disp_j``, ``maximum`` and ``(g_i - g_j) * (x_i - x_j)``
+commute. So a ``ratio_sup`` or ``inner_min`` value holds for both
+orientations, and a winning or NaN pair is reported in the orientation
+that comes first in the tie-break order below. ``violation_max`` shares
+the numerator and the rhs between the two orientations but adds its guard
+terms once per ordered pair, in that pair's order, since ``p_i + p_j`` and
+``p_j + p_i`` can round differently.
+
+A sweep of at least ``_PARALLEL_WORK`` (2**20) N*N*d terms splits its
 blocks into one contiguous range per CPU the process may run on
-(``os.sched_getaffinity``, so ``taskset`` confines it to fewer cores). The
-calling thread sweeps the first range and one thread each of the others,
-with its own buffers and running extremum; numpy releases the interpreter
-lock inside each block operation. The partial results are merged in row
-order by the same rules a single pass applies block by block, so the
+(``os.sched_getaffinity``, so ``taskset`` confines it to fewer cores), cut
+at the block starts nearest to equal shares of the pairs, not of the rows.
+The calling thread sweeps the first range and one thread each of the
+others, with its own buffers and running extremum; numpy releases the
+interpreter lock inside each block operation. The partial results are
+merged by the same rules a single pass applies block by block, so the
 results, witnesses included, are bit-identical for any number of workers.
 Smaller sweeps stay on the calling thread. Workers call only the private
 helpers below, never a public kernel.
@@ -27,11 +44,12 @@ The floating-point semantics, which the brute-force oracles in
   pairwise summation from 8 terms on, so it would tie the bits to how numpy
   splits the reduction.) Per-point norms (displacement, ``||x||``,
   ``||Tx||``) are ``np.sum`` reductions.
-* Ties on exactly equal values go to the pair whose points ``x_i ++ x_j``
-  are lexicographically smallest, components compared as Python tuples
-  compare them (so ``-0.0`` ties with ``0.0``). Pairs with equal points go
-  to the first in row-major order. The order comes from a row rank computed
-  once per call.
+* Ties on exactly equal values go to the ordered pair whose points
+  ``x_i ++ x_j`` are lexicographically smallest, components compared as
+  Python tuples compare them (so ``-0.0`` ties with ``0.0``). Pairs with
+  equal points go to the first in row-major order, whatever order the
+  candidates are found in. The order comes from a row rank computed once
+  per call.
 * A NaN pair value fails closed: ``violation_max`` returns ``+inf`` and
   ``inner_min`` ``-inf``, and ``ratio_sup`` reports the pair as infeasible.
   The witness is then the smallest NaN pair in the same order.
@@ -72,9 +90,9 @@ MODE_BANACH = 2  # rhs scale: ||x - y||
 # There is no compiled kernel path; tools that report the kernel setup read this.
 HAVE_NUMBA = False
 
-_BLOCK_BYTES = 1 << 18  # one B x N float64 block buffer
+_BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
 
-# A large sweep splits its row blocks across the CPUs this process may run on.
+# A large sweep splits its blocks across the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Sweeps of fewer n * n * d terms stay on the calling thread: below this,
@@ -105,42 +123,67 @@ def _row_rank(x):
     return rank
 
 
-def _block_rows(n):
-    return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+def _blocks(n):
+    """Row ranges ``(lo, hi)`` of the triangle blocks, rows ``lo:hi`` against columns ``lo:n``.
+
+    Each block holds at most one buffer of entries (one row if a row alone
+    is wider), so the blocks grow taller as the columns right of the
+    diagonal run out. A block is never taller than it is wide.
+    """
+    entries = _BLOCK_BYTES // 8
+    blocks, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + max(1, entries // (n - lo)))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _ranges(n, d):
+    """The block schedule cut into contiguous ranges, one per worker.
+
+    A sweep of at least ``_PARALLEL_WORK`` terms gets one range per worker,
+    at most one per block, cut at the block starts nearest to equal shares
+    of the pairs i < j. Smaller sweeps get one range.
+    """
+    blocks = _blocks(n)
+    workers = min(_WORKERS, len(blocks)) if n * n * d >= _PARALLEL_WORK else 1
+    if workers <= 1:
+        return [blocks]
+    # pairs i < j with lo <= i < hi: (hi - lo) * (2n - lo - hi - 1) / 2
+    pairs = np.cumsum([0] + [(hi - lo) * (2 * n - lo - hi - 1) // 2 for lo, hi in blocks])
+    shares = pairs[-1] * np.arange(1, workers) / workers
+    cuts = [0, *np.abs(pairs[:, None] - shares).argmin(axis=0).tolist(), len(blocks)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _split(n, d, sweep):
-    """Results of ``sweep(start, stop)`` over contiguous ranges of whole row blocks.
+    """Results of ``sweep(blocks)`` over the ranges of ``_ranges(n, d)``, in row order.
 
-    A sweep of at least ``_PARALLEL_WORK`` terms gets one range per worker,
-    at most one per block; the calling thread sweeps the first range and one
-    new thread each later range, under the caller's floating-point error
-    state (threads do not inherit it). The results come back in row order,
-    so merging them in that order reproduces the serial pass bit for bit.
-    A worker's exception is raised in the caller.
+    The calling thread sweeps the first range and one new thread each later
+    range, under the caller's floating-point error state (threads do not
+    inherit it). Merging the results in order reproduces the serial pass bit
+    for bit. A worker's exception is raised in the caller.
     """
-    rows = _block_rows(n)
-    blocks = -(-n // rows)
-    workers = min(_WORKERS, blocks) if n * n * d >= _PARALLEL_WORK else 1
-    if workers <= 1:
-        return [sweep(0, n)]
-    cuts = [min(n, rows * (blocks * w // workers)) for w in range(workers + 1)]
-    results = [None] * workers
+    ranges = _ranges(n, d)
+    if len(ranges) == 1:
+        return [sweep(ranges[0])]
+    results = [None] * len(ranges)
     errors = []
     errstate = np.geterr()
 
     def run(w):
         try:
             with np.errstate(**errstate):
-                results[w] = sweep(cuts[w], cuts[w + 1])
+                results[w] = sweep(ranges[w])
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, len(ranges))]
     for thread in threads:
         thread.start()
     try:
-        results[0] = sweep(cuts[0], cuts[1])
+        results[0] = sweep(ranges[0])
     finally:
         for thread in threads:
             thread.join()
@@ -149,27 +192,35 @@ def _split(n, d, sweep):
     return results
 
 
-class _Block:
-    """Row blocks ``lo:hi`` of rows ``start:stop`` of the pair matrix, with reusable B x N buffers."""
+class _Triangle:
+    """Triangle blocks of the pair matrix over reusable flat buffers.
 
-    def __init__(self, n, buffers, start, stop):
-        self.rows = _block_rows(n)
-        self.start, self.stop = start, stop
-        self._bufs = [np.empty((min(self.rows, stop - start), n)) for _ in range(buffers)]
+    Iterating yields, for each block of ``blocks``, one contiguous
+    ``(hi - lo, n - lo)`` view of each buffer: entry ``[r, c]`` is the pair
+    ``(lo + r, lo + c)``.
+    """
+
+    def __init__(self, n, buffers, blocks):
+        self.n, self.blocks = n, blocks
+        # One allocation, of one size for every sweep of more than about 180
+        # points, so the chunk a call frees serves the next call. Separate
+        # buffers went back to the system after each call and came back as
+        # fresh pages: about 190 page faults a call at N = 201.
+        self._flat = np.empty((buffers, min(n * n, max(_BLOCK_BYTES // 8, n))))
 
     def __iter__(self):
-        for lo in range(self.start, self.stop, self.rows):
-            hi = min(lo + self.rows, self.stop)
+        for lo, hi in self.blocks:
             self.lo, self.hi = lo, hi
-            yield [b[: hi - lo] for b in self._bufs]
+            shape = (hi - lo, self.n - lo)
+            yield [b[: shape[0] * shape[1]].reshape(shape) for b in self._flat]
+
+    def ends(self, col):
+        """``col`` at the block's rows (as a column) and at its columns (as a row)."""
+        return col[self.lo : self.hi, None], col[None, self.lo :]
 
     def outer(self, op, col, out):
-        """``op(col[i], col[j])`` for rows i of the block and every column j."""
-        return op(col[self.lo : self.hi, None], col[None, :], out=out)
-
-    def set_diagonal(self, vals, value):
-        r = np.arange(self.hi - self.lo)
-        vals[r, r + self.lo] = value
+        """``op(col[i], col[j])`` for rows i and columns j of the block."""
+        return op(*self.ends(col), out=out)
 
     def enriched_sq(self, xt, tt, k, acc, diff, tmp, dx_sq=None):
         """``acc = sum_c (k*(x_ic - x_jc) + (t_ic - t_jc))**2`` in index order.
@@ -192,35 +243,46 @@ class _Block:
 
 
 class _Smallest:
-    """Smallest pair under the rank order among pairs offered in row-major order."""
+    """Smallest ordered pair by ``(rank key, i, j)`` among the pairs offered, in any order."""
 
     def __init__(self, rank):
         self.rank = rank
-        self.pair, self.key = None, -1
+        self.best = None  # (key, i, j)
 
-    def offer(self, i, j):
+    def offer(self, i, j, either=False):
+        """Offer the pairs ``(i, j)``; with ``either``, each in whichever
+        orientation comes first, for values that hold for ``(j, i)`` too."""
         if i.size == 0:
             return
+        if either:  # equal points keep i < j, the first in row-major order
+            flip = self.rank[j] < self.rank[i]
+            i, j = np.where(flip, j, i), np.where(flip, i, j)
         keys = self.rank[i] * self.rank.shape[0] + self.rank[j]
-        p = int(np.argmin(keys))
-        self._keep((int(i[p]), int(j[p])), int(keys[p]))
+        at = np.flatnonzero(keys == keys.min())
+        p = at[np.lexsort((j[at], i[at]))[0]]  # equal points: first in row-major order
+        self._keep((int(keys[p]), int(i[p]), int(j[p])))
 
-    def merge(self, later):
-        """Fold in the pair of a pass over later rows."""
-        if later.pair is not None:
-            self._keep(later.pair, later.key)
+    def merge(self, other):
+        """Fold in the pair of another pass."""
+        if other.best is not None:
+            self._keep(other.best)
 
-    def _keep(self, pair, key):
-        # strictly smaller: on equal points the pair offered first stays
-        if self.pair is None or key < self.key:
-            self.pair, self.key = pair, key
+    def _keep(self, best):
+        if self.best is None or best < self.best:
+            self.best = best
+
+    @property
+    def pair(self):
+        return None if self.best is None else self.best[1:]
 
 
 class _Extremum:
-    """Running max (or min) of pair values over row blocks.
+    """Running max (or min) of pair values over triangle blocks.
 
     Keeps the winning pair and, apart from it, the smallest pair whose value
-    is NaN. Diagonal pairs, which carry the sentinel, never join the ties.
+    is NaN. A block's entries left of its diagonal repeat pairs i < j found
+    right of it, so only those right of the diagonal join; the diagonal,
+    masked with the sentinel, never does.
     """
 
     def __init__(self, rank, largest):
@@ -233,25 +295,31 @@ class _Extremum:
     def _reduce(self, vals):
         return vals.max() if self.largest else vals.min()
 
-    def update(self, vals, lo):
+    def update(self, vals, lo, sides=None):
+        """Fold in a block's values: ``vals[r, c]`` is the pair ``(lo + r, lo + c)``.
+
+        Without ``sides`` a value holds for both orientations of its pair.
+        With ``sides = (fwd, rev)``, the values of ``(i, j)`` and of
+        ``(j, i)``, ``vals`` is their elementwise extremum, and an
+        orientation joins only where its own value is the one found.
+        """
+        sentinel = -np.inf if self.largest else np.inf
+        np.fill_diagonal(vals, sentinel)
         m = self._reduce(vals)
         if np.isnan(m):
             nan = np.isnan(vals)
-            i, j = np.nonzero(nan)
-            self.nan.offer(i + lo, j)
-            vals[nan] = -np.inf if self.largest else np.inf
+            self.nan.offer(*_found(nan, lo, sides, np.isnan), either=sides is None)
+            vals[nan] = sentinel
             m = self._reduce(vals)
         better = m > self.value if self.largest else m < self.value
         if better:
             self.value = float(m)
             self.winner = _Smallest(self.rank)
         if better or m == self.value:
-            i, j = np.nonzero(vals == m)
-            off_diagonal = i + lo != j
-            self.winner.offer(i[off_diagonal] + lo, j[off_diagonal])
+            self.winner.offer(*_found(vals == m, lo, sides, lambda v: v == m), either=sides is None)
 
     def merge(self, later):
-        """Fold in the extremum of a pass over later rows, as ``update`` would."""
+        """Fold in the extremum of another pass, as ``update`` would."""
         self.nan.merge(later.nan)
         better = later.value > self.value if self.largest else later.value < self.value
         if better:
@@ -262,6 +330,21 @@ class _Extremum:
     @property
     def pair(self):
         return self.winner.pair or (-1, -1)
+
+
+def _found(hits, lo, sides, test):
+    """The pairs ``(i, j)``, ``i < j``, right of the diagonal where ``hits`` is set.
+
+    With ``sides``, the ordered pairs instead: ``(i, j)`` and ``(j, i)``
+    wherever their own value passes ``test``.
+    """
+    r, c = np.divmod(np.flatnonzero(hits), hits.shape[1])
+    upper = c > r
+    i, j = r[upper] + lo, c[upper] + lo
+    if sides is None:
+        return i, j
+    fwd, rev = (test(side[r[upper], c[upper]]) for side in sides)
+    return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
 def _merged(parts):
@@ -287,31 +370,36 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
         banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
         rank = _row_rank(x)
 
-        def sweep(start, stop):
-            blocks = _Block(x.shape[0], 4 if banach else 3, start, stop)
+        def sweep(blocks):
+            tri = _Triangle(x.shape[0], 4 if banach else 3, blocks)
             best = _Extremum(rank, largest=True)
-            for acc, diff, tmp, *extra in blocks:
+            for num, rhs, back, *extra in tri:
                 dx_sq = extra[0] if banach else None
-                blocks.enriched_sq(xt, tt, k, acc, diff, tmp, dx_sq)
-                num = np.sqrt(acc, out=acc)
-                rhs = diff
+                tri.enriched_sq(xt, tt, k, num, rhs, back, dx_sq)
+                np.sqrt(num, out=num)
                 if mode == MODE_KANNAN:
-                    blocks.outer(np.add, disp, rhs)
+                    tri.outer(np.add, disp, rhs)
                 elif mode == MODE_BIANCHINI:
-                    blocks.outer(np.maximum, disp, rhs)
+                    tri.outer(np.maximum, disp, rhs)
                 else:
                     np.sqrt(dx_sq, out=rhs)
                 rhs *= rate
-                guard = np.add(num, rhs, out=tmp)
-                guard += pnorm[blocks.lo : blocks.hi, None]
-                guard += pnorm
-                guard += tnorm[blocks.lo : blocks.hi, None]
-                guard += tnorm
-                guard *= guard_eps
-                viol = np.subtract(num, rhs, out=num)
-                viol -= guard
-                blocks.set_diagonal(viol, -np.inf)
-                best.update(viol, blocks.lo)
+                # num and rhs serve (i, j) and (j, i) alike; the guard adds
+                # the point norms in each ordered pair's own order
+                p_i, p_j = tri.ends(pnorm)
+                t_i, t_j = tri.ends(tnorm)
+                np.add(num, rhs, out=back)
+                net = np.subtract(num, rhs, out=num)
+                fwd = np.add(back, p_i, out=rhs)
+                for term in (p_j, t_i, t_j):
+                    fwd += term
+                for term in (p_j, p_i, t_j, t_i):
+                    back += term
+                sides = []
+                for guard in (fwd, back):
+                    guard *= guard_eps
+                    sides.append(np.subtract(net, guard, out=guard))
+                best.update(np.maximum(*sides, out=net), tri.lo, sides)
             return (best,)
 
         (best,) = _merged(_split(*x.shape, sweep))
@@ -337,26 +425,25 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
 
-        def sweep(start, stop):
+        def sweep(blocks):
             best = _Extremum(rank, largest=True)
             zero = _Smallest(rank)
-            blocks = _Block(x.shape[0], 3, start, stop)
-            for acc, den, tmp in blocks:
-                blocks.enriched_sq(xt, tt, k, acc, den, tmp)
-                num = np.sqrt(acc, out=acc)
-                blocks.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
+            tri = _Triangle(x.shape[0], 3, blocks)
+            for num, den, tmp in tri:
+                tri.enriched_sq(xt, tt, k, num, den, tmp)
+                np.sqrt(num, out=num)
+                tri.outer(np.add if mode == MODE_KANNAN else np.maximum, disp, den)
                 ratio = np.divide(num, den, out=den)
-                fixed_rows = fixed[(fixed >= blocks.lo) & (fixed < blocks.hi)]
-                if fixed_rows.size:
-                    sub = np.ix_(fixed_rows - blocks.lo, fixed)
-                    off_diag = fixed_rows[:, None] != fixed[None, :]
-                    bad_i, bad_j = np.nonzero((num[sub] > zero_num_tol) & off_diag)
-                    if bad_i.size:
-                        zero.offer(fixed_rows[bad_i], fixed[bad_j])
+                first, last = np.searchsorted(fixed, (tri.lo, tri.hi))
+                rows, cols = fixed[first:last], fixed[first:]
+                if rows.size:
+                    sub = np.ix_(rows - tri.lo, cols - tri.lo)
+                    upper = rows[:, None] < cols[None, :]
+                    bad_r, bad_c = np.nonzero((num[sub] > zero_num_tol) & upper)
+                    zero.offer(rows[bad_r], cols[bad_c], either=True)
                     # zero pairs carry no ratio; a NaN numerator still fails closed
-                    ratio[sub] = np.where(np.isnan(num[sub]) & off_diag, np.nan, -np.inf)
-                blocks.set_diagonal(ratio, -np.inf)
-                best.update(ratio, blocks.lo)
+                    ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
+                best.update(ratio, tri.lo)
             return best, zero
 
         best, zero = _merged(_split(*x.shape, sweep))
@@ -380,18 +467,17 @@ def inner_min(points, images):
         xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
         rank = _row_rank(x)
 
-        def sweep(start, stop):
-            blocks = _Block(x.shape[0], 3, start, stop)
+        def sweep(blocks):
+            tri = _Triangle(x.shape[0], 3, blocks)
             best = _Extremum(rank, largest=False)
-            for acc, diff, tmp in blocks:
+            for acc, diff, tmp in tri:
                 acc.fill(0.0)
                 for xc, gc in zip(xt, gt):
-                    blocks.outer(np.subtract, gc, diff)
-                    blocks.outer(np.subtract, xc, tmp)
+                    tri.outer(np.subtract, gc, diff)
+                    tri.outer(np.subtract, xc, tmp)
                     diff *= tmp
                     acc += diff
-                blocks.set_diagonal(acc, np.inf)
-                best.update(acc, blocks.lo)
+                best.update(acc, tri.lo)
             return (best,)
 
         (best,) = _merged(_split(*x.shape, sweep))

@@ -177,7 +177,8 @@ class ContractionCertificate:
     it, kept for failure forensics; it is never a pair of equal points, so a
     kernel that returned a diagonal pair fails here. ``feasible`` is False
     when the rate falls outside its class range (estimation found no
-    admissible constant).
+    admissible constant), and whenever ``max_violation`` is NaN or +inf: the
+    kernels report a NaN pair value as +inf, so some pair was not checked.
     """
 
     class_tag: str
@@ -194,6 +195,11 @@ class ContractionCertificate:
                 f"{self.class_tag} certificate witness is a pair of equal points: "
                 f"{self.witness[0].tolist()}"
             )
+        if self.feasible and not _checked(self.max_violation):
+            raise EnrichedFPError(
+                f"{self.class_tag} certificate marked feasible with "
+                f"max_violation={self.max_violation}"
+            )
 
     @property
     def satisfied(self) -> bool:
@@ -206,6 +212,11 @@ class ContractionCertificate:
             f"{self.class_tag}(k={self.k:g}, rate={self.rate}) {status} on "
             f"{self.sample.size} pts: max_violation={self.max_violation:.3e}{extra}"
         )
+
+
+def _checked(max_violation: float) -> bool:
+    """False for a NaN or +inf violation, which a pair that was not checked leaves."""
+    return not (math.isnan(max_violation) or max_violation == math.inf)
 
 
 def evaluate_on(mapping: Mapping, sample: SampleSet) -> np.ndarray:
@@ -246,6 +257,7 @@ def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSe
         max_violation=viol,
         witness=_witness(sample, pair),
         sample=sample,
+        feasible=_checked(viol),
     )
     if cert.satisfied:
         implied, _ = _kernels.violation_max(
@@ -275,6 +287,7 @@ def check_enriched_bianchini(mapping: Mapping, k: float, h: float, sample: Sampl
         max_violation=viol,
         witness=_witness(sample, pair),
         sample=sample,
+        feasible=_checked(viol),
     )
 
 
@@ -291,6 +304,7 @@ def check_banach(mapping: Mapping, c: float, sample: SampleSet) -> ContractionCe
         max_violation=viol,
         witness=_witness(sample, pair),
         sample=sample,
+        feasible=_checked(viol),
     )
 
 
@@ -309,6 +323,7 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
         max_violation=-min_inner,
         witness=_witness(sample, pair),
         sample=sample,
+        feasible=_checked(-min_inner),
     )
 
 
@@ -366,7 +381,7 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
         max_violation=viol,
         witness=witness,
         sample=sample,
-        feasible=rate < rate_limit,
+        feasible=rate < rate_limit and _checked(viol),
     )
 
 

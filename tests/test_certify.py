@@ -336,6 +336,7 @@ class TestNonFiniteImages:
     def test_check_kannan_fails_closed(self, grid11):
         cert = check_enriched_kannan(_ScaleWithHole(), k=0.0, a=0.25, sample=grid11)
         assert not cert.satisfied
+        assert not cert.feasible
         assert cert.max_violation == math.inf
         assert [w[0] for w in cert.witness] == [0.0, 0.5]
 
@@ -348,4 +349,29 @@ class TestNonFiniteImages:
     def test_check_monotone_fails_closed(self, grid11):
         cert = check_monotone(_ScaleWithHole(), grid11)
         assert not cert.satisfied
+        assert not cert.feasible
         assert cert.max_violation == math.inf
+
+    @pytest.mark.parametrize("check", [
+        lambda mapping, sample: check_enriched_bianchini(mapping, k=0.0, h=0.5, sample=sample),
+        lambda mapping, sample: check_banach(mapping, c=0.5, sample=sample),
+    ])
+    def test_other_checks_fail_closed(self, grid11, check):
+        cert = check(_ScaleWithHole(), grid11)
+        assert not cert.satisfied
+        assert not cert.feasible
+        assert cert.max_violation == math.inf
+
+    def test_estimate_refuses_an_unchecked_violation_at_the_chosen_k(self, grid11, monkeypatch):
+        # the ratio sweeps find a rate, but the violation sweep at it meets a NaN pair
+        monkeypatch.setattr(certify._kernels, "violation_max", lambda *args: (math.inf, (0, 5)))
+        cert = estimate_kannan_constants(Scale1D(0.3), grid11)
+        assert cert.rate < certify.KANNAN_RATE_LIMIT
+        assert not cert.feasible
+
+    @pytest.mark.parametrize("violation", [math.nan, math.inf])
+    def test_certificate_refuses_feasible_with_an_unchecked_pair(self, grid11, violation):
+        with pytest.raises(EnrichedFPError, match="marked feasible"):
+            certify.ContractionCertificate("kannan", 0.0, 0.25, violation, None, grid11)
+        cert = certify.ContractionCertificate("kannan", 0.0, 0.25, violation, None, grid11, feasible=False)
+        assert not cert.satisfied

@@ -4,7 +4,7 @@ Every kernel result must equal, bit for bit and witness included, a literal
 per-pair loop over the documented semantics: pair sums start from 0.0 and
 add coordinates in index order, ties go to the lexicographically smallest
 pair of points (first in row-major order on equal points), and a NaN pair
-value fails closed. Samples above one row block make the kernels carry
+value fails closed. Samples above one triangle block make the kernels carry
 their extremum and tie-break across blocks.
 """
 
@@ -12,9 +12,12 @@ import math
 import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enrichedfp import _kernels
 from enrichedfp._kernels import (
@@ -155,21 +158,27 @@ def _tie_heavy_case(seed, n, d):
     return pts, images
 
 
+# (kernel, oracle) for every kernel and mode at fixed constants, each a
+# function of (points, images)
+KERNELS = [
+    *((partial(violation_max, k=0.5, rate=0.2, mode=m),
+       partial(brute_violation, k=0.5, rate=0.2, mode=m))
+      for m in (MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH)),
+    *((partial(ratio_sup, k=k, mode=m), partial(brute_ratio, k=k, mode=m))
+      for m in (MODE_KANNAN, MODE_BIANCHINI) for k in (0.0, 1.0)),
+    (inner_min, brute_inner),
+]
+
+
 def _every_kernel(pts, images):
-    """(call, oracle) for every kernel and mode at fixed constants."""
-    for mode in (MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH):
-        yield (lambda m=mode: violation_max(pts, images, 0.5, 0.2, m),
-               lambda m=mode: brute_violation(pts, images, 0.5, 0.2, m))
-    for mode in (MODE_KANNAN, MODE_BIANCHINI):
-        for k in (0.0, 1.0):
-            yield (lambda m=mode, k=k: ratio_sup(pts, images, k, m),
-                   lambda m=mode, k=k: brute_ratio(pts, images, k, m))
-    yield lambda: inner_min(pts, images), lambda: brute_inner(pts, images)
+    """(call, oracle) for every kernel and mode on one sample."""
+    for kernel, oracle in KERNELS:
+        yield partial(kernel, pts, images), partial(oracle, pts, images)
 
 
 def test_multi_block_size_spans_blocks():
     # the oracle cases below rely on N_MULTI_BLOCK rows needing several blocks
-    assert _kernels._block_rows(N_MULTI_BLOCK) < N_MULTI_BLOCK
+    assert len(_kernels._blocks(N_MULTI_BLOCK)) > 1
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -272,6 +281,23 @@ def test_guard_scales_with_magnitude():
         assert viol <= 0.0
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_guard_adds_in_each_orientations_own_order(split_sweeps, workers):
+    # x -> -x is an isometry, so at Banach rate 1 every pair's violation is
+    # exactly -guard, and (i, j) and (j, i) differ only in the rounding of
+    # the guard's sum, which adds the norms of point i before those of j
+    split_sweeps(workers)
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 2)) * rng.uniform(0.1, 10.0, size=(6, 1))
+    got = violation_max(pts, -pts, 0.0, 1.0, MODE_BANACH)
+    assert got == brute_violation(pts, -pts, 0.0, 1.0, MODE_BANACH)
+    assert got[1] == (2, 0)
+    pts, _ = _random_case(seed=8, n=N_MULTI_BLOCK, d=3)
+    pts *= rng.uniform(0.1, 10.0, size=(N_MULTI_BLOCK, 1))
+    assert _bits(violation_max(pts, -pts, 0.0, 1.0, MODE_BANACH)) == _bits(
+        brute_violation(pts, -pts, 0.0, 1.0, MODE_BANACH))
+
+
 def _nan_case():
     # 0.3 x on an 11-point grid, with the image of x = 0.5 replaced by NaN
     pts = np.linspace(0.0, 1.0, 11)[:, None]
@@ -354,9 +380,9 @@ def test_nan_witness_is_smallest_across_blocks():
     assert inner_min(pts, images) == (-math.inf, expected)
 
 
-# --- row blocks split across workers ------------------------------------------
+# --- triangle blocks split across workers -------------------------------------
 
-BLOCK_BYTES_8_BLOCKS = 8 * N_MULTI_BLOCK * 25  # 25 rows a block: 8 blocks of 200 rows
+BLOCK_BYTES_8_BLOCKS = 8 * 3000  # 3000 entries a block: 8 triangle blocks of 200 rows
 
 
 @pytest.fixture
@@ -384,7 +410,7 @@ def started_threads(monkeypatch):
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_split_sweep_matches_oracle_for_any_worker_count(split_sweeps, started_threads, case, d):
-    assert -(-N_MULTI_BLOCK // _kernels._block_rows(N_MULTI_BLOCK)) == 8
+    assert len(_kernels._blocks(N_MULTI_BLOCK)) == 8
     pts, images = case(seed=100 + d, n=N_MULTI_BLOCK, d=d)
     for call, oracle in _every_kernel(pts, images):
         expected = _bits(oracle())
@@ -475,11 +501,12 @@ def test_large_sweep_starts_one_thread_per_extra_worker(monkeypatch, started_thr
 def test_worker_exception_is_raised_in_the_caller(split_sweeps, monkeypatch):
     split_sweeps(3)
     update = _kernels._Extremum.update
+    later = _kernels._ranges(N_MULTI_BLOCK, 2)[1][0][0]  # the second range's first row
 
-    def fail_after_first_range(self, vals, lo):
-        if lo >= 3 * _kernels._block_rows(N_MULTI_BLOCK):
+    def fail_after_first_range(self, vals, lo, *sides):
+        if lo >= later:
             raise MemoryError("block buffer")
-        update(self, vals, lo)
+        update(self, vals, lo, *sides)
 
     monkeypatch.setattr(_kernels._Extremum, "update", fail_after_first_range)
     before = threading.active_count()
@@ -502,3 +529,153 @@ def test_more_workers_than_cores_with_fast_switching(split_sweeps):
             assert _bits(ratio_sup(pts, images, 1.0, MODE_BIANCHINI)) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+# --- triangle blocks: each unordered pair once ---------------------------------
+
+
+@pytest.mark.parametrize("n, entries", [(1, 300), (2, 300), (60, 300), (200, 3000), (2000, 1 << 15), (500, 300)])
+def test_blocks_are_contiguous_views_of_one_buffer(monkeypatch, n, entries):
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * entries)
+    blocks = _kernels._blocks(n)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == n
+    tri = _kernels._Triangle(n, 2, blocks)
+    for (lo, hi), views in zip(blocks, tri):
+        for view in views:
+            assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
+        # never taller than wide, and one buffer's worth unless one row is wider
+        assert hi - lo <= n - lo
+        assert (hi - lo) * (n - lo) <= max(entries, n - lo)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("n, entries", [(60, 300), (200, 3000), (1064, 1 << 15), (2000, 1 << 15)])
+def test_ranges_cut_the_triangle_where_the_pair_counts_are_equal(monkeypatch, n, entries, workers):
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * entries)
+    monkeypatch.setattr(_kernels, "_PARALLEL_WORK", 0)
+    monkeypatch.setattr(_kernels, "_WORKERS", workers)
+    blocks = _kernels._blocks(n)
+    ranges = _kernels._ranges(n, 1)
+    # contiguous ranges of whole blocks, covering [0, n) in order
+    assert len(ranges) == workers
+    assert [block for blocks_of in ranges for block in blocks_of] == blocks
+
+    def pairs(lo, hi):
+        return sum(n - 1 - i for i in range(lo, hi))
+
+    counts = [sum(pairs(*block) for block in blocks_of) for blocks_of in ranges]
+    largest = max(pairs(*block) for block in blocks)
+    assert sum(counts) == n * (n - 1) // 2
+    for count in counts:
+        assert abs(count - n * (n - 1) / 2 / workers) <= largest
+    if workers == 2:
+        assert abs(counts[0] - counts[1]) <= largest
+
+
+N_EDGES = 60
+BLOCK_BYTES_EDGES = 8 * 300  # 300 entries a block: 8 triangle blocks of 60 rows
+
+
+def _edge_case(kind):
+    """A 2-D sample without equal points whose witnesses are winning, tied, NaN or zero-displacement pairs."""
+    rng = np.random.default_rng(["winning", "tied", "nan", "zero"].index(kind))
+    if kind == "tied":
+        # distinct points of a half-integer grid and a scaled quarter turn:
+        # every inner product is exactly 0 and many other pair values tie
+        grid = np.stack(np.meshgrid(np.arange(8), np.arange(8)), axis=-1).reshape(-1, 2)
+        pts = rng.permutation(grid)[:N_EDGES] / 2 - 2.0
+        return pts, pts @ np.array([[0.0, -0.5], [0.5, 0.0]]).T + 0.25
+    pts, images = _random_case(seed=rng.integers(1000), n=N_EDGES, d=2)
+    if kind == "nan":
+        images[[7, 40]] = np.nan
+    if kind == "zero":
+        fixed = [3, 20, 33, 58]
+        images[fixed] = pts[fixed]
+    return pts, images
+
+
+def _reported(result):
+    """The pair a kernel reports: for ``ratio_sup``, the infeasible pair when there is one."""
+    return result[4] if len(result) == 5 and result[3] else result[1]
+
+
+def _edge_place(place, n):
+    """Two rows at an edge of the current block schedule and worker ranges."""
+    blocks = _kernels._blocks(n)
+    if place == "first and last row":
+        return 0, n - 1
+    if place == "diagonal square":  # rows of one block: right of its diagonal, inside its leading square
+        lo, hi = blocks[3]
+        return lo, hi - 1
+    if place == "last block":
+        return blocks[-1][0], n - 1
+    ranges = _kernels._ranges(n, 1)
+    cut = ranges[-1][0][0] if len(ranges) > 1 else blocks[len(blocks) // 2][0]
+    return cut - 1, cut  # "worker cut": one row each side of the last cut
+
+
+def _moved(n, rows, to):
+    """Row order that puts ``rows`` at positions ``to`` and keeps the others in order."""
+    order = [r for r in range(n) if r not in rows]
+    for pos, row in sorted(zip(to, rows)):
+        order.insert(pos, row)
+    return np.array(order)
+
+
+@pytest.mark.parametrize("kind", ["winning", "tied", "nan", "zero"])
+@pytest.mark.parametrize("place", ["first and last row", "diagonal square", "last block", "worker cut"])
+def test_witness_at_triangle_edges_matches_oracle(split_sweeps, monkeypatch, kind, place):
+    # the reported pair of every kernel and mode is moved to rows at an edge of
+    # the triangle blocks, in both orientations, so that half the time the
+    # reported orientation puts the larger row index first
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", BLOCK_BYTES_EDGES)
+    assert len(_kernels._blocks(N_EDGES)) == 8
+    pts, images = _edge_case(kind)
+    if kind == "tied":
+        assert brute_inner(pts, images)[0] == 0.0  # every pair ties
+    expected = {}
+    for number, (kernel, oracle) in enumerate(KERNELS):
+        pair = _reported(oracle(pts, images))
+        for workers in (1, 2, 3):
+            split_sweeps(workers)
+            a, b = _edge_place(place, N_EDGES)
+            for to in ((a, b), (b, a)):
+                order = _moved(N_EDGES, pair, to)
+                key = (number, tuple(order))
+                if key not in expected:
+                    expected[key] = _bits(oracle(pts[order], images[order]))
+                got = kernel(pts[order], images[order])
+                assert _bits(got) == expected[key], (number, workers, to)
+                assert _reported(got) == to
+
+
+def _in_rows(result, order):
+    """``result`` with its index pairs mapped through the row order ``order``."""
+    return tuple(
+        tuple(int(order[i]) if i >= 0 else i for i in r) if isinstance(r, tuple) else r
+        for r in result
+    )
+
+
+@given(d=st.integers(1, 12), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_row_order_changes_no_value_and_no_witness_point(d, n, seed):
+    # near-ties: coarse coordinates, some nudged by a few ulp, no equal
+    # points; a coarse affine map with some fixed points
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, d)) / 2
+    pts *= 1.0 + _kernels.EPS * rng.integers(-2, 3, size=(n, d))
+    pts = pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
+    assume(len(pts) >= 2)
+    images = pts @ (rng.integers(-2, 3, size=(d, d)) / 4).T + 0.25
+    fixed = rng.random(len(pts)) < 0.2
+    images[fixed] = pts[fixed]
+    order = rng.permutation(len(pts))
+    with pytest.MonkeyPatch.context() as patch:  # several blocks over two workers
+        patch.setattr(_kernels, "_BLOCK_BYTES", 8 * 64)
+        patch.setattr(_kernels, "_PARALLEL_WORK", 0)
+        patch.setattr(_kernels, "_WORKERS", 2)
+        for kernel, _ in KERNELS:
+            got = kernel(pts, images)
+            assert _bits(_in_rows(kernel(pts[order], images[order]), order)) == _bits(got)
