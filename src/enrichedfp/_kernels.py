@@ -23,17 +23,16 @@ the numerator and the rhs between the two orientations but adds its guard
 terms once per ordered pair, in that pair's order, since ``p_i + p_j`` and
 ``p_j + p_i`` can round differently.
 
-A sweep of at least ``_PARALLEL_WORK`` (2**20) N*N*d terms splits its
-blocks into one contiguous range per CPU the process may run on
-(``os.sched_getaffinity``, so ``taskset`` confines it to fewer cores), cut
-at the block starts nearest to equal shares of the pairs, not of the rows.
-The calling thread sweeps the first range and one thread each of the
-others, with its own buffers and running extremum; numpy releases the
-interpreter lock inside each block operation. The partial results are
-merged by the same rules a single pass applies block by block, so the
-results, witnesses included, are bit-identical for any number of workers.
-Smaller sweeps stay on the calling thread. Workers call only the private
-helpers below, never a public kernel.
+Each kernel sweeps its blocks on the calling thread with numpy's ufunc
+buffer cut to ``_UFUNC_BUFSIZE`` (256) elements. A block is narrower than
+numpy's default buffer of 8192 elements, and below that width numpy copies
+the broadcast operands ``col[lo:hi, None]`` and ``col[None, lo:]`` of every
+outer operation through its buffer: about 1.5 ns an entry against 0.33 ns
+with the small buffer. Buffering only copies operands, so elementwise
+ufuncs and ``max``/``min`` reductions give the same bits at any buffer
+size. The size is set around the block loop only, so the ``np.sum``
+reductions of the per-point norms keep numpy's default, and the caller's
+size is restored on return and on any exception.
 
 The floating-point semantics, which the brute-force oracles in
 ``tests/test_kernels.py`` reproduce bit for bit:
@@ -66,8 +65,7 @@ with those floating-point warnings off.
 
 from __future__ import annotations
 
-import os
-import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,12 +90,10 @@ HAVE_NUMBA = False
 
 _BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
 
-# A large sweep splits its blocks across the CPUs this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Sweeps of fewer n * n * d terms stay on the calling thread: below this,
-# starting a thread and merging cost more than the second core saves.
-_PARALLEL_WORK = 1 << 20
+# numpy's ufunc buffer, in elements, during a block loop: small enough that
+# the broadcast operands of a block's outer operations are not copied
+# through it (every size from 16 to 512 runs at the same speed).
+_UFUNC_BUFSIZE = 256
 
 
 def _prepare(points, images):
@@ -139,57 +135,18 @@ def _blocks(n):
     return blocks
 
 
-def _ranges(n, d):
-    """The block schedule cut into contiguous ranges, one per worker.
+@contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements, then the caller's size again.
 
-    A sweep of at least ``_PARALLEL_WORK`` terms gets one range per worker,
-    at most one per block, cut at the block starts nearest to equal shares
-    of the pairs i < j. Smaller sweeps get one range.
+    The size is restored here, on return and on an exception, since numpy
+    1.x does not restore it when an enclosing ``np.errstate`` exits.
     """
-    blocks = _blocks(n)
-    workers = min(_WORKERS, len(blocks)) if n * n * d >= _PARALLEL_WORK else 1
-    if workers <= 1:
-        return [blocks]
-    # pairs i < j with lo <= i < hi: (hi - lo) * (2n - lo - hi - 1) / 2
-    pairs = np.cumsum([0] + [(hi - lo) * (2 * n - lo - hi - 1) // 2 for lo, hi in blocks])
-    shares = pairs[-1] * np.arange(1, workers) / workers
-    cuts = [0, *np.abs(pairs[:, None] - shares).argmin(axis=0).tolist(), len(blocks)]
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-def _split(n, d, sweep):
-    """Results of ``sweep(blocks)`` over the ranges of ``_ranges(n, d)``, in row order.
-
-    The calling thread sweeps the first range and one new thread each later
-    range, under the caller's floating-point error state (threads do not
-    inherit it). Merging the results in order reproduces the serial pass bit
-    for bit. A worker's exception is raised in the caller.
-    """
-    ranges = _ranges(n, d)
-    if len(ranges) == 1:
-        return [sweep(ranges[0])]
-    results = [None] * len(ranges)
-    errors = []
-    errstate = np.geterr()
-
-    def run(w):
-        try:
-            with np.errstate(**errstate):
-                results[w] = sweep(ranges[w])
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, len(ranges))]
-    for thread in threads:
-        thread.start()
+    old = np.setbufsize(_UFUNC_BUFSIZE)
     try:
-        results[0] = sweep(ranges[0])
+        yield
     finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+        np.setbufsize(old)
 
 
 class _Triangle:
@@ -260,14 +217,7 @@ class _Smallest:
         keys = self.rank[i] * self.rank.shape[0] + self.rank[j]
         at = np.flatnonzero(keys == keys.min())
         p = at[np.lexsort((j[at], i[at]))[0]]  # equal points: first in row-major order
-        self._keep((int(keys[p]), int(i[p]), int(j[p])))
-
-    def merge(self, other):
-        """Fold in the pair of another pass."""
-        if other.best is not None:
-            self._keep(other.best)
-
-    def _keep(self, best):
+        best = (int(keys[p]), int(i[p]), int(j[p]))
         if self.best is None or best < self.best:
             self.best = best
 
@@ -318,15 +268,6 @@ class _Extremum:
         if better or m == self.value:
             self.winner.offer(*_found(vals == m, lo, sides, lambda v: v == m), either=sides is None)
 
-    def merge(self, later):
-        """Fold in the extremum of another pass, as ``update`` would."""
-        self.nan.merge(later.nan)
-        better = later.value > self.value if self.largest else later.value < self.value
-        if better:
-            self.value, self.winner = later.value, later.winner
-        elif later.value == self.value:
-            self.winner.merge(later.winner)
-
     @property
     def pair(self):
         return self.winner.pair or (-1, -1)
@@ -347,15 +288,6 @@ def _found(hits, lo, sides, test):
     return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
-def _merged(parts):
-    """Fold per-range results, each a tuple of accumulators, in row order."""
-    first, *rest = parts
-    for later in rest:
-        for acc, more in zip(first, later):
-            acc.merge(more)
-    return first
-
-
 def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
@@ -368,11 +300,10 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
         k, rate, guard_eps = float(k), float(rate), float(guard_eps)
         xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
         banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
-        rank = _row_rank(x)
-
-        def sweep(blocks):
-            tri = _Triangle(x.shape[0], 4 if banach else 3, blocks)
-            best = _Extremum(rank, largest=True)
+        n = x.shape[0]
+        tri = _Triangle(n, 4 if banach else 3, _blocks(n))
+        best = _Extremum(_row_rank(x), largest=True)
+        with _small_ufunc_buffer():
             for num, rhs, back, *extra in tri:
                 dx_sq = extra[0] if banach else None
                 tri.enriched_sq(xt, tt, k, num, rhs, back, dx_sq)
@@ -400,9 +331,6 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
                     guard *= guard_eps
                     sides.append(np.subtract(net, guard, out=guard))
                 best.update(np.maximum(*sides, out=net), tri.lo, sides)
-            return (best,)
-
-        (best,) = _merged(_split(*x.shape, sweep))
         if best.nan.pair is not None:
             return np.inf, best.nan.pair
         return best.value, best.pair
@@ -424,11 +352,11 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
         rank = _row_rank(x)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
-
-        def sweep(blocks):
-            best = _Extremum(rank, largest=True)
-            zero = _Smallest(rank)
-            tri = _Triangle(x.shape[0], 3, blocks)
+        n = x.shape[0]
+        tri = _Triangle(n, 3, _blocks(n))
+        best = _Extremum(rank, largest=True)
+        zero = _Smallest(rank)
+        with _small_ufunc_buffer():
             for num, den, tmp in tri:
                 tri.enriched_sq(xt, tt, k, num, den, tmp)
                 np.sqrt(num, out=num)
@@ -444,9 +372,6 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
                 best.update(ratio, tri.lo)
-            return best, zero
-
-        best, zero = _merged(_split(*x.shape, sweep))
         valid = disp[~np.isnan(disp)]
         has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
         pair = best.pair if best.value > -np.inf else (-1, -1)
@@ -465,11 +390,10 @@ def inner_min(points, images):
         if x.shape != g.shape or x.ndim != 2:
             raise ValueError(f"points/images shape mismatch: {x.shape} vs {g.shape}")
         xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
-        rank = _row_rank(x)
-
-        def sweep(blocks):
-            tri = _Triangle(x.shape[0], 3, blocks)
-            best = _Extremum(rank, largest=False)
+        n = x.shape[0]
+        tri = _Triangle(n, 3, _blocks(n))
+        best = _Extremum(_row_rank(x), largest=False)
+        with _small_ufunc_buffer():
             for acc, diff, tmp in tri:
                 acc.fill(0.0)
                 for xc, gc in zip(xt, gt):
@@ -478,9 +402,6 @@ def inner_min(points, images):
                     diff *= tmp
                     acc += diff
                 best.update(acc, tri.lo)
-            return (best,)
-
-        (best,) = _merged(_split(*x.shape, sweep))
         if best.nan.pair is not None:
             return -np.inf, best.nan.pair
         return best.value, best.pair

@@ -35,6 +35,15 @@ KANNAN_RATE_LIMIT = 0.5
 BIANCHINI_RATE_LIMIT = 1.0
 BANACH_RATE_LIMIT = 1.0
 
+# The rates a feasible certificate of each class may carry: [0, limit).
+_RATE_LIMITS = {
+    "kannan": KANNAN_RATE_LIMIT,
+    "enriched_kannan": KANNAN_RATE_LIMIT,
+    "bianchini": BIANCHINI_RATE_LIMIT,
+    "enriched_bianchini": BIANCHINI_RATE_LIMIT,
+    "banach": BANACH_RATE_LIMIT,
+}
+
 # Rates within this window count as equal when breaking ties between
 # enrichment constants; the smallest k then wins because it yields the
 # largest averaging step 1/(k+1).
@@ -179,6 +188,7 @@ class ContractionCertificate:
     when the rate falls outside its class range (estimation found no
     admissible constant), and whenever ``max_violation`` is NaN or +inf: the
     kernels report a NaN pair value as +inf, so some pair was not checked.
+    A certificate marked feasible with either fails here.
     """
 
     class_tag: str
@@ -199,6 +209,12 @@ class ContractionCertificate:
             raise EnrichedFPError(
                 f"{self.class_tag} certificate marked feasible with "
                 f"max_violation={self.max_violation}"
+            )
+        limit = _RATE_LIMITS.get(self.class_tag)
+        if self.feasible and limit is not None and not 0.0 <= self.rate < limit:
+            raise EnrichedFPError(
+                f"{self.class_tag} certificate marked feasible with rate={self.rate} "
+                f"outside [0, {limit:g})"
             )
 
     @property

@@ -375,3 +375,18 @@ class TestNonFiniteImages:
             certify.ContractionCertificate("kannan", 0.0, 0.25, violation, None, grid11)
         cert = certify.ContractionCertificate("kannan", 0.0, 0.25, violation, None, grid11, feasible=False)
         assert not cert.satisfied
+
+    @pytest.mark.parametrize("tags, limit", [
+        (("kannan", "enriched_kannan"), certify.KANNAN_RATE_LIMIT),
+        (("bianchini", "enriched_bianchini"), certify.BIANCHINI_RATE_LIMIT),
+        (("banach",), certify.BANACH_RATE_LIMIT),
+    ], ids=["kannan", "bianchini", "banach"])
+    def test_certificate_refuses_feasible_with_a_rate_outside_its_class(self, grid11, tags, limit):
+        for tag in tags:
+            for rate in (limit, 2.0 * limit, -0.0625):
+                with pytest.raises(EnrichedFPError, match=f"rate={rate} outside"):
+                    certify.ContractionCertificate(tag, 0.5, rate, -1.0, None, grid11)
+                cert = certify.ContractionCertificate(tag, 0.5, rate, -1.0, None, grid11, feasible=False)
+                assert cert.satisfied and not cert.feasible
+            inside = math.nextafter(limit, 0.0)
+            assert certify.ContractionCertificate(tag, 0.5, inside, -1.0, None, grid11).feasible
