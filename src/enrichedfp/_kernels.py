@@ -48,7 +48,8 @@ The floating-point semantics, which the brute-force oracles in
   Python tuples compare them (so ``-0.0`` ties with ``0.0``). Pairs with
   equal points go to the first in row-major order, whatever order the
   candidates are found in. The order comes from a row rank computed once
-  per call.
+  per call, or once per sample by a caller that sweeps it several times
+  (the ``rank`` keyword).
 * A NaN pair value fails closed: ``violation_max`` returns ``+inf`` and
   ``inner_min`` ``-inf``, and ``ratio_sup`` reports the pair as infeasible.
   The witness is then the smallest NaN pair in the same order.
@@ -59,6 +60,10 @@ The floating-point semantics, which the brute-force oracles in
 Overflow and invalid operations on huge or non-finite inputs are expected
 (their inf and NaN results go through the rules above), so each kernel runs
 with those floating-point warnings off.
+
+``ratio_sup`` can stop early: with ``stop_at`` it returns after the first
+block at which its running sup reaches that bound, for a caller that only
+needs to know that the sup is at least ``stop_at``.
 
 ``perfbench/`` measures these kernels end to end and per call.
 """
@@ -288,12 +293,13 @@ def _found(hits, lo, sides, test):
     return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
-def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
+def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS, *, rank=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
     Returns ``(max_violation, (i, j))`` where the index pair is the
     lexicographically smallest argmax. Any NaN pair value gives
-    ``(inf, smallest NaN pair)``.
+    ``(inf, smallest NaN pair)``. ``rank`` is ``_row_rank(points)`` when a
+    caller already has it; by default it is computed here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, t, disp, pnorm, tnorm = _prepare(points, images)
@@ -302,7 +308,7 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
         banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
         n = x.shape[0]
         tri = _Triangle(n, 4 if banach else 3, _blocks(n))
-        best = _Extremum(_row_rank(x), largest=True)
+        best = _Extremum(_row_rank(x) if rank is None else rank, largest=True)
         with _small_ufunc_buffer():
             for num, rhs, back, *extra in tri:
                 dx_sq = extra[0] if banach else None
@@ -336,7 +342,7 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
         return best.value, best.pair
 
 
-def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
+def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL, *, stop_at=None, rank=None):
     """Supremum over positive-displacement pairs of ``lhs / rhs_scale``.
 
     Returns ``(sup, (i, j), has_positive, infeasible, (zi, zj))``; ``sup`` is
@@ -344,12 +350,22 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
     a zero-displacement pair whose numerator exceeds ``zero_num_tol``, or any
     pair whose ratio is NaN; ``(zi, zj)`` is then the smallest such pair,
     NaN pairs first.
+
+    With ``stop_at``, the sweep returns after the first triangle block at
+    which the running sup is ``>= stop_at``. The sup returned then is only a
+    lower bound on the full sup that has reached ``stop_at``, and the witness
+    pair, ``infeasible`` and ``(zi, zj)`` cover only the blocks swept;
+    ``has_positive`` is always that of the whole sample. A sweep that never
+    reaches ``stop_at`` returns what it returns without it. ``rank`` is
+    ``_row_rank(points)`` when a caller already has it; by default it is
+    computed here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, t, disp, _, _ = _prepare(points, images)
         k = float(k)
         xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
-        rank = _row_rank(x)
+        if rank is None:
+            rank = _row_rank(x)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
         n = x.shape[0]
@@ -372,6 +388,8 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL):
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
                 best.update(ratio, tri.lo)
+                if stop_at is not None and best.value >= stop_at:
+                    break
         valid = disp[~np.isnan(disp)]
         has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
         pair = best.pair if best.value > -np.inf else (-1, -1)

@@ -344,6 +344,19 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
 
 
 def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag):
+    """The grid ``k`` with the smallest rate, as a certificate checked at that (k, rate).
+
+    The grid is walked in order. A ``k`` replaces the best so far when its
+    sup is below ``best - RATE_TIE_TOL``, or within ``RATE_TIE_TOL`` of it
+    with a smaller ``k``. So the sweep of a ``k`` at or above the best ``k``
+    stops once its running sup reaches ``best - RATE_TIE_TOL``
+    (``ratio_sup``'s ``stop_at``): that ``k`` cannot win, and its partial sup
+    is never reported. A ``k`` below the best ``k`` (on an unsorted grid),
+    and every ``k`` before a best exists, sweeps every pair. So the rate and
+    witness of the chosen ``k``, and the fallback witness (read only when no
+    ``k`` is feasible), come from full sweeps, and the violation check at
+    the chosen ``(k, rate)`` covers every pair too.
+    """
     k_values = [float(k) for k in k_grid]
     if not k_values:
         raise InvalidConstantError("k grid must be nonempty")
@@ -356,11 +369,13 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
             "every sample point is fixed; no displacement to estimate against"
         )
 
+    rank = _kernels._row_rank(sample.points)  # one tie-break order for every sweep
     best = None  # (rate, k, witness_pair)
     fallback_witness = None
     for k in k_values:
+        stop_at = best[0] - RATE_TIE_TOL if best is not None and k >= best[1] else None
         sup, pair, has_pos, infeasible, zpair = _kernels.ratio_sup(
-            sample.points, images, k, mode
+            sample.points, images, k, mode, stop_at=stop_at, rank=rank
         )
         if infeasible:
             # a zero-displacement pair with nonzero numerator, or a NaN
@@ -389,7 +404,7 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
         )
 
     rate, k, witness = best
-    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode)
+    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank)
     return ContractionCertificate(
         class_tag=_plain_or_enriched(k, plain_tag, enriched_tag),
         k=k,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import (
+    _kernels,
     certify,
     check_banach,
     check_enriched_bianchini,
@@ -21,6 +22,7 @@ from enrichedfp.certify import (
     grid_sample,
     random_sample,
 )
+from enrichedfp._kernels import MODE_BIANCHINI, MODE_KANNAN
 from enrichedfp.exceptions import DegenerateSampleError, EnrichedFPError, InvalidConstantError
 from enrichedfp.mappings import (
     AffineMap,
@@ -364,7 +366,7 @@ class TestNonFiniteImages:
 
     def test_estimate_refuses_an_unchecked_violation_at_the_chosen_k(self, grid11, monkeypatch):
         # the ratio sweeps find a rate, but the violation sweep at it meets a NaN pair
-        monkeypatch.setattr(certify._kernels, "violation_max", lambda *args: (math.inf, (0, 5)))
+        monkeypatch.setattr(certify._kernels, "violation_max", lambda *args, **kwargs: (math.inf, (0, 5)))
         cert = estimate_kannan_constants(Scale1D(0.3), grid11)
         assert cert.rate < certify.KANNAN_RATE_LIMIT
         assert not cert.feasible
@@ -390,3 +392,251 @@ class TestNonFiniteImages:
                 assert cert.satisfied and not cert.feasible
             inside = math.nextafter(limit, 0.0)
             assert certify.ContractionCertificate(tag, 0.5, inside, -1.0, None, grid11).feasible
+
+
+# --- the estimate's pruned k sweep against the unpruned loop -------------------
+
+
+def _unpruned_estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag):
+    """``certify._estimate`` as it was before pruning: every k's sweep covers every pair."""
+    k_values = [float(k) for k in k_grid]
+    if not k_values:
+        raise InvalidConstantError("k grid must be nonempty")
+    if any(not (k >= 0.0 and math.isfinite(k)) for k in k_values):
+        raise InvalidConstantError(f"k grid entries must be finite and >= 0: {k_values}")
+    images = certify.evaluate_on(mapping, sample)
+    disp = np.linalg.norm(sample.points - images, axis=-1)
+    if np.all(disp == 0.0):
+        raise DegenerateSampleError(
+            "every sample point is fixed; no displacement to estimate against"
+        )
+
+    best = None  # (rate, k, witness_pair)
+    fallback_witness = None
+    for k in k_values:
+        sup, pair, has_pos, infeasible, zpair = _kernels.ratio_sup(
+            sample.points, images, k, mode
+        )
+        if infeasible:
+            # a zero-displacement pair with nonzero numerator, or a NaN
+            # pair value, rules k out
+            if fallback_witness is None:
+                fallback_witness = certify._witness(sample, zpair)
+            continue
+        if not has_pos:
+            continue
+        if (
+            best is None
+            or sup < best[0] - certify.RATE_TIE_TOL
+            or (abs(sup - best[0]) <= certify.RATE_TIE_TOL and k < best[1])
+        ):
+            best = (sup, k, certify._witness(sample, pair))
+
+    if best is None:
+        return certify.ContractionCertificate(
+            class_tag=enriched_tag,
+            k=k_values[0],
+            rate=math.inf,
+            max_violation=math.inf,
+            witness=fallback_witness,
+            sample=sample,
+            feasible=False,
+        )
+
+    rate, k, witness = best
+    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode)
+    return certify.ContractionCertificate(
+        class_tag=certify._plain_or_enriched(k, plain_tag, enriched_tag),
+        k=k,
+        rate=rate,
+        max_violation=viol,
+        witness=witness,
+        sample=sample,
+        feasible=rate < rate_limit and certify._checked(viol),
+    )
+
+
+# (estimator, the unpruned loop's arguments after the k grid)
+ESTIMATORS = [
+    (estimate_kannan_constants,
+     (MODE_KANNAN, certify.KANNAN_RATE_LIMIT, "kannan", "enriched_kannan")),
+    (estimate_bianchini_constants,
+     (MODE_BIANCHINI, certify.BIANCHINI_RATE_LIMIT, "bianchini", "enriched_bianchini")),
+]
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _cert_bits(cert):
+    """Everything a certificate reports, floats as bytes so that -0.0 != 0.0."""
+    witness = None if cert.witness is None else tuple(w.tobytes() for w in cert.witness)
+    return (cert.class_tag, _bits(cert.k), _bits(cert.rate), _bits(cert.max_violation),
+            witness, cert.feasible)
+
+
+def _same_as_unpruned(mapping, sample, k_grid):
+    """Both estimates, each pinned bit for bit to the unpruned loop; returns them."""
+    certs = []
+    for estimate, args in ESTIMATORS:
+        cert = estimate(mapping, sample, k_grid)
+        assert _cert_bits(cert) == _cert_bits(_unpruned_estimate(mapping, sample, k_grid, *args))
+        certs.append(cert)
+    return certs
+
+
+def _descending(sample):
+    """The sample with its rows reversed, so that the smallest witnesses sit in the last block."""
+    return SampleSet(points=sample.points[::-1], description=f"{sample.description}, reversed")
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Triangle blocks of 3000 entries: the 201-point unit sample takes 8 of them."""
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * 3000)
+    assert len(_kernels._blocks(201)) == 8
+
+
+@pytest.fixture
+def ratio_blocks(monkeypatch):
+    """The number of triangle blocks each ``ratio_sup`` call sweeps, one entry a call."""
+    counts, sweeping = [], []
+    ratio_sup = _kernels.ratio_sup
+    blocks = _kernels._Triangle.__iter__
+
+    def counting(self):
+        for views in blocks(self):
+            counts[-1] += bool(sweeping)
+            yield views
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        sweeping.append(True)
+        try:
+            return ratio_sup(*args, **kwargs)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(_kernels._Triangle, "__iter__", counting)
+    monkeypatch.setattr(_kernels, "ratio_sup", counted)
+    return counts
+
+
+DEFAULT = certify.DEFAULT_K_GRID
+GRIDS = {
+    "default": DEFAULT,
+    "reversed": DEFAULT[::-1],
+    "duplicated": (0.5, 0.5, 3.0, 0.0, 1.0, 1.0, 0.0, 0.25),
+}
+
+
+class TestPrunedEstimate:
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("name", ["reflection", "scale_third", "spiral"])
+    def test_grids_match_the_unpruned_loop(self, small_blocks, unit_sample, name, order, grid):
+        if name == "spiral":
+            mapping = AffineMap(matrix=np.array([[0.3, -0.8], [0.8, 0.3]]), offset=np.array([0.1, -0.2]))
+            sample = default_sample([(-1.0, 1.0), (-1.0, 1.0)], grid_points=121, random_points=80, seed=4)
+        else:
+            mapping = {"reflection": Reflection1D(), "scale_third": Scale1D(c=1.0 / 3.0, bounds=(0.0, 1.0))}[name]
+            sample = unit_sample
+        _same_as_unpruned(mapping, _descending(sample) if order == "descending" else sample, grid)
+
+    def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, reflection, unit_sample):
+        # the reflection's rate |1 - k| / 2 is about 0 at k = 1, so each larger k
+        # stops after its first block; the smaller k come first and sweep all
+        kannan, _ = _same_as_unpruned(reflection, unit_sample, DEFAULT)
+        assert kannan.k == 1.0 and kannan.rate < 1e-15
+        assert ratio_blocks[:8] == [8] * 5 + [1] * 3
+
+    @pytest.mark.parametrize("k_near", [2.0 + 2e-13, 2.0 - 2e-13, 2.0 - 1e-11, 2.0])
+    @pytest.mark.parametrize("first", ["k = 0", "k near 2"])
+    def test_rates_within_the_tie_tolerance(self, small_blocks, ratio_blocks, reflection, unit_sample, k_near, first):
+        # k = 0 and k near 2 give rates |1 - k| / 2 within 1e-13 of 1/2 (5e-12
+        # below it for 2 - 1e-11); the smaller k wins a tie in either order
+        grid = (0.0, k_near) if first == "k = 0" else (k_near, 0.0)
+        for sample in (unit_sample, _descending(unit_sample)):
+            kannan, _ = _same_as_unpruned(reflection, sample, grid)
+            assert kannan.k == (k_near if k_near == 2.0 - 1e-11 else 0.0)
+        if first == "k = 0" and k_near != 2.0 - 1e-11:
+            # k near 2 reaches 1/2 - RATE_TIE_TOL in the first block, a pair with x = 0
+            # and 1/2, and must stop there even though its sup lies within the tolerance
+            assert ratio_blocks[:4] == [8, 1, 8, 8]
+
+    @pytest.mark.parametrize("grid", [(3.0, 1.0), (1.0, 3.0), DEFAULT, DEFAULT[::-1]])
+    def test_a_nan_pair_at_one_k_before_or_after_the_winner(self, small_blocks, grid):
+        # x -> -x on [-1, 1] and x = 1e154: the pair (1e154, 0) has an infinite
+        # displacement sum, and its numerator |k - 1| 1e154 overflows only for
+        # k > 2.34, so only k = 3 meets a NaN ratio, inf / inf
+        pts = np.concatenate([np.linspace(-1.0, 1.0, 199), [1e154]])[:, None]
+        sample = SampleSet(points=pts, description="[-1, 1] and 1e154")
+        mapping = AffineMap(matrix=-np.eye(1), offset=np.zeros(1))
+        with np.errstate(over="ignore"):  # the estimate's np.linalg.norm squares 2e154
+            images = certify.evaluate_on(mapping, sample)
+            assert _kernels.ratio_sup(pts, images, 3.0, MODE_KANNAN)[3]
+            assert not _kernels.ratio_sup(pts, images, 2.0, MODE_KANNAN)[3]
+            kannan, bianchini = _same_as_unpruned(mapping, sample, grid)
+        assert kannan.k == bianchini.k == 1.0
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.5, 3.0), (3.0, 0.5, 0.0), (2.0, 0.0, 3.0, 0.5)])
+    def test_a_pair_of_fixed_points_rules_out_the_larger_k(self, small_blocks, grid):
+        # T(x, y) = (x, 0) fixes (0, 0) and (4e-15, 0): their numerator
+        # (k + 1) 4e-15 exceeds ZERO_NUM_TOL only for k >= 2
+        rng = np.random.default_rng(8)
+        pts = np.concatenate([rng.uniform(0.5, 1.0, size=(200, 2)), [[0.0, 0.0], [4e-15, 0.0]]])
+        sample = SampleSet(points=pts, description="200 moving and 2 fixed pts")
+        mapping = AffineMap(matrix=np.array([[1.0, 0.0], [0.0, 0.0]]), offset=np.zeros(2))
+        images = certify.evaluate_on(mapping, sample)
+        for k in (0.0, 0.5, 2.0, 3.0):
+            assert _kernels.ratio_sup(pts, images, k, MODE_KANNAN)[3] == (k >= 2.0)
+        kannan, bianchini = _same_as_unpruned(mapping, sample, grid)
+        assert kannan.k in (0.0, 0.5) and bianchini.k in (0.0, 0.5)
+
+    def test_no_feasible_k(self, small_blocks, unit_sample):
+        # a NaN image rules out every k; so do two fixed points far apart
+        _same_as_unpruned(_ScaleWithHole(), grid_sample([(0.0, 1.0)], 11), DEFAULT[::-1])
+        _same_as_unpruned(_ScaleWithHole(), unit_sample, DEFAULT)
+        t = AffineMap(matrix=np.array([[1.0, 0.0], [0.0, 0.0]]), offset=np.zeros(2))
+        pts = SampleSet(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]), description="3 pts")
+        for cert in _same_as_unpruned(t, pts, (1.0, 0.0, 3.0)):
+            assert not cert.feasible and cert.witness is not None
+
+    @given(
+        d=st.integers(1, 12),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.one_of(
+            st.lists(st.sampled_from(DEFAULT), min_size=1, max_size=9),
+            st.lists(st.sampled_from((0.0, 0.5, 1.5, 2.0, 3.0)), min_size=1, max_size=9),
+        ),
+        reflected=st.booleans(),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_affine_maps_match_the_unpruned_loop(self, d, n, seed, grid, reflected):
+        # x -> b - x on a sample symmetric about b / 2 gives k and 2 - k the
+        # same rate, reached by every symmetric pair. Otherwise x -> b - c x
+        # plus a coarse perturbation, c up to 1.5: k = 0 wins for small c,
+        # some k > 0 for c near 1. Several blocks, coarse points
+        rng = np.random.default_rng(seed)
+        b = rng.integers(-4, 5, size=d) / 4
+        pts = rng.integers(-4, 5, size=(n, d)) / 4
+        if reflected:
+            matrix = -np.eye(d)
+            pts = np.concatenate([pts, b - pts])
+        else:
+            matrix = -rng.uniform(0.0, 1.5) * np.eye(d) + rng.integers(-2, 3, size=(d, d)) / 8
+        pts = np.unique(pts, axis=0)
+        pts = pts[rng.permutation(len(pts))]
+        if len(pts) < 2:
+            return
+        mapping = AffineMap(matrix=matrix, offset=b)
+        sample = SampleSet(points=pts, description=f"{len(pts)} pts in R^{d}")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_BLOCK_BYTES", 8 * 64)
+            try:
+                _same_as_unpruned(mapping, sample, grid)
+            except DegenerateSampleError:
+                with pytest.raises(DegenerateSampleError):
+                    _unpruned_estimate(mapping, sample, grid, *ESTIMATORS[0][1])

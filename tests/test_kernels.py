@@ -777,3 +777,78 @@ def test_kannan_holds_implies_bianchini_at_twice_the_rate(d, n, seed, k, a):
     images = pts @ mat.T + rng.uniform(-1.0, 1.0, size=d)
     if violation_max(pts, images, k, a, MODE_KANNAN)[0] <= 0.0:
         assert violation_max(pts, images, k, 2.0 * a, MODE_BIANCHINI)[0] <= 0.0
+
+
+# --- ratio_sup's stop_at: a sweep that ends once its running sup reaches a bound
+
+
+@pytest.fixture
+def swept_blocks(monkeypatch):
+    """The number of triangle blocks each kernel call sweeps, one entry a call."""
+    counts = []
+    blocks = _kernels._Triangle.__iter__
+
+    def counting(self):
+        counts.append(0)
+        for views in blocks(self):
+            counts[-1] += 1
+            yield views
+
+    monkeypatch.setattr(_kernels._Triangle, "__iter__", counting)
+    return counts
+
+
+RATIO_MODES = pytest.mark.parametrize(
+    "mode, k", [(m, k) for m in (MODE_KANNAN, MODE_BIANCHINI) for k in (0.0, 1.0)]
+)
+
+
+@pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
+@RATIO_MODES
+def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mode, k):
+    pts, images = case(seed=21, n=N_MULTI_BLOCK, d=3)
+    full = ratio_sup(pts, images, k, mode)
+    assert _bits(full) == _bits(brute_ratio(pts, images, k, mode))
+    for stop in (None, math.nextafter(full[0], math.inf), full[0] + 1.0, math.inf):
+        assert repr(ratio_sup(pts, images, k, mode, stop_at=stop)) == repr(full)
+    assert swept_blocks == [8] * 5
+
+
+@pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
+@RATIO_MODES
+def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, swept_blocks, case, mode, k):
+    pts, images = case(seed=22, n=N_MULTI_BLOCK, d=3)
+    full = ratio_sup(pts, images, k, mode)
+    # with a bound no sweep can miss, the sweep ends after its first block;
+    # with that block's own sup as the bound, too (the test is >=, not >)
+    first = ratio_sup(pts, images, k, mode, stop_at=-math.inf)
+    assert swept_blocks[1:] == [1]
+    assert -math.inf < first[0] <= full[0]
+    bounds = (full[0], math.nextafter(full[0], -math.inf), full[0] / 2, first[0], 0.0, -math.inf)
+    for stop in bounds:
+        got = ratio_sup(pts, images, k, mode, stop_at=stop)
+        assert stop <= got[0] <= full[0]
+        assert got[2] == full[2]  # has_positive comes from the whole sample
+    assert swept_blocks[-3:] == [1, 1, 1]
+    assert swept_blocks[2] <= 8  # the full sup is found at whichever block holds it
+
+
+def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
+    # the winning pair is moved to the last two rows, so only the last block
+    # holds a pair at the sup and a stop at the sup must sweep all 8 blocks
+    n = N_MULTI_BLOCK
+    pts, images = _random_case(seed=23, n=n, d=3)
+    order = _moved(n, brute_ratio(pts, images, 0.5, MODE_KANNAN)[1], (n - 2, n - 1))
+    pts, images = pts[order], images[order]
+    full = ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    assert full[1] == (n - 2, n - 1) or full[1] == (n - 1, n - 2)
+    assert repr(ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=full[0])) == repr(full)
+    assert swept_blocks == [8, 8]
+
+
+@pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
+def test_a_given_row_rank_changes_no_bit(case):
+    pts, images = case(seed=24, n=N_MULTI_BLOCK, d=4)
+    rank = _kernels._row_rank(pts)
+    for kernel, _ in KERNELS[:-1]:  # every kernel with a rank keyword: all but inner_min
+        assert _bits(kernel(pts, images, rank=rank)) == _bits(kernel(pts, images))
