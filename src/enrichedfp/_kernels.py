@@ -293,7 +293,7 @@ def _found(hits, lo, sides, test):
     return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
-def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS, *, rank=None):
+def violation_max(points, images, k, rate, mode, *, rank=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
     Returns ``(max_violation, (i, j))`` where the index pair is the
@@ -303,7 +303,7 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS, *, r
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, t, disp, pnorm, tnorm = _prepare(points, images)
-        k, rate, guard_eps = float(k), float(rate), float(guard_eps)
+        k, rate = float(k), float(rate)
         xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
         banach = mode not in (MODE_KANNAN, MODE_BIANCHINI)
         n = x.shape[0]
@@ -334,7 +334,7 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS, *, r
                     back += term
                 sides = []
                 for guard in (fwd, back):
-                    guard *= guard_eps
+                    guard *= CHECK_GUARD_EPS
                     sides.append(np.subtract(net, guard, out=guard))
                 best.update(np.maximum(*sides, out=net), tri.lo, sides)
         if best.nan.pair is not None:
@@ -342,12 +342,12 @@ def violation_max(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS, *, r
         return best.value, best.pair
 
 
-def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL, *, stop_at=None, rank=None):
+def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     """Supremum over positive-displacement pairs of ``lhs / rhs_scale``.
 
     Returns ``(sup, (i, j), has_positive, infeasible, (zi, zj))``; ``sup`` is
     ``-inf`` when no pair has positive displacement, and ``infeasible`` marks
-    a zero-displacement pair whose numerator exceeds ``zero_num_tol``, or any
+    a zero-displacement pair whose numerator exceeds ``ZERO_NUM_TOL``, or any
     pair whose ratio is NaN; ``(zi, zj)`` is then the smallest such pair,
     NaN pairs first.
 
@@ -383,7 +383,7 @@ def ratio_sup(points, images, k, mode, zero_num_tol=ZERO_NUM_TOL, *, stop_at=Non
                 if rows.size:
                     sub = np.ix_(rows - tri.lo, cols - tri.lo)
                     upper = rows[:, None] < cols[None, :]
-                    bad_r, bad_c = np.nonzero((num[sub] > zero_num_tol) & upper)
+                    bad_r, bad_c = np.nonzero((num[sub] > ZERO_NUM_TOL) & upper)
                     zero.offer(rows[bad_r], cols[bad_c], either=True)
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)

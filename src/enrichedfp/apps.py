@@ -32,7 +32,7 @@ from .exceptions import (
     GammaRangeError,
     InvalidConstantError,
 )
-from .mappings import Mapping, as_point
+from .mappings import Mapping, as_point, stacked_matvec
 
 AUTO = "auto"
 
@@ -160,6 +160,20 @@ class SfpOperator(Mapping):
         gradient = inst.matrix.T @ residual
         return inst.c_set.project(point - self.gamma * gradient)
 
+    def _apply_many(self, points):
+        # None where a projection's point check would reject a row
+        inst = self.instance
+        images = stacked_matvec(inst.matrix, points)
+        if not np.all(np.isfinite(images)):
+            return None
+        residual = np.subtract(images, inst.q_set._project_many(images), out=images)
+        gradient = stacked_matvec(inst.matrix.T, residual)
+        gradient *= self.gamma
+        step = np.subtract(points, gradient, out=gradient)
+        if not np.all(np.isfinite(step)):
+            return None
+        return inst.c_set._project_many(step)
+
 
 @dataclass(frozen=True, eq=False)
 class VipOperator(Mapping):
@@ -174,6 +188,18 @@ class VipOperator(Mapping):
     def _apply(self, point):
         inst = self.instance
         return inst.c_set.project(point - inst.gamma * inst.operator.apply(point))
+
+    def _apply_many(self, points):
+        # None where the operator's or the projection's checks would reject a row
+        inst = self.instance
+        step = inst.operator._batched(points)
+        if step is None:
+            return None
+        step *= inst.gamma
+        np.subtract(points, step, out=step)
+        if not np.all(np.isfinite(step)):
+            return None
+        return inst.c_set._project_many(step)
 
 
 def sfp_operator(instance: SfpInstance) -> SfpOperator:

@@ -237,7 +237,7 @@ def _checked(max_violation: float) -> bool:
 
 def evaluate_on(mapping: Mapping, sample: SampleSet) -> np.ndarray:
     """Evaluate a mapping over every sample point (domain errors propagate)."""
-    return np.stack([mapping.apply(p) for p in sample.points])
+    return mapping.apply_many(sample.points)
 
 
 def _witness(sample: SampleSet, idx_pair) -> tuple[np.ndarray, np.ndarray] | None:
@@ -256,9 +256,11 @@ def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSe
 
     For every ordered pair the guarded excess
     ``||k(x-y) + Tx - Ty|| - a (||x-Tx|| + ||y-Ty||)`` is computed; the
-    certificate records the maximum and its witness pair. Whenever the check
-    passes, the implied (k, 2a) max-displacement condition is verified as a
-    cross-check (it follows from u + v <= 2 max(u, v)).
+    certificate records the maximum and its witness pair. A pass implies the
+    (k, 2a) max-displacement condition on the same sample, pair by pair and
+    guard included: ``fl(u + v) <= 2 max(u, v)`` (rounding is monotone and
+    doubling exact), so that rhs is at least this one, its guard grows with
+    it, and the guarded excess is monotone in each rounding.
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise InvalidConstantError(f"enrichment constant must be >= 0, got {k}")
@@ -266,7 +268,7 @@ def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSe
         raise InvalidConstantError(f"rate must lie in [0, 1/2), got {a}")
     images = evaluate_on(mapping, sample)
     viol, pair = _kernels.violation_max(sample.points, images, k, a, MODE_KANNAN)
-    cert = ContractionCertificate(
+    return ContractionCertificate(
         class_tag=_plain_or_enriched(k, "kannan", "enriched_kannan"),
         k=float(k),
         rate=float(a),
@@ -275,17 +277,6 @@ def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSe
         sample=sample,
         feasible=_checked(viol),
     )
-    if cert.satisfied:
-        implied, _ = _kernels.violation_max(
-            sample.points, images, k, 2.0 * a, MODE_BIANCHINI
-        )
-        if implied > 0.0:
-            raise EnrichedFPError(
-                "internal consistency failure: passing displacement-sum "
-                f"certificate (k={k}, a={a}) does not imply the (k, {2 * a}) "
-                "max-displacement condition on the same sample"
-            )
-    return cert
 
 
 def check_enriched_bianchini(mapping: Mapping, k: float, h: float, sample: SampleSet) -> ContractionCertificate:
@@ -363,8 +354,7 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
     if any(not (k >= 0.0 and math.isfinite(k)) for k in k_values):
         raise InvalidConstantError(f"k grid entries must be finite and >= 0: {k_values}")
     images = evaluate_on(mapping, sample)
-    disp = np.linalg.norm(sample.points - images, axis=-1)
-    if np.all(disp == 0.0):
+    if np.all(sample.points == images):
         raise DegenerateSampleError(
             "every sample point is fixed; no displacement to estimate against"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidConstantError
-from .mappings import as_point
+from .mappings import as_point, stacked_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +35,11 @@ class ConvexSet:
 
     def _project(self, point: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _project_many(self, points: np.ndarray) -> np.ndarray:
+        """``_project`` at each row of an (N, dim) array of finite points, bit
+        for bit, into a new array."""
+        return np.stack([self._project(p) for p in points])
 
 
 def _finite_vector(value, name) -> np.ndarray:
@@ -69,6 +74,8 @@ class Box(ConvexSet):
     def _project(self, point):
         return np.clip(point, self.lower, self.upper)
 
+    _project_many = _project
+
 
 @dataclass(frozen=True, eq=False)
 class Ball(ConvexSet):
@@ -93,6 +100,14 @@ class Ball(ConvexSet):
         if dist <= self.radius:
             return point.copy()
         return self.center + (self.radius / dist) * offset
+
+    def _project_many(self, points):
+        offset = points - self.center
+        dist = np.sqrt(stacked_dot(offset, offset))
+        far = ~(dist <= self.radius)
+        out = points.copy()
+        out[far] = self.center + (self.radius / dist[far])[:, None] * offset[far]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +135,16 @@ class Halfspace(ConvexSet):
             return point.copy()
         return point - (excess / float(self.normal @ self.normal)) * self.normal
 
+    def _project_many(self, points):
+        sq_norm = float(self.normal @ self.normal)
+        if sq_norm == 0.0:  # _project raises ZeroDivisionError where it divides
+            return super()._project_many(points)
+        excess = stacked_dot(self.normal, points) - self.offset
+        far = ~(excess <= 0.0)
+        out = points.copy()
+        out[far] -= (excess[far] / sq_norm)[:, None] * self.normal
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Hyperplane(ConvexSet):
@@ -145,6 +170,13 @@ class Hyperplane(ConvexSet):
             self.normal @ self.normal
         )
         return point - shift * self.normal
+
+    def _project_many(self, points):
+        sq_norm = float(self.normal @ self.normal)
+        if sq_norm == 0.0:  # _project raises ZeroDivisionError where it divides
+            return super()._project_many(points)
+        shift = (stacked_dot(self.normal, points) - self.offset) / sq_norm
+        return points - shift[:, None] * self.normal
 
 
 def project(convex_set: ConvexSet, x) -> np.ndarray:

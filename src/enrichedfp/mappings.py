@@ -41,6 +41,28 @@ def norm_dist(x, y) -> float:
     return float(np.linalg.norm(xa - ya))
 
 
+# Batched twins of per-point products. A stacked matmul runs, item by item,
+# the BLAS call that the per-point product makes (gemv for ``M @ p``, ddot
+# for ``a @ p`` and for the squared norm inside ``np.linalg.norm``), so each
+# row gets the per-point bits. ``P @ M.T`` (gemm), ``einsum`` and
+# ``norm(axis=1)`` sum in other orders and move last bits.
+
+
+def stacked_matvec(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``matrix @ p`` for each row p of ``points``, bit for bit."""
+    return np.matmul(matrix, points[:, :, None])[:, :, 0]
+
+
+def stacked_dot(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``a @ p`` for each row p of ``points``, bit for bit; ``a`` is one vector or one per row."""
+    return np.matmul(a[..., None, :], points[:, :, None])[:, 0, 0]
+
+
+def _inside(points, lo, hi) -> bool:
+    """Every entry of ``points`` within ``[lo, hi]`` widened by ``DOMAIN_ATOL``."""
+    return not (np.any(points < lo - DOMAIN_ATOL) or np.any(points > hi + DOMAIN_ATOL))
+
+
 @dataclass(frozen=True, eq=False)
 class Mapping:
     """Base class for self-maps of R^n."""
@@ -56,6 +78,34 @@ class Mapping:
 
     __call__ = apply
 
+    def apply_many(self, points) -> np.ndarray:
+        """``apply`` at each row of an (N, dim) array, stacked: the same bits in one call.
+
+        The rows pass ``apply``'s checks as one array and go to
+        ``_apply_many``. If a check fails (a wrong dimension, a non-finite
+        entry, a row outside the domain, or an intermediate that ``apply``
+        would reject), or the mapping has no batched form, each row goes
+        through ``apply`` instead, so an error is the one ``apply`` raises at
+        the first bad row.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        images = self._batched(pts)
+        if images is None:
+            images = np.stack([self.apply(p) for p in pts])
+        return images
+
+    def _batched(self, points: np.ndarray) -> np.ndarray | None:
+        """``_apply_many(points)`` if every row passes ``apply``'s checks, else None."""
+        box = self.domain
+        if (
+            points.ndim != 2
+            or points.shape[1] != self.dim
+            or not np.all(np.isfinite(points))
+            or (box is not None and not _inside(points, *box))
+        ):
+            return None
+        return self._apply_many(points)
+
     @property
     def dim(self) -> int:
         raise NotImplementedError
@@ -70,7 +120,7 @@ class Mapping:
         if box is None:
             return
         lo, hi = box
-        if np.any(point < lo - DOMAIN_ATOL) or np.any(point > hi + DOMAIN_ATOL):
+        if not _inside(point, lo, hi):
             raise OutOfDomainError(
                 f"{type(self).__name__}: point {point} outside domain box "
                 f"[{lo}, {hi}]"
@@ -78,6 +128,11 @@ class Mapping:
 
     def _apply(self, point: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _apply_many(self, points: np.ndarray) -> np.ndarray | None:
+        """``_apply`` at each row of checked (N, dim) points, as a new array the
+        caller may overwrite. None, as here, leaves every row to ``apply``."""
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +149,8 @@ class Reflection1D(Mapping):
 
     def _apply(self, point):
         return 1.0 - point
+
+    _apply_many = _apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +181,8 @@ class Scale1D(Mapping):
 
     def _apply(self, point):
         return self.c * point
+
+    _apply_many = _apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +215,11 @@ class AffineMap(Mapping):
     def _apply(self, point):
         return self.matrix @ point + self.offset
 
+    def _apply_many(self, points):
+        images = stacked_matvec(self.matrix, points)
+        images += self.offset
+        return images
+
 
 @dataclass(frozen=True, eq=False)
 class AveragedMap(Mapping):
@@ -184,6 +248,15 @@ class AveragedMap(Mapping):
 
     def _apply(self, point):
         return (1.0 - self.lam) * point + self.lam * self.inner.apply(point)
+
+    def _apply_many(self, points):
+        inner = self.inner._batched(points)
+        if inner is None:
+            return None
+        inner *= self.lam
+        images = (1.0 - self.lam) * points
+        images += inner
+        return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +310,12 @@ class PiecewiseTable(Mapping):
         idx = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
         idx = min(max(idx, 0), self.slopes.size - 1)
         return np.array([self.slopes[idx] * x + self.intercepts[idx]])
+
+    def _apply_many(self, points):
+        x = points[:, 0]
+        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
+        np.clip(idx, 0, self.slopes.size - 1, out=idx)
+        return (self.slopes[idx] * x + self.intercepts[idx])[:, None]
 
 
 def apply(mapping: Mapping, x) -> np.ndarray:

@@ -13,7 +13,7 @@ from enrichedfp.apps import (
     vip_operator,
 )
 from enrichedfp.exceptions import AutoLambdaError, GammaRangeError, InvalidConstantError
-from enrichedfp.mappings import AffineMap
+from enrichedfp.mappings import AffineMap, Scale1D
 
 
 class TestSpectralRadius:
@@ -122,6 +122,83 @@ class TestVipOperator:
         for x in rng.uniform(-1.0, 4.0, size=(200, 2)):
             manual = inst.c_set.project(x - inst.gamma * inst.operator.apply(x))
             assert float(np.linalg.norm(op.apply(x) - manual)) <= 1e-14
+
+
+def _sets(d, rng):
+    normal = rng.standard_normal(d)
+    return {
+        "box": convex.Box(lower=-np.ones(d), upper=np.ones(d)),
+        "ball": convex.Ball(center=0.5 * rng.standard_normal(d), radius=2.0 * np.sqrt(d)),
+        "halfspace": convex.Halfspace(normal=normal, offset=0.3),
+        "hyperplane": convex.Hyperplane(normal=normal, offset=-0.7),
+    }
+
+
+SET_KINDS = ["box", "ball", "halfspace", "hyperplane"]
+
+
+def _loop(operator, points):
+    return np.stack([operator.apply(p) for p in points])
+
+
+class TestApplyMany:
+    @staticmethod
+    def _same_as_loop(operator, rng):
+        # rows near the origin and far from it: inside and outside every set
+        points = rng.standard_normal((200, operator.dim)) * np.repeat([0.2, 4.0], 100)[:, None]
+        got, want = operator.apply_many(points), _loop(operator, points)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q_kind", SET_KINDS)
+    @pytest.mark.parametrize("c_kind", SET_KINDS)
+    @pytest.mark.parametrize("d, m", [(1, 1), (5, 3), (30, 30)])
+    def test_sfp(self, c_kind, q_kind, d, m):
+        rng = np.random.default_rng(d * m)
+        inst = SfpInstance(
+            c_set=_sets(d, rng)[c_kind],
+            q_set=_sets(m, rng)[q_kind],
+            matrix=rng.standard_normal((m, d)),
+        )
+        self._same_as_loop(sfp_operator(inst), rng)
+
+    @pytest.mark.parametrize("c_kind", SET_KINDS)
+    @pytest.mark.parametrize("d", [1, 5, 30])
+    def test_vip(self, c_kind, d):
+        rng = np.random.default_rng(d)
+        g = AffineMap(matrix=rng.standard_normal((d, d)), offset=rng.standard_normal(d))
+        inst = VipInstance(c_set=_sets(d, rng)[c_kind], operator=g, gamma=0.2)
+        self._same_as_loop(vip_operator(inst), rng)
+
+    def test_catalog_instances(self):
+        rng = np.random.default_rng(4)
+        self._same_as_loop(sfp_operator(catalog.standard_sfp()), rng)
+        self._same_as_loop(vip_operator(catalog.vip_plane()), rng)
+        self._same_as_loop(vip_operator(catalog.vip_line()), rng)
+
+    @pytest.mark.parametrize("case", ["sfp image", "vip step before a row outside G's domain"])
+    def test_an_overflow_raises_what_the_loop_raises(self, case):
+        if case == "sfp image":
+            # A x overflows at the second and third rows
+            inst = SfpInstance(
+                c_set=convex.Box(lower=-np.ones(2), upper=np.ones(2)),
+                q_set=convex.Ball(center=np.zeros(2), radius=1.0),
+                matrix=2.0 * np.eye(2),
+            )
+            op = sfp_operator(inst)
+            pts = np.array([[0.5, 0.5], [1e308, 0.0], [0.0, 1e308]])
+        else:
+            # the second row's step overflows; the third lies outside G's domain
+            g = Scale1D(c=1e300, bounds=(-1e10, 1e10))
+            c_set = convex.Box(lower=[-1.0], upper=[1.0])
+            op = vip_operator(VipInstance(c_set=c_set, operator=g, gamma=1.0))
+            pts = np.array([[0.0], [1e9], [1e11]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(Exception) as loop_error:
+                _loop(op, pts)
+            with pytest.raises(Exception) as batch_error:
+                op.apply_many(pts)
+        assert type(batch_error.value) is type(loop_error.value) is InvalidConstantError
+        assert str(batch_error.value) == str(loop_error.value)
 
 
 class TestSolveSfp:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,23 @@ class TestEstimateKannan:
         with pytest.raises(DegenerateSampleError):
             estimate_kannan_constants(identity, pts, (0.0,))
 
+    def test_displacements_that_all_underflow_are_not_all_fixed(self):
+        # x -> x + 1e-170 moves every point, but each squared displacement
+        # underflows to 0, so no pair has a positive rhs scale to estimate on
+        pts = SampleSet(points=np.arange(1.0, 6.0)[:, None] * 1e-165, description="5 pts")
+        shift = AffineMap(matrix=np.eye(1), offset=np.array([1e-170]))
+        cert = estimate_kannan_constants(shift, pts)
+        assert not cert.feasible and cert.rate == math.inf
+
+    def test_a_displacement_above_1e154_raises_no_warning(self):
+        # the all-fixed check compares points with images and squares nothing
+        pts = np.concatenate([np.linspace(-1.0, 1.0, 199), [1e154]])[:, None]
+        sample = SampleSet(points=pts, description="[-1, 1] and 1e154")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = estimate_kannan_constants(AffineMap(matrix=-np.eye(1), offset=np.zeros(1)), sample)
+        assert cert.k == 1.0 and cert.rate == 0.0
+
     def test_two_fixed_points_infeasible(self):
         # T(x, y) = (x, 0) fixes the whole first axis; a pair of its fixed
         # points has zero displacement but nonzero separation
@@ -273,8 +291,8 @@ class TestEstimateKannan:
 
     def test_kannan_implies_bianchini_cross_check(self, unit_sample):
         # every passing displacement-sum certificate transfers to the doubled
-        # max-displacement rate (asserted internally on each run, re-checked
-        # here explicitly across the catalog)
+        # max-displacement rate (pair by pair in tests/test_kernels.py; here
+        # across the catalog)
         cases = [
             (Reflection1D(), 0.5, 0.25),
             (Scale1D(c=0.25, bounds=(0.0, 1.0)), 0.0, 1.0 / 3.0 + 1e-12),
@@ -573,7 +591,7 @@ class TestPrunedEstimate:
         pts = np.concatenate([np.linspace(-1.0, 1.0, 199), [1e154]])[:, None]
         sample = SampleSet(points=pts, description="[-1, 1] and 1e154")
         mapping = AffineMap(matrix=-np.eye(1), offset=np.zeros(1))
-        with np.errstate(over="ignore"):  # the estimate's np.linalg.norm squares 2e154
+        with np.errstate(over="ignore"):  # the oracle's np.linalg.norm squares 2e154
             images = certify.evaluate_on(mapping, sample)
             assert _kernels.ratio_sup(pts, images, 3.0, MODE_KANNAN)[3]
             assert not _kernels.ratio_sup(pts, images, 2.0, MODE_KANNAN)[3]

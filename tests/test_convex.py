@@ -149,3 +149,45 @@ class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             project(Box(lower=np.zeros(2), upper=np.ones(2)), [1.0])
+
+
+# --- _project_many: project at each row, bit for bit ---------------------------
+
+
+def _sets_around_the_origin(d, rng):
+    normal = rng.standard_normal(d)
+    return {
+        "box": Box(lower=-np.ones(d), upper=np.ones(d)),
+        "ball": Ball(center=0.5 * rng.standard_normal(d), radius=2.0 * np.sqrt(d)),
+        "halfspace": Halfspace(normal=normal, offset=0.3),
+        "hyperplane": Hyperplane(normal=normal, offset=-0.7),
+    }
+
+
+class TestProjectMany:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 17, 30])
+    @pytest.mark.parametrize("kind", ["box", "ball", "halfspace", "hyperplane"])
+    def test_matches_project_row_by_row(self, kind, d):
+        rng = np.random.default_rng(d)
+        cs = _sets_around_the_origin(d, rng)[kind]
+        pts = rng.standard_normal((300, d)) * np.repeat([0.2, 4.0], 150)[:, None]
+        got = cs._project_many(pts)
+        assert got.tobytes() == np.stack([cs.project(p) for p in pts]).tobytes()
+        inside = np.array([contains(cs, p) for p in pts])
+        if kind != "hyperplane":  # points on both sides: moved and kept rows
+            assert inside.any() and not inside.all()
+
+    @pytest.mark.parametrize("cs", set_variants(), ids=lambda cs: type(cs).__name__)
+    def test_members_and_boundary_points(self, cs):
+        pts = np.concatenate([sample_points(cs, 40, seed=2), [project(cs, [3.0, -2.0])]])
+        assert cs._project_many(pts).tobytes() == np.stack([cs.project(p) for p in pts]).tobytes()
+
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    def test_an_underflowing_normal_raises_what_project_raises(self, kind):
+        # the squared norm of the normal underflows to 0: project divides by it
+        cs = kind(normal=np.array([1e-170, 0.0]), offset=0.0)
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ZeroDivisionError):
+            cs.project(pts[1])
+        with pytest.raises(ZeroDivisionError):
+            cs._project_many(pts)

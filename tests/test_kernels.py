@@ -64,8 +64,8 @@ def _pairs(n):
     return ((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-def brute_violation(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
-    """Literal nested-loop reference for the guarded violation maximum."""
+def brute_violations(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
+    """Literal nested-loop reference: ``(guarded excess, i, j)`` for each ordered pair, row-major."""
     disp, pnorm, tnorm = _point_norms(points, images)
     x, t = points.tolist(), images.tolist()
     vals = []
@@ -79,6 +79,12 @@ def brute_violation(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
             rhs = rate * _norm([a - b for a, b in zip(x[i], x[j])])
         guard = guard_eps * (num + rhs + pnorm[i] + pnorm[j] + tnorm[i] + tnorm[j])
         vals.append(((num - rhs) - guard, i, j))
+    return vals
+
+
+def brute_violation(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
+    """Literal nested-loop reference for the guarded violation maximum."""
+    vals = brute_violations(points, images, k, rate, mode, guard_eps)
     nan = [_key(points, i, j) for v, i, j in vals if math.isnan(v)]
     if nan:
         return math.inf, _witness(nan)
@@ -777,6 +783,30 @@ def test_kannan_holds_implies_bianchini_at_twice_the_rate(d, n, seed, k, a):
     images = pts @ mat.T + rng.uniform(-1.0, 1.0, size=d)
     if violation_max(pts, images, k, a, MODE_KANNAN)[0] <= 0.0:
         assert violation_max(pts, images, k, 2.0 * a, MODE_BIANCHINI)[0] <= 0.0
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.floats(0.0, 3.0),
+    a=st.floats(0.0, 0.5, exclude_max=True),
+)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_bianchini_excess_at_twice_the_rate_is_at_most_kannans_pair_by_pair(d, n, seed, k, a):
+    # fl(u + v) <= 2 max(u, v) (rounding is monotone, doubling exact), so the
+    # Bianchini (k, 2a) rhs is at least the Kannan (k, a) one, its guard too,
+    # and num - rhs - guard is monotone in each rounding. Points and images
+    # span scales from 1e-150 to 1e150; some points are fixed
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 151, size=(n, 1))
+    images = pts @ rng.standard_normal((d, d)).T * 10.0 ** rng.integers(-3, 4)
+    fixed = rng.random(n) < 0.2
+    images[fixed] = pts[fixed]
+    kannan = brute_violations(pts, images, k, a, MODE_KANNAN)
+    bianchini = brute_violations(pts, images, k, 2.0 * a, MODE_BIANCHINI)
+    for (kv, _, _), (bv, _, _) in zip(kannan, bianchini):
+        assert bv <= kv
 
 
 # --- ratio_sup's stop_at: a sweep that ends once its running sup reaches a bound

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichedfp import apply, averaged, norm_dist
 from enrichedfp.exceptions import (
@@ -8,8 +10,10 @@ from enrichedfp.exceptions import (
     OutOfDomainError,
 )
 from enrichedfp.mappings import (
+    DOMAIN_ATOL,
     AffineMap,
     AveragedMap,
+    Mapping,
     PiecewiseTable,
     Reflection1D,
     Scale1D,
@@ -212,3 +216,90 @@ class TestValidation:
         t = AffineMap(matrix=np.eye(2), offset=np.zeros(2))
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 5.0
+
+
+# --- apply_many: the per-point loop in one call, bit for bit -----------------
+
+
+def _loop(mapping, points):
+    return np.stack([mapping.apply(p) for p in points])
+
+
+def _same_as_loop(mapping, points):
+    got, want = mapping.apply_many(points), _loop(mapping, points)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class _Halve(Mapping):
+    """x -> x / 2 on R^2, with no batched form."""
+
+    @property
+    def dim(self):
+        return 2
+
+    def _apply(self, point):
+        return 0.5 * point
+
+
+class TestApplyMany:
+    def test_reflection(self):
+        _same_as_loop(Reflection1D(), np.linspace(0.0, 1.0, 37)[:, None])
+
+    @pytest.mark.parametrize("bounds", [None, (-2.0, 3.0)])
+    def test_scale(self, bounds):
+        _same_as_loop(Scale1D(c=-0.7, bounds=bounds), np.linspace(-2.0, 3.0, 41)[:, None])
+
+    def test_piecewise_table_on_and_between_breakpoints(self):
+        table = PiecewiseTable(
+            breakpoints=np.array([0.0, 0.3, 0.5, 1.0]),
+            slopes=np.array([0.5, -0.4, 0.2]),
+            intercepts=np.array([0.1, 0.6, 0.3]),
+        )
+        b = table.breakpoints
+        pts = np.concatenate([
+            b,  # each breakpoint, the right end included
+            np.nextafter(b, -np.inf),
+            np.linspace(0.0, 1.0, 29),
+            [-0.5 * DOMAIN_ATOL, 1.0 + 0.5 * DOMAIN_ATOL],  # clipped to the end pieces
+        ])
+        _same_as_loop(table, pts[:, None])
+
+    @given(d=st.integers(1, 30), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_affine(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4)
+        mapping = AffineMap(matrix=rng.standard_normal((d, d)), offset=scale * rng.standard_normal(d))
+        _same_as_loop(mapping, scale * rng.standard_normal((n, d)))
+
+    def test_averaged(self):
+        rng = np.random.default_rng(7)
+        affine = AffineMap(matrix=rng.standard_normal((3, 3)), offset=rng.standard_normal(3))
+        _same_as_loop(AveragedMap(inner=affine, lam=0.37), rng.standard_normal((50, 3)))
+        nested = AveragedMap(inner=AveragedMap(inner=Reflection1D(), lam=0.5), lam=2.0 / 3.0)
+        _same_as_loop(nested, rng.uniform(0.0, 1.0, size=(50, 1)))
+
+    def test_without_a_batched_form(self):
+        pts = np.random.default_rng(8).standard_normal((20, 2))
+        _same_as_loop(_Halve(), pts)
+        _same_as_loop(AveragedMap(inner=_Halve(), lam=0.25), pts)
+
+    def test_a_1d_array_is_one_point_per_entry(self):
+        # as in the loop, each entry of a 1-D array is a point of R^1
+        _same_as_loop(Scale1D(c=0.5), np.array([0.25, 0.5]))
+
+    @pytest.mark.parametrize("mapping, points", [
+        (Reflection1D(), [[0.5], [1.5], [-0.2]]),
+        (AveragedMap(inner=Scale1D(c=0.5, bounds=(0.0, 1.0)), lam=0.5), [[0.2], [0.3], [2.0]]),
+        (AffineMap(matrix=np.eye(2), offset=np.zeros(2)), np.zeros((3, 3))),
+        (Scale1D(c=0.5), [[1.0], [np.inf]]),
+    ], ids=["outside the domain", "averaged, outside the domain", "wrong dimension", "non-finite"])
+    def test_rejected_rows_raise_what_the_loop_raises(self, mapping, points):
+        pts = np.asarray(points, dtype=np.float64)
+        with pytest.raises(Exception) as loop_error:
+            _loop(mapping, pts)
+        with pytest.raises(Exception) as batch_error:
+            mapping.apply_many(pts)
+        assert type(batch_error.value) is type(loop_error.value)
+        assert str(batch_error.value) == str(loop_error.value)
