@@ -334,19 +334,116 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
     )
 
 
+# The probe that orders an estimate's sweeps reads the pairs of consecutive
+# rows among the first _PROBE_PAIRS + 1 sample points.
+_PROBE_PAIRS = 64
+
+
+def _probe(points, images, k_values, mode):
+    """Each ``k``'s ratio sup over a few consecutive-row pairs: a cheap guess at its rank.
+
+    It only orders the sweeps, so it decides nothing and has no bit
+    contract. A pair of two fixed points (``0 / 0``) is passed over, and a
+    ``k`` with no finite guess ranks last.
+    """
+    x = points[: _PROBE_PAIRS + 1]
+    t = images[: _PROBE_PAIRS + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        disp = np.sqrt(np.sum((x - t) ** 2, axis=1))
+        pair_disp = np.add if mode == MODE_KANNAN else np.maximum
+        den = pair_disp(disp[:-1], disp[1:])
+        dx, dt = x[:-1] - x[1:], t[:-1] - t[1:]
+        guesses = []
+        for k in k_values:
+            sup = float(np.fmax.reduce(np.sqrt(np.sum((k * dx + dt) ** 2, axis=1)) / den))
+            guesses.append(math.inf if math.isnan(sup) else sup)
+    return guesses
+
+
+def _prune_bound(s_ref, n):
+    """The sup at which a sweep may stop, once ``s_ref`` is the smallest full
+    sup of a feasible ``k`` among ``n``; None when it is not finite."""
+    bound = s_ref + 2 * n * (RATE_TIE_TOL + 4 * _kernels.EPS * abs(s_ref))
+    return bound if math.isfinite(bound) else None
+
+
+def _pick(k_values, outcomes):
+    """The grid-order rule: ``(index of the chosen k, index of the first infeasible k)``.
+
+    ``outcomes[i]`` is ``ratio_sup``'s full result at ``k_values[i]``, or
+    None for a pruned ``k``, which is passed over. A ``k`` replaces the
+    best so far when its sup is below ``best - RATE_TIE_TOL``, or within
+    ``RATE_TIE_TOL`` of it with a smaller ``k``. Either index is None when
+    there is no such ``k``.
+    """
+    best = fallback = None
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            continue
+        sup, _, has_pos, infeasible, _ = outcome
+        if infeasible:
+            # a zero-displacement pair with nonzero numerator, or a NaN
+            # pair value, rules k out
+            if fallback is None:
+                fallback = i
+            continue
+        if not has_pos:
+            continue
+        top = None if best is None else outcomes[best][0]
+        if (
+            best is None
+            or sup < top - RATE_TIE_TOL
+            or (abs(sup - top) <= RATE_TIE_TOL and k_values[i] < k_values[best])
+        ):
+            best = i
+    return best, fallback
+
+
 def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag):
     """The grid ``k`` with the smallest rate, as a certificate checked at that (k, rate).
 
-    The grid is walked in order. A ``k`` replaces the best so far when its
-    sup is below ``best - RATE_TIE_TOL``, or within ``RATE_TIE_TOL`` of it
-    with a smaller ``k``. So the sweep of a ``k`` at or above the best ``k``
-    stops once its running sup reaches ``best - RATE_TIE_TOL``
-    (``ratio_sup``'s ``stop_at``): that ``k`` cannot win, and its partial sup
-    is never reported. A ``k`` below the best ``k`` (on an unsorted grid),
-    and every ``k`` before a best exists, sweeps every pair. So the rate and
-    witness of the chosen ``k``, and the fallback witness (read only when no
-    ``k`` is feasible), come from full sweeps, and the violation check at
-    the chosen ``(k, rate)`` covers every pair too.
+    The chosen ``k`` is ``_pick``'s over every ``k``'s full ratio sup, in
+    grid order. Each ``k`` is swept once, in another order, and most sweeps
+    stop early:
+
+    * The ``k`` are swept in ascending ``_probe`` guess, ties by grid
+      index, so that the winner tends to come first.
+    * Once some ``k`` has a feasible full sup, with ``s_ref`` the smallest
+      so far, each later sweep stops at ``_prune_bound(s_ref, n)``, about
+      ``s_ref + 2 n RATE_TIE_TOL`` for ``n = len(k_grid)``. A ``k`` whose
+      sup reaches the bound is pruned: ``_pick`` passes over it. Every
+      other sweep covered every pair.
+
+    Pruning never changes the pick. Let ``T = RATE_TIE_TOL``, ``m`` the
+    smallest full sup of a feasible ``k`` and ``θ = m + 2nT``; each bound
+    is at least ``θ``, so each pruned sup is too. Replay the rule in grid
+    order on all candidates and on those left after pruning.
+
+    1. A step keeps the best, the candidate being at least ``best - T``;
+       or replaces it by a candidate more than ``T`` lower; or by one
+       within ``T`` with a smaller ``k``. So after a candidate ``c`` the
+       best is at most ``c + T`` and rises by at most ``T`` a step.
+    2. A candidate at or above ``θ`` acts only on a best at or above
+       ``θ - T``. So where the replays first part, at step ``s``, (1) puts
+       every candidate so far at or above ``θ - sT``. Apart, the lower of
+       the two bests falls by at most ``T`` a step, unless a candidate
+       more than ``T`` below both replaces both and they meet again. At
+       ``m``'s step that lower best is at least ``θ - (n-1)T > m + T``, so
+       they meet there at the latest.
+    3. After ``m`` the best is at most ``m + nT < θ - T`` by (1), so no
+       candidate at or above ``θ`` acts again.
+
+    So both replays end on the same ``k``. A margin of ``(n-1)T`` would not
+    do: sups ``0, T, 2T, 3T`` at ``k = 3, 2, 1, 0`` pick the last. The
+    bound adds ``8 n eps |s_ref|`` for rounding in the rule's two
+    comparisons, and is dropped when it is not finite (an infinite
+    ``s_ref`` ties with nothing, so every infinite sup must be kept).
+
+    The rate and witness of the chosen ``k`` come from its full sweep, and
+    the violation check at the chosen ``(k, rate)`` covers every pair.
+    The fallback witness, read only when no ``k`` is feasible, comes from
+    the first infeasible ``k`` in grid order; with no feasible ``k`` no
+    sweep had a bound.
     """
     k_values = [float(k) for k in k_grid]
     if not k_values:
@@ -360,47 +457,41 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
         )
 
     rank = _kernels._row_rank(sample.points)  # one tie-break order for every sweep
-    best = None  # (rate, k, witness_pair)
-    fallback_witness = None
-    for k in k_values:
-        stop_at = best[0] - RATE_TIE_TOL if best is not None and k >= best[1] else None
-        sup, pair, has_pos, infeasible, zpair = _kernels.ratio_sup(
-            sample.points, images, k, mode, stop_at=stop_at, rank=rank
+    guesses = _probe(sample.points, images, k_values, mode)
+    outcomes = [None] * len(k_values)
+    s_ref = None  # the smallest full sup of a feasible k so far
+    for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
+        stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
+        outcome = _kernels.ratio_sup(
+            sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank
         )
-        if infeasible:
-            # a zero-displacement pair with nonzero numerator, or a NaN
-            # pair value, rules k out
-            if fallback_witness is None:
-                fallback_witness = _witness(sample, zpair)
+        sup, _, has_pos, infeasible, _ = outcome
+        if stop_at is not None and sup >= stop_at:
             continue
-        if not has_pos:
-            continue
-        if (
-            best is None
-            or sup < best[0] - RATE_TIE_TOL
-            or (abs(sup - best[0]) <= RATE_TIE_TOL and k < best[1])
-        ):
-            best = (sup, k, _witness(sample, pair))
+        outcomes[i] = outcome
+        if has_pos and not infeasible and (s_ref is None or sup < s_ref):
+            s_ref = sup
 
+    best, fallback = _pick(k_values, outcomes)
     if best is None:
         return ContractionCertificate(
             class_tag=enriched_tag,
             k=k_values[0],
             rate=math.inf,
             max_violation=math.inf,
-            witness=fallback_witness,
+            witness=None if fallback is None else _witness(sample, outcomes[fallback][4]),
             sample=sample,
             feasible=False,
         )
 
-    rate, k, witness = best
+    k, rate, pair = k_values[best], outcomes[best][0], outcomes[best][1]
     viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank)
     return ContractionCertificate(
         class_tag=_plain_or_enriched(k, plain_tag, enriched_tag),
         k=k,
         rate=rate,
         max_violation=viol,
-        witness=witness,
+        witness=_witness(sample, pair),
         sample=sample,
         feasible=rate < rate_limit and _checked(viol),
     )

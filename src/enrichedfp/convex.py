@@ -50,6 +50,19 @@ def _finite_vector(value, name) -> np.ndarray:
     return arr
 
 
+def _normal(value, kind) -> np.ndarray:
+    """A finite normal whose squared norm, the divisor of the projection, is
+    neither 0 nor inf."""
+    a = _finite_vector(value, "normal")
+    with np.errstate(over="ignore"):
+        sq_norm = float(a @ a)
+    if not 0.0 < sq_norm < np.inf:
+        raise InvalidConstantError(
+            f"{kind} normal must have a squared norm in (0, inf), got {sq_norm} for {a.tolist()}"
+        )
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
     """Axis-aligned box {x : lower <= x <= upper}; may be degenerate."""
@@ -95,18 +108,30 @@ class Ball(ConvexSet):
         return self.center.shape[0]
 
     def _project(self, point):
-        offset = point - self.center
-        dist = float(np.linalg.norm(offset))
+        with np.errstate(over="ignore"):
+            offset = point - self.center
+            dist = float(np.linalg.norm(offset))
         if dist <= self.radius:
             return point.copy()
+        if dist == np.inf:
+            return self._project_many(point[None, :])[0]
         return self.center + (self.radius / dist) * offset
 
     def _project_many(self, points):
-        offset = points - self.center
-        dist = np.sqrt(stacked_dot(offset, offset))
-        far = ~(dist <= self.radius)
+        with np.errstate(over="ignore"):
+            offset = points - self.center
+            dist = np.sqrt(stacked_dot(offset, offset))
+        huge = dist == np.inf
+        far = ~(dist <= self.radius) & ~huge
         out = points.copy()
         out[far] = self.center + (self.radius / dist[far])[:, None] * offset[far]
+        if huge.any():
+            # the norm overflowed: scale the offset by its largest entry first
+            # (halves, so that the offset itself cannot overflow)
+            unit = points[huge] / 2 - self.center / 2
+            unit /= np.max(np.abs(unit), axis=1, keepdims=True)
+            norm = np.sqrt(stacked_dot(unit, unit))
+            out[huge] = self.center + (self.radius / norm)[:, None] * unit
         return out
 
 
@@ -118,9 +143,7 @@ class Halfspace(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        a = _finite_vector(self.normal, "normal")
-        if not np.any(a != 0.0):
-            raise InvalidConstantError("halfspace normal must be nonzero")
+        a = _normal(self.normal, "halfspace")
         if not np.isfinite(self.offset):
             raise InvalidConstantError("halfspace offset must be finite")
         object.__setattr__(self, "normal", a)
@@ -137,8 +160,6 @@ class Halfspace(ConvexSet):
 
     def _project_many(self, points):
         sq_norm = float(self.normal @ self.normal)
-        if sq_norm == 0.0:  # _project raises ZeroDivisionError where it divides
-            return super()._project_many(points)
         excess = stacked_dot(self.normal, points) - self.offset
         far = ~(excess <= 0.0)
         out = points.copy()
@@ -154,9 +175,7 @@ class Hyperplane(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        a = _finite_vector(self.normal, "normal")
-        if not np.any(a != 0.0):
-            raise InvalidConstantError("hyperplane normal must be nonzero")
+        a = _normal(self.normal, "hyperplane")
         if not np.isfinite(self.offset):
             raise InvalidConstantError("hyperplane offset must be finite")
         object.__setattr__(self, "normal", a)
@@ -173,8 +192,6 @@ class Hyperplane(ConvexSet):
 
     def _project_many(self, points):
         sq_norm = float(self.normal @ self.normal)
-        if sq_norm == 0.0:  # _project raises ZeroDivisionError where it divides
-            return super()._project_many(points)
         shift = (stacked_dot(self.normal, points) - self.offset) / sq_norm
         return points - shift[:, None] * self.normal
 

@@ -563,11 +563,12 @@ class TestPrunedEstimate:
         _same_as_unpruned(mapping, _descending(sample) if order == "descending" else sample, grid)
 
     def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, reflection, unit_sample):
-        # the reflection's rate |1 - k| / 2 is about 0 at k = 1, so each larger k
-        # stops after its first block; the smaller k come first and sweep all
+        # the reflection's rate |1 - k| / 2 is about 0 at k = 1, which the probe
+        # guesses too: k = 1 is swept first, in full, and every other k stops
+        # after its one-row leading block
         kannan, _ = _same_as_unpruned(reflection, unit_sample, DEFAULT)
         assert kannan.k == 1.0 and kannan.rate < 1e-15
-        assert ratio_blocks[:8] == [8] * 5 + [1] * 3
+        assert ratio_blocks[:8] == [8] + [1] * 7
 
     @pytest.mark.parametrize("k_near", [2.0 + 2e-13, 2.0 - 2e-13, 2.0 - 1e-11, 2.0])
     @pytest.mark.parametrize("first", ["k = 0", "k near 2"])
@@ -578,10 +579,15 @@ class TestPrunedEstimate:
         for sample in (unit_sample, _descending(unit_sample)):
             kannan, _ = _same_as_unpruned(reflection, sample, grid)
             assert kannan.k == (k_near if k_near == 2.0 - 1e-11 else 0.0)
-        if first == "k = 0" and k_near != 2.0 - 1e-11:
-            # k near 2 reaches 1/2 - RATE_TIE_TOL in the first block, a pair with x = 0
-            # and 1/2, and must stop there even though its sup lies within the tolerance
-            assert ratio_blocks[:4] == [8, 1, 8, 8]
+        # per sample: the estimate's two sweeps, then the unpruned loop's two,
+        # for Kannan and then Bianchini. A sup within the tie tolerance lies
+        # below the bound, so the second k sweeps every pair: its leading
+        # block and 8 more. At 2 - 1e-11 the probe puts k near 2 first, and
+        # k = 0, 5e-12 above it, stops once a block reaches the bound
+        if k_near == 2.0 - 1e-11:
+            assert ratio_blocks == [8, 1, 8, 8] * 3 + [8, 7, 8, 8]
+        else:
+            assert ratio_blocks == [8, 9, 8, 8] * 4
 
     @pytest.mark.parametrize("grid", [(3.0, 1.0), (1.0, 3.0), DEFAULT, DEFAULT[::-1]])
     def test_a_nan_pair_at_one_k_before_or_after_the_winner(self, small_blocks, grid):
@@ -621,6 +627,26 @@ class TestPrunedEstimate:
         for cert in _same_as_unpruned(t, pts, (1.0, 0.0, 3.0)):
             assert not cert.feasible and cert.witness is not None
 
+    def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_blocks):
+        # T(x, y) = (-x, y / 2). The first 65 rows lie on the x axis, where T
+        # reflects and k = 1 gives rate 0, so the probe puts k = 1 first; the
+        # grid below them makes k = 0 win. The walk stays exact; it only
+        # sweeps in full each k whose sup falls below the smallest so far
+        axis = np.stack([np.linspace(0.05, 1.0, 65), np.zeros(65)], axis=1)
+        grid = np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 12), np.linspace(-1.0, 1.0, 12)), axis=-1)
+        pts = np.concatenate([axis, grid.reshape(-1, 2) + [0.013, 0.007]])
+        sample = SampleSet(points=pts, description="65 pts on the x axis, then a grid")
+        mapping = AffineMap(matrix=np.diag([-1.0, 0.5]), offset=np.zeros(2))
+        images = certify.evaluate_on(mapping, sample)
+        for mode in (MODE_KANNAN, MODE_BIANCHINI):
+            guesses = certify._probe(pts, images, DEFAULT, mode)
+            assert DEFAULT[int(np.argmin(guesses))] == 1.0
+        kannan, bianchini = _same_as_unpruned(mapping, sample, DEFAULT)
+        assert kannan.k == bianchini.k == 0.0
+        # swept in probe order k = 1, 0.75, 0.5, 1.5, 0.25, 0, 2, 3: the sup
+        # falls at each of 1, 0.75, 0.5, 0.25 and 0, and 1.5, 2, 3 stop early
+        assert [count >= 8 for count in ratio_blocks[:8]] == [True] * 3 + [False, True, True, False, False]
+
     @given(
         d=st.integers(1, 12),
         n=st.integers(2, 40),
@@ -658,3 +684,78 @@ class TestPrunedEstimate:
             except DegenerateSampleError:
                 with pytest.raises(DegenerateSampleError):
                     _unpruned_estimate(mapping, sample, grid, *ESTIMATORS[0][1])
+
+
+# --- the pick rule on its own: pruned outcomes never change it ---------------
+
+TIE = certify.RATE_TIE_TOL
+
+
+def _outcome(sup, feasible=True):
+    """A ``ratio_sup`` result with sup ``sup``, infeasible unless ``feasible``."""
+    return (sup, (0, 1), True, not feasible, (-1, -1) if feasible else (1, 0))
+
+
+@st.composite
+def _pick_cases(draw):
+    """A k grid with duplicates, and per k an outcome: on a tie chain, near the
+    smallest sup, far above it, or infeasible; plus which k a walk may prune."""
+    n = draw(st.integers(1, 9))
+    k_values = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)), min_size=n, max_size=n))
+    base = draw(st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 299)),
+    ))
+    # a chain of sups spaced 0.5 to 1.0 tie tolerances apart
+    chain = np.cumsum([0.0] + draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
+    outcomes = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["chain", "near", "far", "infeasible"]))
+        if kind == "chain":
+            sup = base + float(draw(st.sampled_from(chain))) * TIE
+        elif kind == "far":
+            sup = draw(st.sampled_from([2.0 * base + TIE, base + 1.0, math.inf]))
+        else:
+            sup = base + draw(st.floats(0.0, 3.0 * n)) * TIE
+        outcomes.append(_outcome(sup, feasible=kind != "infeasible"))
+    drop = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return k_values, outcomes, drop
+
+
+class TestPick:
+    def test_a_tie_chain_lifts_the_pick_by_n_minus_1_tolerances(self):
+        # each sup ties with the one before it, 2**-40 (0.91 T) above it, and
+        # comes with a smaller k, so the pick is the largest sup
+        k_values = [3.0, 2.0, 1.0, 0.0]
+        sups = [i * 2.0**-40 for i in range(4)]
+        assert certify._pick(k_values, [_outcome(s) for s in sups]) == (3, None)
+        # so the bound must lie above m + (n - 1) T, and it does
+        assert certify._prune_bound(0.0, 4) > 3 * TIE
+
+    def test_the_first_infeasible_k_in_grid_order_is_the_fallback(self):
+        outcomes = [None, _outcome(1.0, False), _outcome(0.5, False)]
+        assert certify._pick([0.0, 1.0, 2.0], outcomes) == (None, 1)
+        assert certify._pick([0.0, 1.0, 2.0], outcomes[:1] + [_outcome(2.0)] + outcomes[2:]) == (1, 2)
+
+    def test_no_bound_when_it_is_not_finite(self):
+        # an infinite sup ties with nothing, so pruning infinite sups could
+        # drop the pick: with s_ref = inf no sweep may stop
+        assert certify._prune_bound(math.inf, 8) is None
+        assert certify._prune_bound(float(np.finfo(np.float64).max), 8) is None  # the bound overflows
+        assert certify._pick([1.0, 0.0], [_outcome(math.inf), _outcome(math.inf)]) == (0, None)
+
+    @given(case=_pick_cases())
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_dropping_outcomes_at_or_above_the_bound_never_changes_the_pick(self, case):
+        k_values, outcomes, drop = case
+        best, _ = certify._pick(k_values, outcomes)
+        feasible = [sup for sup, _, _, infeasible, _ in outcomes if not infeasible]
+        assert (best is None) == (not feasible)
+        # a walk's bound comes from the smallest full feasible sup so far,
+        # so from any feasible sup
+        for s_ref in feasible:
+            bound = certify._prune_bound(s_ref, len(k_values))
+            if bound is None:
+                continue
+            pruned = [None if gone and out[0] >= bound else out for out, gone in zip(outcomes, drop)]
+            assert certify._pick(k_values, pruned)[0] == best

@@ -184,10 +184,30 @@ class TestProjectMany:
 
     @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
     def test_an_underflowing_normal_raises_what_project_raises(self, kind):
-        # the squared norm of the normal underflows to 0: project divides by it
-        cs = kind(normal=np.array([1e-170, 0.0]), offset=0.0)
-        pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ZeroDivisionError):
-            cs.project(pts[1])
-        with pytest.raises(ZeroDivisionError):
-            cs._project_many(pts)
+        # the squared norm of the normal, which both projections divide by,
+        # underflows to 0: the set is refused where it is built, so neither
+        # projection is ever reached
+        with pytest.raises(InvalidConstantError, match=r"squared norm in \(0, inf\), got 0.0"):
+            kind(normal=np.array([1e-170, 0.0]), offset=0.0)
+
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    def test_an_overflowing_normal_is_refused(self, kind):
+        # normal @ normal is inf: the projections would divide the excess by it
+        # and leave every point where it is
+        with pytest.raises(InvalidConstantError, match=r"squared norm in \(0, inf\), got inf"):
+            kind(normal=np.array([1e200, 0.0]), offset=0.0)
+        kind(normal=np.array([1e150, 0.0]), offset=0.0)  # 1e300 is still finite
+
+    @pytest.mark.parametrize("center", [[0.0, 0.0], [1.0, -2.0]])
+    def test_a_ball_projects_points_whose_offset_norm_overflows(self, center):
+        # ||x - c|| overflows above about 1.3e154; the projection scales the
+        # offset by its largest entry there, and keeps every other row's bits
+        ball = Ball(center=np.array(center), radius=0.5)
+        got = ball.project([1e200, 1e200])
+        assert np.allclose(got, np.array(center) + 0.5 * np.sqrt(0.5), rtol=0.0, atol=1e-15)
+        pts = np.array([[1e200, 1e200], [-1.7e308, 1.7e308], [1e155, -3e154], [1.2, -2.1], [3.0, 4.0]])
+        many = ball._project_many(pts)
+        assert many.tobytes() == np.stack([ball.project(p) for p in pts]).tobytes()
+        assert np.allclose(np.linalg.norm(many[:3] - ball.center, axis=1), 0.5, rtol=1e-15)
+        far = pts[4] - ball.center
+        assert many[4].tobytes() == (ball.center + (0.5 / np.linalg.norm(far)) * far).tobytes()

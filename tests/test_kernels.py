@@ -399,6 +399,8 @@ def eight_blocks(monkeypatch):
     """Blocks of 3000 entries, so that N_MULTI_BLOCK rows take 8 triangle blocks."""
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", BLOCK_BYTES_8_BLOCKS)
     assert len(_kernels._blocks(N_MULTI_BLOCK)) == 8
+    assert _kernels._blocks(N_MULTI_BLOCK, lead=True)[:2] == [(0, 1), (1, 16)]
+    assert len(_kernels._blocks(N_MULTI_BLOCK, lead=True)) == 9
 
 
 @pytest.fixture
@@ -651,16 +653,19 @@ def test_caller_bufsize_changes_no_kernel_bit(case):
 @pytest.mark.parametrize("n, entries", [(1, 300), (2, 300), (60, 300), (200, 3000), (2000, 1 << 15), (500, 300)])
 def test_blocks_are_contiguous_views_of_one_buffer(monkeypatch, n, entries):
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * entries)
-    blocks = _kernels._blocks(n)
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-    assert blocks[-1][1] == n
-    tri = _kernels._Triangle(n, 2, blocks)
-    for (lo, hi), views in zip(blocks, tri):
-        for view in views:
-            assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
-        # never taller than wide, and one buffer's worth unless one row is wider
-        assert hi - lo <= n - lo
-        assert (hi - lo) * (n - lo) <= max(entries, n - lo)
+    for lead in (False, True):
+        blocks = _kernels._blocks(n, lead)
+        if lead:  # the leading block holds 1/16 of a buffer, or one row
+            assert blocks[0][1] * n <= max(entries // 16, n)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        tri = _kernels._Triangle(n, 2, blocks)
+        for (lo, hi), views in zip(blocks, tri):
+            for view in views:
+                assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
+            # never taller than wide, and one buffer's worth unless one row is wider
+            assert hi - lo <= n - lo
+            assert (hi - lo) * (n - lo) <= max(entries, n - lo)
 
 
 N_EDGES = 60
@@ -841,7 +846,7 @@ def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mod
     assert _bits(full) == _bits(brute_ratio(pts, images, k, mode))
     for stop in (None, math.nextafter(full[0], math.inf), full[0] + 1.0, math.inf):
         assert repr(ratio_sup(pts, images, k, mode, stop_at=stop)) == repr(full)
-    assert swept_blocks == [8] * 5
+    assert swept_blocks == [8, 8] + [9] * 3  # a sweep with a bound has a leading block
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
@@ -860,7 +865,7 @@ def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, 
         assert stop <= got[0] <= full[0]
         assert got[2] == full[2]  # has_positive comes from the whole sample
     assert swept_blocks[-3:] == [1, 1, 1]
-    assert swept_blocks[2] <= 8  # the full sup is found at whichever block holds it
+    assert swept_blocks[2] <= 9  # the full sup is found at whichever block holds it
 
 
 def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
@@ -873,7 +878,7 @@ def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_bloc
     full = ratio_sup(pts, images, 0.5, MODE_KANNAN)
     assert full[1] == (n - 2, n - 1) or full[1] == (n - 1, n - 2)
     assert repr(ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=full[0])) == repr(full)
-    assert swept_blocks == [8, 8]
+    assert swept_blocks == [8, 9]
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
