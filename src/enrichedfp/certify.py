@@ -8,6 +8,10 @@ precision cannot resolve the inequality closer than a few ulp of the pair's
 scale, so constants that satisfy it with equality still certify, while any
 genuine violation dwarfs the guard.
 
+Each class is defined once, in ``_CLASSES``, and otherwise differs only
+in its rhs scale, ``_kernels.PAIR_SCALE``. All three checks are
+``_check``, and both estimators ``_estimate``.
+
 Rate estimation inverts the inequality: for each enrichment constant k the
 minimal feasible rate is the supremum of lhs/rhs-scale over pairs with
 positive displacement. Zero-displacement pairs (both points fixed) either
@@ -35,14 +39,16 @@ KANNAN_RATE_LIMIT = 0.5
 BIANCHINI_RATE_LIMIT = 1.0
 BANACH_RATE_LIMIT = 1.0
 
-# The rates a feasible certificate of each class may carry: [0, limit).
-_RATE_LIMITS = {
-    "kannan": KANNAN_RATE_LIMIT,
-    "enriched_kannan": KANNAN_RATE_LIMIT,
-    "bianchini": BIANCHINI_RATE_LIMIT,
-    "enriched_bianchini": BIANCHINI_RATE_LIMIT,
-    "banach": BANACH_RATE_LIMIT,
+# Each contraction class, by kernel mode: (tag at k = 0, tag at k > 0, rate
+# limit, the rate range as messages print it).
+_CLASSES = {
+    MODE_KANNAN: ("kannan", "enriched_kannan", KANNAN_RATE_LIMIT, "[0, 1/2)"),
+    MODE_BIANCHINI: ("bianchini", "enriched_bianchini", BIANCHINI_RATE_LIMIT, "[0, 1)"),
+    MODE_BANACH: ("banach", "banach", BANACH_RATE_LIMIT, "[0, 1)"),
 }
+
+# The rates a feasible certificate of each class may carry: [0, limit).
+_RATE_LIMITS = {tag: limit for *tags, limit, _ in _CLASSES.values() for tag in tags}
 
 # Rates within this window count as equal when breaking ties between
 # enrichment constants; the smallest k then wins because it yields the
@@ -247,8 +253,24 @@ def _witness(sample: SampleSet, idx_pair) -> tuple[np.ndarray, np.ndarray] | Non
     return sample.points[i].copy(), sample.points[j].copy()
 
 
-def _plain_or_enriched(k: float, plain: str, enriched: str) -> str:
-    return plain if k == 0.0 else enriched
+def _check(mapping: Mapping, sample: SampleSet, k: float, rate: float, mode: int) -> ContractionCertificate:
+    """Check one class's condition at ``(k, rate)`` over all ordered sample pairs."""
+    plain, enriched, limit, span = _CLASSES[mode]
+    if not (k >= 0.0 and math.isfinite(k)):
+        raise InvalidConstantError(f"enrichment constant must be >= 0, got {k}")
+    if not (0.0 <= rate < limit):
+        raise InvalidConstantError(f"rate must lie in {span}, got {rate}")
+    images = evaluate_on(mapping, sample)
+    viol, pair = _kernels.violation_max(sample.points, images, k, rate, mode)
+    return ContractionCertificate(
+        class_tag=plain if k == 0.0 else enriched,
+        k=float(k),
+        rate=float(rate),
+        max_violation=viol,
+        witness=_witness(sample, pair),
+        sample=sample,
+        feasible=_checked(viol),
+    )
 
 
 def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSet) -> ContractionCertificate:
@@ -262,57 +284,17 @@ def check_enriched_kannan(mapping: Mapping, k: float, a: float, sample: SampleSe
     doubling exact), so that rhs is at least this one, its guard grows with
     it, and the guarded excess is monotone in each rounding.
     """
-    if not (k >= 0.0 and math.isfinite(k)):
-        raise InvalidConstantError(f"enrichment constant must be >= 0, got {k}")
-    if not (0.0 <= a < KANNAN_RATE_LIMIT):
-        raise InvalidConstantError(f"rate must lie in [0, 1/2), got {a}")
-    images = evaluate_on(mapping, sample)
-    viol, pair = _kernels.violation_max(sample.points, images, k, a, MODE_KANNAN)
-    return ContractionCertificate(
-        class_tag=_plain_or_enriched(k, "kannan", "enriched_kannan"),
-        k=float(k),
-        rate=float(a),
-        max_violation=viol,
-        witness=_witness(sample, pair),
-        sample=sample,
-        feasible=_checked(viol),
-    )
+    return _check(mapping, sample, k, a, MODE_KANNAN)
 
 
 def check_enriched_bianchini(mapping: Mapping, k: float, h: float, sample: SampleSet) -> ContractionCertificate:
     """Check ``||k(x-y) + Tx - Ty|| <= h max(||x-Tx||, ||y-Ty||)`` on the sample."""
-    if not (k >= 0.0 and math.isfinite(k)):
-        raise InvalidConstantError(f"enrichment constant must be >= 0, got {k}")
-    if not (0.0 <= h < BIANCHINI_RATE_LIMIT):
-        raise InvalidConstantError(f"rate must lie in [0, 1), got {h}")
-    images = evaluate_on(mapping, sample)
-    viol, pair = _kernels.violation_max(sample.points, images, k, h, MODE_BIANCHINI)
-    return ContractionCertificate(
-        class_tag=_plain_or_enriched(k, "bianchini", "enriched_bianchini"),
-        k=float(k),
-        rate=float(h),
-        max_violation=viol,
-        witness=_witness(sample, pair),
-        sample=sample,
-        feasible=_checked(viol),
-    )
+    return _check(mapping, sample, k, h, MODE_BIANCHINI)
 
 
 def check_banach(mapping: Mapping, c: float, sample: SampleSet) -> ContractionCertificate:
     """Check the plain Lipschitz condition ``||Tx - Ty|| <= c ||x - y||``."""
-    if not (0.0 <= c < BANACH_RATE_LIMIT):
-        raise InvalidConstantError(f"rate must lie in [0, 1), got {c}")
-    images = evaluate_on(mapping, sample)
-    viol, pair = _kernels.violation_max(sample.points, images, 0.0, c, MODE_BANACH)
-    return ContractionCertificate(
-        class_tag="banach",
-        k=0.0,
-        rate=float(c),
-        max_violation=viol,
-        witness=_witness(sample, pair),
-        sample=sample,
-        feasible=_checked(viol),
-    )
+    return _check(mapping, sample, 0.0, c, MODE_BANACH)
 
 
 def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertificate:
@@ -350,8 +332,7 @@ def _probe(points, images, k_values, mode):
     t = images[: _PROBE_PAIRS + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disp = np.sqrt(np.sum((x - t) ** 2, axis=1))
-        pair_disp = np.add if mode == MODE_KANNAN else np.maximum
-        den = pair_disp(disp[:-1], disp[1:])
+        den = _kernels.PAIR_SCALE[mode](disp[:-1], disp[1:])
         dx, dt = x[:-1] - x[1:], t[:-1] - t[1:]
         guesses = []
         for k in k_values:
@@ -380,14 +361,14 @@ def _pick(k_values, outcomes):
     for i, outcome in enumerate(outcomes):
         if outcome is None:
             continue
-        sup, _, has_pos, infeasible, _ = outcome
+        sup, _, infeasible, _ = outcome
         if infeasible:
             # a zero-displacement pair with nonzero numerator, or a NaN
             # pair value, rules k out
             if fallback is None:
                 fallback = i
             continue
-        if not has_pos:
+        if sup == -math.inf:  # no pair has a positive rhs scale
             continue
         top = None if best is None else outcomes[best][0]
         if (
@@ -399,7 +380,7 @@ def _pick(k_values, outcomes):
     return best, fallback
 
 
-def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag):
+def _estimate(mapping, sample, k_grid, mode):
     """The grid ``k`` with the smallest rate, as a certificate checked at that (k, rate).
 
     The chosen ``k`` is ``_pick``'s over every ``k``'s full ratio sup, in
@@ -465,21 +446,22 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
         outcome = _kernels.ratio_sup(
             sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank
         )
-        sup, _, has_pos, infeasible, _ = outcome
+        sup, _, infeasible, _ = outcome
         if stop_at is not None and sup >= stop_at:
             continue
         outcomes[i] = outcome
-        if has_pos and not infeasible and (s_ref is None or sup < s_ref):
+        if not infeasible and sup > -math.inf and (s_ref is None or sup < s_ref):
             s_ref = sup
 
+    plain, enriched, limit, _ = _CLASSES[mode]
     best, fallback = _pick(k_values, outcomes)
     if best is None:
         return ContractionCertificate(
-            class_tag=enriched_tag,
+            class_tag=enriched,
             k=k_values[0],
             rate=math.inf,
             max_violation=math.inf,
-            witness=None if fallback is None else _witness(sample, outcomes[fallback][4]),
+            witness=None if fallback is None else _witness(sample, outcomes[fallback][3]),
             sample=sample,
             feasible=False,
         )
@@ -487,13 +469,13 @@ def _estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enriched_tag
     k, rate, pair = k_values[best], outcomes[best][0], outcomes[best][1]
     viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank)
     return ContractionCertificate(
-        class_tag=_plain_or_enriched(k, plain_tag, enriched_tag),
+        class_tag=plain if k == 0.0 else enriched,
         k=k,
         rate=rate,
         max_violation=viol,
         witness=_witness(sample, pair),
         sample=sample,
-        feasible=rate < rate_limit and _checked(viol),
+        feasible=rate < limit and _checked(viol),
     )
 
 
@@ -506,19 +488,9 @@ def estimate_kannan_constants(mapping: Mapping, sample: SampleSet, k_grid=DEFAUL
     ``RATE_TIE_TOL`` break toward smaller k. The certificate is marked
     infeasible when the best rate is not below 1/2.
     """
-    return _estimate(
-        mapping, sample, k_grid, MODE_KANNAN, KANNAN_RATE_LIMIT, "kannan", "enriched_kannan"
-    )
+    return _estimate(mapping, sample, k_grid, MODE_KANNAN)
 
 
 def estimate_bianchini_constants(mapping: Mapping, sample: SampleSet, k_grid=DEFAULT_K_GRID) -> ContractionCertificate:
     """Smallest feasible max-displacement rate over an enrichment grid."""
-    return _estimate(
-        mapping,
-        sample,
-        k_grid,
-        MODE_BIANCHINI,
-        BIANCHINI_RATE_LIMIT,
-        "bianchini",
-        "enriched_bianchini",
-    )
+    return _estimate(mapping, sample, k_grid, MODE_BIANCHINI)

@@ -202,9 +202,16 @@ def project(convex_set: ConvexSet, x) -> np.ndarray:
 
 
 def distance(convex_set: ConvexSet, x) -> float:
-    """Euclidean distance from x to the set."""
+    """Euclidean distance from x to the set; where the norm of a finite
+    ``x - P(x)`` overflows, it is taken after scaling by the largest entry."""
     point = as_point(x)
-    return float(np.linalg.norm(point - convex_set.project(point)))
+    with np.errstate(over="ignore"):
+        offset = point - convex_set.project(point)
+        dist = float(np.linalg.norm(offset))
+        if dist == np.inf and np.all(np.isfinite(offset)):
+            scale = float(np.max(np.abs(offset)))
+            dist = scale * float(np.linalg.norm(offset / scale))
+    return dist
 
 
 def contains(convex_set: ConvexSet, x, tol: float = 0.0) -> bool:

@@ -190,6 +190,37 @@ class TestCheckBanach:
         assert not cert.satisfied
 
 
+# (check as a function of (mapping, k, rate, sample), printed rate range, rate limit)
+CHECKS = {
+    "kannan": (check_enriched_kannan, "[0, 1/2)", certify.KANNAN_RATE_LIMIT),
+    "bianchini": (check_enriched_bianchini, "[0, 1)", certify.BIANCHINI_RATE_LIMIT),
+    "banach": (lambda mapping, k, rate, sample: check_banach(mapping, rate, sample), "[0, 1)",
+               certify.BANACH_RATE_LIMIT),
+}
+
+
+def _invalid_constants():
+    """(check name, k, rate, the message): each check's bad rates, and the
+    enriched checks' bad k, alone and with a bad rate too."""
+    for name, (_, span, limit) in CHECKS.items():
+        for rate in (-0.25, limit, 2.0 * limit, math.nan):
+            yield name, 0.0, rate, f"rate must lie in {span}, got {rate}"
+        if name == "banach":
+            continue
+        for k in (-0.5, math.inf, math.nan):
+            for rate in (0.25, limit, math.nan):
+                yield name, k, rate, f"enrichment constant must be >= 0, got {k}"
+
+
+class TestInvalidConstantMessages:
+    @pytest.mark.parametrize("name, k, rate, message", list(_invalid_constants()))
+    def test_each_check_names_the_first_bad_constant(self, reflection, unit_sample, name, k, rate, message):
+        check = CHECKS[name][0]
+        with pytest.raises(InvalidConstantError) as raised:
+            check(reflection, k, rate, unit_sample)
+        assert str(raised.value) == message
+
+
 class TestEstimateKannan:
     def test_reflection_grid_closed_form(self, reflection, unit_sample):
         # minimal rate per k is |1 - k| / 2 on [0, 1]; the smallest over the
@@ -429,12 +460,14 @@ def _unpruned_estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enr
             "every sample point is fixed; no displacement to estimate against"
         )
 
+    # some pair has a positive rhs scale, from the oracle's own displacements
+    valid = disp[~np.isnan(disp)]
+    has_pos = valid.size >= 2 and bool(np.any(valid > 0.0))
+
     best = None  # (rate, k, witness_pair)
     fallback_witness = None
     for k in k_values:
-        sup, pair, has_pos, infeasible, zpair = _kernels.ratio_sup(
-            sample.points, images, k, mode
-        )
+        sup, pair, infeasible, zpair = _kernels.ratio_sup(sample.points, images, k, mode)
         if infeasible:
             # a zero-displacement pair with nonzero numerator, or a NaN
             # pair value, rules k out
@@ -464,7 +497,7 @@ def _unpruned_estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enr
     rate, k, witness = best
     viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode)
     return certify.ContractionCertificate(
-        class_tag=certify._plain_or_enriched(k, plain_tag, enriched_tag),
+        class_tag=plain_tag if k == 0.0 else enriched_tag,
         k=k,
         rate=rate,
         max_violation=viol,
@@ -599,8 +632,8 @@ class TestPrunedEstimate:
         mapping = AffineMap(matrix=-np.eye(1), offset=np.zeros(1))
         with np.errstate(over="ignore"):  # the oracle's np.linalg.norm squares 2e154
             images = certify.evaluate_on(mapping, sample)
-            assert _kernels.ratio_sup(pts, images, 3.0, MODE_KANNAN)[3]
-            assert not _kernels.ratio_sup(pts, images, 2.0, MODE_KANNAN)[3]
+            assert _kernels.ratio_sup(pts, images, 3.0, MODE_KANNAN)[2]
+            assert not _kernels.ratio_sup(pts, images, 2.0, MODE_KANNAN)[2]
             kannan, bianchini = _same_as_unpruned(mapping, sample, grid)
         assert kannan.k == bianchini.k == 1.0
 
@@ -614,7 +647,7 @@ class TestPrunedEstimate:
         mapping = AffineMap(matrix=np.array([[1.0, 0.0], [0.0, 0.0]]), offset=np.zeros(2))
         images = certify.evaluate_on(mapping, sample)
         for k in (0.0, 0.5, 2.0, 3.0):
-            assert _kernels.ratio_sup(pts, images, k, MODE_KANNAN)[3] == (k >= 2.0)
+            assert _kernels.ratio_sup(pts, images, k, MODE_KANNAN)[2] == (k >= 2.0)
         kannan, bianchini = _same_as_unpruned(mapping, sample, grid)
         assert kannan.k in (0.0, 0.5) and bianchini.k in (0.0, 0.5)
 
@@ -693,7 +726,7 @@ TIE = certify.RATE_TIE_TOL
 
 def _outcome(sup, feasible=True):
     """A ``ratio_sup`` result with sup ``sup``, infeasible unless ``feasible``."""
-    return (sup, (0, 1), True, not feasible, (-1, -1) if feasible else (1, 0))
+    return (sup, (0, 1), not feasible, (-1, -1) if feasible else (1, 0))
 
 
 @st.composite
@@ -749,7 +782,7 @@ class TestPick:
     def test_dropping_outcomes_at_or_above_the_bound_never_changes_the_pick(self, case):
         k_values, outcomes, drop = case
         best, _ = certify._pick(k_values, outcomes)
-        feasible = [sup for sup, _, _, infeasible, _ in outcomes if not infeasible]
+        feasible = [sup for sup, _, infeasible, _ in outcomes if not infeasible]
         assert (best is None) == (not feasible)
         # a walk's bound comes from the smallest full feasible sup so far,
         # so from any feasible sup

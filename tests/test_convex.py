@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,27 @@ class TestContains:
     def test_negative_tol_rejected(self):
         with pytest.raises(InvalidConstantError):
             contains(Box(lower=np.zeros(1), upper=np.ones(1)), [0.5], tol=-1.0)
+
+    @pytest.mark.parametrize("convex_set, expected", [
+        (Ball(center=np.zeros(2), radius=1.0), np.sqrt(2.0) * 1e200),
+        (Box(lower=np.zeros(2), upper=np.ones(2)), np.sqrt(2.0) * 1e200),
+        (Halfspace(normal=np.array([1.0, 0.0]), offset=0.0), 1e200),
+        (Hyperplane(normal=np.array([1.0, 1.0]), offset=1.0), np.sqrt(2.0) * 1e200),
+    ], ids=["ball", "box", "halfspace", "hyperplane"])
+    def test_a_distance_whose_squared_norm_overflows(self, convex_set, expected):
+        # ||x - Px||^2 is about 2e400, yet the distance itself is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance(convex_set, [1e200, 1e200]) == pytest.approx(expected, rel=1e-15)
+            assert contains(convex_set, [1e200, 1e200], tol=1e300)
+            assert not contains(convex_set, [1e200, 1e200], tol=1e199)
+
+    def test_ordinary_distances_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for convex_set in set_variants():
+            for point in rng.uniform(-1e150, 1e150, size=(20, 2)) * rng.uniform(0.0, 1.0, size=(20, 1)):
+                plain = float(np.linalg.norm(point - project(convex_set, point)))
+                assert np.float64(distance(convex_set, point)).tobytes() == np.float64(plain).tobytes()
 
 
 class TestProjectionAxioms:

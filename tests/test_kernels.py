@@ -93,14 +93,13 @@ def brute_violation(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
 
 
 def brute_ratio(points, images, k, mode):
-    """Literal reference for ``ratio_sup``: (sup, witness, has_pos, infeasible, zpair)."""
+    """Literal reference for ``ratio_sup``: (sup, witness, infeasible, zpair)."""
     disp, _, _ = _point_norms(points, images)
     x, t = points.tolist(), images.tolist()
-    ratios, nan, bad, has_pos = [], [], [], False
+    ratios, nan, bad = [], [], []
     for i, j in _pairs(len(x)):
         num = _norm([k * (a - b) + (c - e) for a, b, c, e in zip(x[i], x[j], t[i], t[j])])
         den = disp[i] + disp[j] if mode == MODE_KANNAN else np.maximum(disp[i], disp[j])
-        has_pos = has_pos or den > 0.0
         if den == 0.0:
             if math.isnan(num):
                 nan.append(_key(points, i, j))
@@ -117,7 +116,7 @@ def brute_ratio(points, images, k, mode):
         sup = max(r for r, _, _ in ratios)
         witness = _witness([_key(points, i, j) for r, i, j in ratios if r == sup])
     zpair = _witness(nan or bad) if nan or bad else (-1, -1)
-    return sup, witness, has_pos, bool(nan or bad), zpair
+    return sup, witness, bool(nan or bad), zpair
 
 
 def brute_inner(points, images):
@@ -272,7 +271,7 @@ def test_zero_displacement_pair_flags_infeasible():
     # two distinct fixed points make any constant unsatisfiable
     pts = np.array([[0.0], [1.0], [0.25]])
     images = np.array([[0.0], [1.0], [0.5]])
-    _, _, _, infeasible, (zi, zj) = ratio_sup(pts, images, 0.0, MODE_KANNAN)
+    _, _, infeasible, (zi, zj) = ratio_sup(pts, images, 0.0, MODE_KANNAN)
     assert infeasible
     assert {zi, zj} == {0, 1}
 
@@ -323,7 +322,7 @@ def test_violation_fails_closed_on_nan(mode):
 def test_ratio_marks_nan_pair_infeasible(mode):
     pts, images = _nan_case()
     got = ratio_sup(pts, images, 0.5, mode)
-    assert got[3:] == (True, (0, 5))
+    assert got[2:] == (True, (0, 5))
     assert _bits(got) == _bits(brute_ratio(pts, images, 0.5, mode))
 
 
@@ -335,7 +334,7 @@ def test_ratio_nan_between_fixed_points():
     with np.errstate(over="ignore", invalid="ignore"):
         got = ratio_sup(pts, images, 0.0, MODE_KANNAN)
         expected = brute_ratio(pts, images, 0.0, MODE_KANNAN)
-    assert got[3:] == (True, (1, 0))
+    assert got[2:] == (True, (1, 0))
     assert _bits(got) == _bits(expected)
 
 
@@ -381,7 +380,7 @@ def test_nan_witness_is_smallest_across_blocks():
     images[[1, N_MULTI_BLOCK - 2]] = np.nan
     expected = (N_MULTI_BLOCK - 1, N_MULTI_BLOCK - 2)
     assert violation_max(pts, images, 0.0, 0.25, MODE_KANNAN) == (math.inf, expected)
-    assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[3:] == (True, expected)
+    assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[2:] == (True, expected)
     assert inner_min(pts, images) == (-math.inf, expected)
 
 
@@ -471,7 +470,7 @@ def test_merge_decides_ties_nan_and_zero_pairs_from_later_workers(eight_blocks, 
         images = 0.3 * pts
         images[[1, n - 2]] = np.nan
         assert violation_max(pts, images, 0.0, 0.25, MODE_KANNAN) == (math.inf, (n - 1, n - 2))
-        assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[3:] == (True, (n - 1, n - 2))
+        assert ratio_sup(pts, images, 0.0, MODE_KANNAN)[2:] == (True, (n - 1, n - 2))
         assert inner_min(pts, images) == (-math.inf, (n - 1, n - 2))
 
         images = 0.3 * pts
@@ -479,7 +478,7 @@ def test_merge_decides_ties_nan_and_zero_pairs_from_later_workers(eight_blocks, 
         images[fixed] = pts[fixed]
         got = ratio_sup(pts, images, 0.5, MODE_KANNAN)
         assert _bits(got) == _bits(brute_ratio(pts, images, 0.5, MODE_KANNAN))
-        assert got[3:] == (True, (n - 1, n - 2))
+        assert got[2:] == (True, (n - 1, n - 2))
 
     _on_threads(workers, check)
 
@@ -524,7 +523,7 @@ def test_worker_threads_raise_no_float_warnings(eight_blocks):
                 inner_min(pts, images),
             )
         assert _bits(got) == expected
-        assert got[0][0] == math.inf and got[1][3] and got[2][0] == -math.inf
+        assert got[0][0] == math.inf and got[1][2] and got[2][0] == -math.inf
 
     check()
     _on_threads(1, check)
@@ -668,6 +667,17 @@ def test_blocks_are_contiguous_views_of_one_buffer(monkeypatch, n, entries):
             assert (hi - lo) * (n - lo) <= max(entries, n - lo)
 
 
+@pytest.mark.parametrize("n", [1, 7, 201, 2000])
+def test_block_buffers_start_on_a_cache_line(n):
+    # malloc aligns to 16 bytes only, wherever earlier allocations left the heap
+    held = []
+    for size in (3, 5, 1001, 70001):
+        held.append(np.empty(size))
+        tri = _kernels._Triangle(n, 3, _kernels._blocks(n))
+        assert tri._flat.ctypes.data % _kernels._LINE_BYTES == 0
+        assert tri._flat.shape == (3, min(n * n, max(_kernels._BLOCK_BYTES // 8, n)))
+
+
 N_EDGES = 60
 BLOCK_BYTES_EDGES = 8 * 300  # 300 entries a block: 8 triangle blocks of 60 rows
 
@@ -692,7 +702,7 @@ def _edge_case(kind):
 
 def _reported(result):
     """The pair a kernel reports: for ``ratio_sup``, the infeasible pair when there is one."""
-    return result[4] if len(result) == 5 and result[3] else result[1]
+    return result[3] if len(result) == 4 and result[2] else result[1]
 
 
 def _edge_place(place, n):
@@ -863,7 +873,6 @@ def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, 
     for stop in bounds:
         got = ratio_sup(pts, images, k, mode, stop_at=stop)
         assert stop <= got[0] <= full[0]
-        assert got[2] == full[2]  # has_positive comes from the whole sample
     assert swept_blocks[-3:] == [1, 1, 1]
     assert swept_blocks[2] <= 9  # the full sup is found at whichever block holds it
 
@@ -887,3 +896,65 @@ def test_a_given_row_rank_changes_no_bit(case):
     rank = _kernels._row_rank(pts)
     for kernel, _ in KERNELS[:-1]:  # every kernel with a rank keyword: all but inner_min
         assert _bits(kernel(pts, images, rank=rank)) == _bits(kernel(pts, images))
+
+
+# --- ratio_sup's sup alone tells whether some pair has a positive rhs scale --------
+
+
+def _some_positive_scale(points, images, mode):
+    """Literal loop: does any distinct ordered pair have a positive rhs scale?"""
+    disp, _, _ = _point_norms(points, images)
+    scale = np.add if mode == MODE_KANNAN else np.maximum
+    return any(scale(disp[i], disp[j]) > 0.0 for i, j in _pairs(len(points)))
+
+
+def _row(kind, d, rng):
+    """A point and its image: coarse, or tiny where a displacement should underflow."""
+    x = rng.integers(-4, 5, size=d) / 4
+    tiny = rng.integers(-4, 5, size=d) * 1e-171
+    step = np.zeros(d)
+    step[rng.integers(d)] = 1.0
+    return {
+        "moving": (x, rng.integers(-4, 5, size=d) / 4),
+        "fixed": (x, x),
+        "tiny_fixed": (tiny, tiny),
+        "underflow": (tiny, tiny + 1e-170 * step),  # a displacement whose square is 0
+        "subnormal": (tiny, tiny + 1e-160 * step),  # one whose square is subnormal
+        "huge": (x, x + 1e200 * step),  # one whose square overflows
+        "nan": (x, np.where(step == 1.0, np.nan, x)),
+        "inf": (x, np.where(step == 1.0, np.inf, x)),
+    }[kind]
+
+
+ROW_KINDS = [
+    ("moving", "fixed", "tiny_fixed", "underflow", "subnormal", "huge", "nan", "inf"),
+    ("tiny_fixed", "underflow"),
+    ("tiny_fixed", "underflow", "subnormal"),
+    ("fixed", "underflow"),
+    ("moving", "fixed"),
+    ("moving", "nan", "inf", "huge"),
+    ("subnormal",),
+]
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from(ROW_KINDS),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_a_full_sweep_has_no_sup_exactly_when_no_pair_has_a_positive_scale(d, n, seed, kinds, mode, k):
+    # a pair with a positive scale has a ratio of at least 0, or a NaN one,
+    # which marks the sweep infeasible; every other pair is masked to -inf
+    rng = np.random.default_rng(seed)
+    pts, images = map(np.array, zip(*(_row(rng.choice(kinds), d, rng) for _ in range(n))))
+    got = ratio_sup(pts, images, k, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(got) == _bits(brute_ratio(pts, images, k, mode))
+        positive = _some_positive_scale(pts, images, mode)
+    sup, _, infeasible, _ = got
+    if not infeasible:
+        assert (sup == -math.inf) == (not positive)
