@@ -34,8 +34,6 @@ from .exceptions import (
 )
 from .mappings import Mapping, as_point, stacked_matvec
 
-AUTO = "auto"
-
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
 
@@ -97,7 +95,7 @@ class SfpInstance:
     c_set: convex.ConvexSet
     q_set: convex.ConvexSet
     matrix: np.ndarray
-    gamma: float | str = AUTO
+    gamma: float | str = solve.AUTO
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
@@ -113,7 +111,7 @@ class SfpInstance:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         if isinstance(self.gamma, str):
-            if self.gamma != AUTO:
+            if self.gamma != solve.AUTO:
                 raise InvalidConstantError(f"gamma must be a number or 'auto': {self.gamma}")
         elif not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise InvalidConstantError(f"gamma must be > 0, got {self.gamma}")
@@ -211,7 +209,7 @@ def sfp_operator(instance: SfpInstance) -> SfpOperator:
     rho = spectral_radius_ata(instance.matrix)
     if rho <= 0.0:
         raise InvalidConstantError("A^T A has no positive eigenvalue")
-    gamma = 1.0 / rho if instance.gamma == AUTO else float(instance.gamma)
+    gamma = 1.0 / rho if instance.gamma == solve.AUTO else float(instance.gamma)
     if not (0.0 < gamma < 2.0 / rho):
         raise GammaRangeError(
             f"gamma={gamma} outside (0, 2/rho) with rho={rho}"
@@ -284,7 +282,7 @@ def _auto_config(operator, c_set, cfg, seed, k_grid, estimators) -> solve.SolveC
     """``cfg`` with a certificate for auto lambda when it lacks one: the first
     feasible estimate in ``estimators`` order over 200 seeded points in C.
     """
-    if cfg.lam != AUTO or cfg.certificate is not None:
+    if cfg.lam != solve.AUTO or cfg.certificate is not None:
         return cfg
     sample = certify.distinct_sample(
         convex.sample_points(c_set, 200, seed), f"200 seeded pts in C (seed {seed})", seed

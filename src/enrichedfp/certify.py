@@ -121,6 +121,8 @@ def _as_bounds(bounds) -> list[tuple[float, float]]:
         if not lo < hi:
             raise InvalidConstantError(f"bounds axis {axis}: need lo < hi, got {pair}")
         out.append((lo, hi))
+    if not out:
+        raise InvalidConstantError("bounds need at least one axis")
     return out
 
 

@@ -395,12 +395,10 @@ def cmd_demo(settings: _Settings) -> int:
     print(f"max-displacement, k=1-2a: {dual_small}")
     print(f"max-displacement, k=2(1-a): {dual_large}")
 
-    lam = solve.auto_lambda(paper_pair.k)
-    rate = solve.contraction_rate_kannan(paper_pair.rate)
-    cfg = solve.SolveConfig(lam=lam, tol=settings.tol, max_iter=settings.max_iter, rate=rate)
+    cfg = solve.SolveConfig(tol=settings.tol, max_iter=settings.max_iter, certificate=paper_pair)
     averaged_trace = solve.krasnoselskij(mapping, [0.0], cfg)
 
-    ref_cfg = solve.SolveConfig(lam=lam, tol=1e-13, max_iter=10 * settings.max_iter, rate=rate)
+    ref_cfg = solve.SolveConfig(tol=1e-13, max_iter=10 * settings.max_iter, certificate=paper_pair)
     reference = solve.krasnoselskij(mapping, [0.0], ref_cfg).final
     worst_excess = -np.inf
     for n in range(1, averaged_trace.iterations + 1):
@@ -418,7 +416,7 @@ def cmd_demo(settings: _Settings) -> int:
     orbit = sorted({float(p[0]) for p in picard_trace.iterates})
 
     print(
-        f"averaged lam={lam:.6f}: {averaged_trace.status} in "
+        f"averaged lam={averaged_trace.lam:.6f}: {averaged_trace.status} in "
         f"{averaged_trace.iterations} iterations, final={averaged_trace.final[0]!r}, "
         f"worst bound excess={worst_excess:.3e}"
     )

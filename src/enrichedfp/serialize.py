@@ -2,13 +2,20 @@
 
 Mapping and convex-set objects round-trip through plain dicts keyed by a
 ``variant`` field; problem instances use a ``type`` field ("sfp"/"vip").
-Matrices are row-major lists of lists. CSV trace exports print floats with
-17 significant digits so values round-trip exactly; JSON files are written
-with sorted keys so identical runs produce byte-identical files.
+Each JSON form is one row of a table (``_MAPPINGS``, ``_SETS``,
+``_INSTANCES``): its class and, per field, the JSON key, the attribute and
+the reader. One reader (``_read``) and one writer (``_write``) serve every
+row. A key may be absent only where the class gives its attribute a
+default. The ``sfp_operator``/``vip_operator`` mapping variants carry their
+instance's fields inline (``_OPERATORS``). Matrices are row-major lists of
+lists. CSV trace exports print floats with 17 significant digits so values
+round-trip exactly; JSON files are written with sorted keys so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -33,50 +40,90 @@ def _listify(arr) -> Any:
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
-def mapping_to_dict(mapping: Mapping) -> dict:
-    if isinstance(mapping, Reflection1D):
-        return {"variant": "reflection_1d"}
-    if isinstance(mapping, Scale1D):
-        out = {"variant": "scale_1d", "c": float(mapping.c)}
-        if mapping.bounds is not None:
-            out["domain"] = [float(mapping.bounds[0]), float(mapping.bounds[1])]
-        return out
-    if isinstance(mapping, AffineMap):
-        return {
-            "variant": "affine",
-            "matrix": _listify(mapping.matrix),
-            "offset": _listify(mapping.offset),
-        }
-    if isinstance(mapping, AveragedMap):
-        return {
-            "variant": "averaged",
-            "inner": mapping_to_dict(mapping.inner),
-            "lambda": float(mapping.lam),
-        }
-    if isinstance(mapping, PiecewiseTable):
-        return {
-            "variant": "piecewise_table",
-            "breakpoints": _listify(mapping.breakpoints),
-            "slopes": _listify(mapping.slopes),
-            "intercepts": _listify(mapping.intercepts),
-        }
-    if isinstance(mapping, apps.SfpOperator):
-        return {
-            "variant": "sfp_operator",
-            **instance_to_dict(mapping.instance),
-        }
-    if isinstance(mapping, apps.VipOperator):
-        return {
-            "variant": "vip_operator",
-            **instance_to_dict(mapping.instance),
-        }
-    raise ConfigError(f"mapping {type(mapping).__name__} has no JSON form")
-
-
 def _require(data: dict, key: str, context: str):
     if key not in data:
         raise ConfigError(f"missing field '{key}'", context=context)
     return data[key]
+
+
+def _optional(cls) -> set:
+    """The attributes ``cls`` gives a default: their JSON keys may be absent."""
+    return {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _tag(data, key: str, tags, family: str, context: str) -> str:
+    if not isinstance(data, dict):
+        raise ConfigError("expected an object", context=context)
+    tag = _require(data, key, context)
+    if isinstance(tag, str) and tag in tags:
+        return tag
+    raise ConfigError(f"unknown {family} '{tag}'", context=context)
+
+
+def _read(row, data, context: str, make=None):
+    """Build ``row``'s class from ``data`` (then ``make`` of it, if given).
+
+    Each reader gets its value and the context ``context.key``; any other
+    failure becomes a ``ConfigError`` naming ``context``.
+    """
+    cls, fields = row
+    optional = _optional(cls)
+    try:
+        obj = cls(**{
+            attr: reader(_require(data, key, context), f"{context}.{key}")
+            for key, attr, reader in fields
+            if attr not in optional or key in data
+        })
+        return obj if make is None else make(obj)
+    except ConfigError:
+        raise
+    except (EnrichedFPError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), context=context) from exc
+
+
+def _write(table: dict, key: str, obj, family: str) -> dict:
+    """``obj`` by the first row whose class it is; a defaulted ``None`` is left out."""
+    for tag, (cls, fields) in table.items():
+        if isinstance(obj, cls):
+            optional = _optional(cls)
+            out = {key: tag}
+            for name, attr, _ in fields:
+                value = getattr(obj, attr)
+                if value is not None or attr not in optional:
+                    out[name] = _to_json(value)
+            return out
+    raise ConfigError(f"{family} {type(obj).__name__} has no JSON form")
+
+
+def _to_json(value) -> Any:
+    if isinstance(value, (np.ndarray, tuple, list)):
+        return _listify(value)
+    if isinstance(value, Mapping):
+        return mapping_to_dict(value)
+    if isinstance(value, convex.ConvexSet):
+        return convex_to_dict(value)
+    return value if value == solve.AUTO else float(value)
+
+
+def _float(value, context: str) -> float:
+    return float(value)
+
+
+def _array(value, context: str) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _as_is(value, context: str):
+    return value
+
+
+def _interval(value, context: str):
+    """A ``[lo, hi]`` array as a pair of floats; ``null`` is no interval."""
+    if value is None:
+        return None
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"expected [lo, hi], got {value!r}", context=context)
+    return float(value[0]), float(value[1])
 
 
 def _matrix(data, context: str) -> np.ndarray:
@@ -97,159 +144,71 @@ def _matrix(data, context: str) -> np.ndarray:
     return arr
 
 
+def mapping_to_dict(mapping: Mapping) -> dict:
+    for variant, (cls, _, _) in _OPERATORS.items():
+        if isinstance(mapping, cls):
+            return {"variant": variant, **instance_to_dict(mapping.instance)}
+    return _write(_MAPPINGS, "variant", mapping, "mapping")
+
+
 def mapping_from_dict(data: dict, context: str = "mapping") -> Mapping:
-    if not isinstance(data, dict):
-        raise ConfigError("expected an object", context=context)
-    variant = _require(data, "variant", context)
-    try:
-        if variant == "reflection_1d":
-            return Reflection1D()
-        if variant == "scale_1d":
-            domain = data.get("domain")
-            return Scale1D(
-                c=float(_require(data, "c", context)),
-                bounds=None if domain is None else (float(domain[0]), float(domain[1])),
-            )
-        if variant == "affine":
-            return AffineMap(
-                matrix=_matrix(_require(data, "matrix", context), f"{context}.matrix"),
-                offset=np.asarray(_require(data, "offset", context), dtype=np.float64),
-            )
-        if variant == "averaged":
-            return AveragedMap(
-                inner=mapping_from_dict(_require(data, "inner", context), f"{context}.inner"),
-                lam=float(_require(data, "lambda", context)),
-            )
-        if variant == "piecewise_table":
-            return PiecewiseTable(
-                breakpoints=np.asarray(_require(data, "breakpoints", context), dtype=np.float64),
-                slopes=np.asarray(_require(data, "slopes", context), dtype=np.float64),
-                intercepts=np.asarray(_require(data, "intercepts", context), dtype=np.float64),
-            )
-        if variant == "sfp_operator":
-            return apps.sfp_operator(sfp_instance_from_dict(data, context))
-        if variant == "vip_operator":
-            return apps.vip_operator(vip_instance_from_dict(data, context))
-    except ConfigError:
-        raise
-    except (EnrichedFPError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), context=context) from exc
-    raise ConfigError(f"unknown mapping variant '{variant}'", context=context)
+    variant = _tag(data, "variant", _MAPPINGS.keys() | _OPERATORS.keys(), "mapping variant", context)
+    if variant in _OPERATORS:
+        _, kind, make = _OPERATORS[variant]
+        return _read(_INSTANCES[kind], data, context, make)
+    return _read(_MAPPINGS[variant], data, context)
 
 
 def convex_to_dict(convex_set: convex.ConvexSet) -> dict:
-    if isinstance(convex_set, convex.Box):
-        return {
-            "variant": "box",
-            "lower": _listify(convex_set.lower),
-            "upper": _listify(convex_set.upper),
-        }
-    if isinstance(convex_set, convex.Ball):
-        return {
-            "variant": "ball",
-            "center": _listify(convex_set.center),
-            "radius": float(convex_set.radius),
-        }
-    if isinstance(convex_set, convex.Halfspace):
-        return {
-            "variant": "halfspace",
-            "normal": _listify(convex_set.normal),
-            "offset": float(convex_set.offset),
-        }
-    if isinstance(convex_set, convex.Hyperplane):
-        return {
-            "variant": "hyperplane",
-            "normal": _listify(convex_set.normal),
-            "offset": float(convex_set.offset),
-        }
-    raise ConfigError(f"convex set {type(convex_set).__name__} has no JSON form")
+    return _write(_SETS, "variant", convex_set, "convex set")
 
 
 def convex_from_dict(data: dict, context: str = "set") -> convex.ConvexSet:
-    if not isinstance(data, dict):
-        raise ConfigError("expected an object", context=context)
-    variant = _require(data, "variant", context)
-    try:
-        if variant == "box":
-            return convex.Box(
-                lower=np.asarray(_require(data, "lower", context), dtype=np.float64),
-                upper=np.asarray(_require(data, "upper", context), dtype=np.float64),
-            )
-        if variant == "ball":
-            return convex.Ball(
-                center=np.asarray(_require(data, "center", context), dtype=np.float64),
-                radius=float(_require(data, "radius", context)),
-            )
-        if variant == "halfspace":
-            return convex.Halfspace(
-                normal=np.asarray(_require(data, "normal", context), dtype=np.float64),
-                offset=float(_require(data, "offset", context)),
-            )
-        if variant == "hyperplane":
-            return convex.Hyperplane(
-                normal=np.asarray(_require(data, "normal", context), dtype=np.float64),
-                offset=float(_require(data, "offset", context)),
-            )
-    except ConfigError:
-        raise
-    except (EnrichedFPError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), context=context) from exc
-    raise ConfigError(f"unknown set variant '{variant}'", context=context)
+    return _read(_SETS[_tag(data, "variant", _SETS, "set variant", context)], data, context)
 
 
 def instance_to_dict(instance) -> dict:
-    if isinstance(instance, apps.SfpInstance):
-        return {
-            "type": "sfp",
-            "C": convex_to_dict(instance.c_set),
-            "Q": convex_to_dict(instance.q_set),
-            "A": _listify(instance.matrix),
-            "gamma": instance.gamma if instance.gamma == "auto" else float(instance.gamma),
-        }
-    if isinstance(instance, apps.VipInstance):
-        return {
-            "type": "vip",
-            "C": convex_to_dict(instance.c_set),
-            "G": mapping_to_dict(instance.operator),
-            "gamma": float(instance.gamma),
-        }
-    raise ConfigError(f"instance {type(instance).__name__} has no JSON form")
+    return _write(_INSTANCES, "type", instance, "instance")
 
 
 def sfp_instance_from_dict(data: dict, context: str = "instance") -> apps.SfpInstance:
-    try:
-        return apps.SfpInstance(
-            c_set=convex_from_dict(_require(data, "C", context), f"{context}.C"),
-            q_set=convex_from_dict(_require(data, "Q", context), f"{context}.Q"),
-            matrix=_matrix(_require(data, "A", context), f"{context}.A"),
-            gamma=data.get("gamma", "auto"),
-        )
-    except ConfigError:
-        raise
-    except (EnrichedFPError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), context=context) from exc
+    return _read(_INSTANCES["sfp"], data, context)
 
 
 def vip_instance_from_dict(data: dict, context: str = "instance") -> apps.VipInstance:
-    try:
-        return apps.VipInstance(
-            c_set=convex_from_dict(_require(data, "C", context), f"{context}.C"),
-            operator=mapping_from_dict(_require(data, "G", context), f"{context}.G"),
-            gamma=float(_require(data, "gamma", context)),
-        )
-    except ConfigError:
-        raise
-    except (EnrichedFPError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), context=context) from exc
+    return _read(_INSTANCES["vip"], data, context)
 
 
 def instance_from_dict(data: dict, context: str = "instance"):
-    kind = _require(data, "type", context)
-    if kind == "sfp":
-        return sfp_instance_from_dict(data, context)
-    if kind == "vip":
-        return vip_instance_from_dict(data, context)
-    raise ConfigError(f"unknown instance type '{kind}'", context=context)
+    return _read(_INSTANCES[_tag(data, "type", _INSTANCES, "instance type", context)], data, context)
+
+
+# tag -> (class, fields); a field is (JSON key, attribute, reader), in order.
+_MAPPINGS = {
+    "reflection_1d": (Reflection1D, ()),
+    "scale_1d": (Scale1D, (("c", "c", _float), ("domain", "bounds", _interval))),
+    "affine": (AffineMap, (("matrix", "matrix", _matrix), ("offset", "offset", _array))),
+    "averaged": (AveragedMap, (("inner", "inner", mapping_from_dict), ("lambda", "lam", _float))),
+    "piecewise_table": (PiecewiseTable, tuple((k, k, _array) for k in ("breakpoints", "slopes", "intercepts"))),
+}
+_SETS = {
+    "box": (convex.Box, (("lower", "lower", _array), ("upper", "upper", _array))),
+    "ball": (convex.Ball, (("center", "center", _array), ("radius", "radius", _float))),
+    "halfspace": (convex.Halfspace, (("normal", "normal", _array), ("offset", "offset", _float))),
+    "hyperplane": (convex.Hyperplane, (("normal", "normal", _array), ("offset", "offset", _float))),
+}
+_INSTANCES = {
+    "sfp": (apps.SfpInstance, (("C", "c_set", convex_from_dict), ("Q", "q_set", convex_from_dict),
+                               ("A", "matrix", _matrix), ("gamma", "gamma", _as_is))),
+    "vip": (apps.VipInstance, (("C", "c_set", convex_from_dict), ("G", "operator", mapping_from_dict),
+                               ("gamma", "gamma", _float))),
+}
+# The operator variants inline their instance's row, "type" included:
+# variant -> (class, instance type, operator from the instance).
+_OPERATORS = {
+    "sfp_operator": (apps.SfpOperator, "sfp", apps.sfp_operator),
+    "vip_operator": (apps.VipOperator, "vip", apps.vip_operator),
+}
 
 
 def certificate_to_dict(cert: ContractionCertificate) -> dict:

@@ -66,9 +66,9 @@ def rate_from_certificate(cert: certify.ContractionCertificate) -> float:
     """Step-contraction factor implied by a feasible certificate."""
     if not cert.feasible:
         raise InvalidConstantError(f"certificate is infeasible: {cert}")
-    if cert.class_tag in ("kannan", "enriched_kannan"):
+    if cert.class_tag in certify._CLASSES[certify.MODE_KANNAN][:2]:
         return contraction_rate_kannan(cert.rate)
-    if cert.class_tag in ("bianchini", "enriched_bianchini", "banach"):
+    if cert.class_tag in certify._RATE_LIMITS:
         return float(cert.rate)  # in [0, 1): a feasible certificate checks it
     raise InvalidConstantError(
         f"no contraction rate is implied by a '{cert.class_tag}' certificate"

@@ -82,6 +82,19 @@ class TestSampleSet:
         with pytest.raises(InvalidConstantError):
             grid_sample([(1.0, 0.0)], 5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: grid_sample([], 5),
+            lambda: random_sample([], 10, seed=0),
+            lambda: default_sample([]),
+        ],
+        ids=["grid", "random", "default"],
+    )
+    def test_no_axis_is_refused(self, build):
+        with pytest.raises(InvalidConstantError, match="at least one axis"):
+            build()
+
 
 class TestCheckKannan:
     def test_plain_rate_fails_on_isometry(self, reflection, unit_sample):

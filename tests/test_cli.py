@@ -266,6 +266,23 @@ class TestErrors:
         assert "instance.A" in result.stderr
         assert "inconsistent lengths" in result.stderr
 
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 2], {"lo": 0}], ids=["short", "long", "object"])
+    def test_bad_scale_domain_is_a_configuration_error(self, tmp_path, domain):
+        mapping = write_json(tmp_path / "scale.json", {"variant": "scale_1d", "c": 0.5, "domain": domain})
+        result = run_cli("certify", "--input", mapping, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert "mapping.domain: expected [lo, hi]" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_sample_bounds_without_an_axis_exit_1(self, tmp_path, reflection_json):
+        config = write_json(tmp_path / "config.json", {"sample": {"bounds": []}})
+        result = run_cli(
+            "certify", "--input", reflection_json, "--config", config, "--out", str(tmp_path / "o")
+        )
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert "at least one axis" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_input(self, tmp_path):
         result = run_cli("solve", "--out", str(tmp_path / "o"))
         assert result.returncode == cli.EXIT_CONFIG_ERROR

@@ -1,10 +1,10 @@
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
-from enrichedfp import catalog, certify, serialize, solve
+from enrichedfp import apps, catalog, certify, serialize, solve
 from enrichedfp.apps import SfpOperator, VipOperator
 from enrichedfp.convex import Ball, Box, Halfspace, Hyperplane
 from enrichedfp.exceptions import ConfigError
@@ -63,6 +63,94 @@ class TestMappingRoundTrip:
             serialize.mapping_from_dict(
                 {"variant": "affine", "matrix": [[1.0, 2.0], [3.0]], "offset": [0.0, 0.0]}
             )
+
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 2], {"lo": 0}], ids=["short", "long", "object"])
+    def test_domain_of_the_wrong_shape(self, domain):
+        with pytest.raises(ConfigError, match=r"^mapping\.domain: expected \[lo, hi\], got "):
+            serialize.mapping_from_dict({"variant": "scale_1d", "c": 0.5, "domain": domain})
+
+    def test_null_domain_is_no_domain(self):
+        mapping = serialize.mapping_from_dict({"variant": "scale_1d", "c": 0.5, "domain": None})
+        assert mapping.bounds is None
+
+
+# one example per row of serialize's tables; a row without one fails below
+TABLE_EXAMPLES = {
+    "mapping": {
+        "reflection_1d": Reflection1D(),
+        "scale_1d": Scale1D(c=1.0 / 3.0, bounds=(0.0, 1.0)),
+        "affine": AffineMap(matrix=np.array([[0.1, 0.2], [0.3, 0.4]]), offset=np.array([1.0, -1.0])),
+        "averaged": AveragedMap(inner=Scale1D(c=0.5), lam=0.5),
+        "piecewise_table": mapping_examples()[-1],
+        "sfp_operator": apps.sfp_operator(catalog.standard_sfp()),
+        "vip_operator": apps.vip_operator(catalog.vip_line()),
+    },
+    "set": {
+        "box": Box(lower=np.zeros(2), upper=np.ones(2)),
+        "ball": Ball(center=np.array([1.0, 2.0]), radius=3.0),
+        "halfspace": Halfspace(normal=np.array([1.0, -1.0]), offset=0.5),
+        "hyperplane": Hyperplane(normal=np.array([0.0, 2.0]), offset=1.0),
+    },
+    "instance": {
+        "sfp": replace(catalog.standard_sfp(), gamma=0.2),
+        "vip": catalog.vip_plane(),
+    },
+}
+FAMILIES = {
+    "mapping": (serialize.mapping_to_dict, serialize.mapping_from_dict, "variant"),
+    "set": (serialize.convex_to_dict, serialize.convex_from_dict, "variant"),
+    "instance": (serialize.instance_to_dict, serialize.instance_from_dict, "type"),
+}
+
+
+def table_rows(optional_only=False):
+    """(family, tag, row) for every row; an operator variant has its instance's row."""
+    rows = [("mapping", tag, row) for tag, row in serialize._MAPPINGS.items()]
+    rows += [("mapping", tag, serialize._INSTANCES[kind]) for tag, (_, kind, _) in serialize._OPERATORS.items()]
+    rows += [("set", tag, row) for tag, row in serialize._SETS.items()]
+    rows += [("instance", tag, row) for tag, row in serialize._INSTANCES.items()]
+    return [
+        pytest.param(*r, id=f"{r[0]}-{r[1]}") for r in rows if not optional_only or _fields(r[2], True)
+    ]
+
+
+def _fields(row, optional):
+    cls, row_fields = row
+    defaults = serialize._optional(cls)
+    return [(key, attr) for key, attr, _ in row_fields if (attr in defaults) == optional]
+
+
+class TestEveryTableRow:
+    @pytest.mark.parametrize("family, tag, row", table_rows())
+    def test_round_trip(self, family, tag, row):
+        to_dict, from_dict, tag_key = FAMILIES[family]
+        data = to_dict(TABLE_EXAMPLES[family][tag])
+        assert to_dict(from_dict(data)) == data
+        assert data[tag_key] == tag
+        assert {key for key, _, _ in row[1]} <= data.keys()
+
+    @pytest.mark.parametrize("family, tag, row", table_rows())
+    def test_each_required_key_is_named_when_missing(self, family, tag, row):
+        to_dict, from_dict, _ = FAMILIES[family]
+        for key, _ in _fields(row, optional=False):
+            data = to_dict(TABLE_EXAMPLES[family][tag])
+            del data[key]
+            with pytest.raises(ConfigError) as info:
+                from_dict(data)
+            assert str(info.value) == f"{family}: missing field '{key}'"
+
+    @pytest.mark.parametrize("family, tag, row", table_rows(optional_only=True))
+    def test_optional_keys_may_be_absent(self, family, tag, row):
+        to_dict, from_dict, _ = FAMILIES[family]
+        data = to_dict(TABLE_EXAMPLES[family][tag])
+        optional = _fields(row, optional=True)
+        for key, _ in optional:
+            del data[key]
+        rebuilt = from_dict(data)
+        target = getattr(rebuilt, "instance", rebuilt)
+        defaults = {f.name: f.default for f in fields(type(target))}
+        for _, attr in optional:
+            assert getattr(target, attr) == defaults[attr]
 
 
 class TestConvexRoundTrip:

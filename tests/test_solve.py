@@ -338,6 +338,28 @@ class TestRateFromCertificate:
         with pytest.raises(InvalidConstantError):
             rate_from_certificate(cert)
 
+    @pytest.mark.parametrize(
+        "check, k, tag",
+        [
+            (certify.check_enriched_kannan, 0.0, "kannan"),
+            (certify.check_enriched_kannan, 0.5, "enriched_kannan"),
+            (certify.check_enriched_bianchini, 0.0, "bianchini"),
+            (certify.check_enriched_bianchini, 0.5, "enriched_bianchini"),
+            (lambda mapping, k, rate, sample: certify.check_banach(mapping, rate, sample), 0.0, "banach"),
+        ],
+    )
+    def test_every_class_tag(self, scale_third, unit_sample, check, k, tag):
+        cert = check(scale_third, k, 0.4, unit_sample)
+        assert cert.class_tag == tag and cert.feasible
+        want = 0.4 / 0.6 if "kannan" in tag else 0.4
+        assert rate_from_certificate(cert) == want
+
+    def test_no_rate_message(self, unit_sample):
+        cert = certify.check_monotone(Scale1D(c=0.5), unit_sample)
+        with pytest.raises(InvalidConstantError) as info:
+            rate_from_certificate(cert)
+        assert str(info.value) == "no contraction rate is implied by a 'monotone' certificate"
+
 
 class TestContractionInvariants:
     def test_uniqueness_probe(self, unit_sample):
