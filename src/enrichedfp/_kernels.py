@@ -74,11 +74,23 @@ with a short block, 1/16 of a buffer, so that a sweep that stops at once
 covers few pairs even when one buffer holds most of the triangle (a
 201-point sample's first full block holds 96% of its pairs).
 
+A full ``ratio_sup`` sweep also bounds the violation check that follows
+it at the same ``k`` and mode. With ``bounds`` it records, for each block,
+``V = max(num - s * scale)`` over the block's pairs, with ``s`` the running
+sup after the block (at least 0). ``violation_max(..., blocks=)`` at a
+finite rate at or above both that sup and 0 then sweeps the blocks in
+descending ``V`` and stops at the first whose ``V`` is below its running
+maximum, with the bits of a full sweep: no pair of a skipped block reaches
+the maximum or ties with it (the proof is in ``violation_max``). A block
+whose pairs are far below the sup is passed over; the blocks that hold
+pairs at the sup are swept again.
+
 ``perfbench/`` measures these kernels end to end and per call.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -319,13 +331,56 @@ def _found(hits, lo, sides, test):
     return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
-def violation_max(points, images, k, rate, mode, *, rank=None):
+def _excess_bound(num, scale, sup):
+    """``max(num - max(sup, 0) * scale)`` off the block's diagonal; +inf for NaN.
+
+    Overwrites ``scale``.
+    """
+    excess = np.multiply(scale, max(sup, 0.0), out=scale)
+    np.subtract(num, excess, out=excess)
+    np.fill_diagonal(excess, -np.inf)
+    bound = float(excess.max())
+    return math.inf if math.isnan(bound) else bound
+
+
+def _above(blocks, best):
+    """The ``(lo, hi)`` of ``blocks`` by descending bound, up to the first
+    bound below ``best``'s running value; every later bound is below it too."""
+    for lo, hi, bound in sorted(blocks, key=lambda block: -block[2]):
+        if bound < best.value:
+            return
+        yield lo, hi
+
+
+def violation_max(points, images, k, rate, mode, *, rank=None, blocks=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
     Returns ``(max_violation, (i, j))`` where the index pair is the
     lexicographically smallest argmax. Any NaN pair value gives
     ``(inf, smallest NaN pair)``. ``rank`` is ``_row_rank(points)`` when a
     caller already has it; by default it is computed here.
+
+    ``blocks`` is the ``bounds`` list of a ``ratio_sup`` sweep over the
+    same points and images at the same ``k`` and mode (Kannan or
+    Bianchini) that covered every pair, with a finite
+    ``rate >= max(sup, 0)``. The blocks are then swept in descending
+    bound, and the sweep stops at the first block whose bound is below the
+    running maximum: a block at the maximum may hold a tie, so it is swept. The result has the bits
+    of the full sweep. Take a pair of a block with bound ``V``, recorded
+    at the running sup ``s_run`` (clamped at 0), with ``num`` and
+    ``scale`` the bits both kernels compute. ``rate >= s_run`` and
+    rounding is monotone, so:
+
+    * ``rhs = fl(rate * scale) >= fl(s_run * scale)`` where neither is
+      NaN, so the pair's ``net = fl(num - rhs) <= fl(num - fl(s_run *
+      scale)) <= V``;
+    * the guard ``fl(8 eps * G)`` is at least 0, since ``G`` sums terms at
+      least 0, so either orientation's ``fl(net - guard) <= net <= V``;
+    * a pair whose ``net`` or excess is NaN has a NaN or +inf term in
+      ``V`` (a NaN ``num`` or ``scale``, ``0 * inf`` in ``s_run * scale``,
+      or ``num = inf``), and a NaN ``V`` is recorded as +inf.
+
+    So every pair of a skipped block is below the maximum and not NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, t, disp, pnorm, tnorm = _prepare(points, images)
@@ -334,8 +389,8 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
         scale = PAIR_SCALE.get(mode)
         banach = scale is None
         n = x.shape[0]
-        tri = _Triangle(n, 4 if banach else 3, _blocks(n))
         best = _Extremum(_row_rank(x) if rank is None else rank, largest=True)
+        tri = _Triangle(n, 4 if banach else 3, _blocks(n) if blocks is None else _above(blocks, best))
         with _small_ufunc_buffer():
             for num, rhs, back, *extra in tri:
                 dx_sq = extra[0] if banach else None
@@ -367,7 +422,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
         return best.value, best.pair
 
 
-def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
+def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
     """Supremum of ``lhs / rhs_scale`` over pairs with a positive rhs scale.
 
     The rhs scale is ``PAIR_SCALE[mode]`` of the pair's two displacements,
@@ -386,6 +441,15 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     sweep that never reaches ``stop_at`` returns what it returns without
     it. ``rank`` is ``_row_rank(points)`` when a caller already has it; by
     default it is computed here.
+
+    With ``bounds``, a list, each block swept that does not stop the
+    sweep appends ``(lo, hi, V)``: its rows and
+    ``V = max(num - max(s_run, 0) * scale)`` over its pairs, with ``s_run``
+    the running sup after the block. ``V`` is +inf when it is NaN, and
+    when the block raised the running sup: such a block holds a pair with
+    ``num`` about ``s_run * scale``, so it would be swept again anyway,
+    and its extra passes are skipped. A full sweep's list is
+    ``violation_max``'s ``blocks``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, t, disp, _, _ = _prepare(points, images)
@@ -400,11 +464,11 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
         best = _Extremum(rank, largest=True)
         zero = _Smallest(rank)
         with _small_ufunc_buffer():
-            for num, den, tmp in tri:
-                tri.enriched_sq(xt, tt, k, num, den, tmp)
+            for num, scale, tmp in tri:
+                tri.enriched_sq(xt, tt, k, num, scale, tmp)
                 np.sqrt(num, out=num)
-                tri.outer(PAIR_SCALE[mode], disp, den)
-                ratio = np.divide(num, den, out=den)
+                tri.outer(PAIR_SCALE[mode], disp, scale)
+                ratio = np.divide(num, scale, out=tmp)
                 first, last = np.searchsorted(fixed, (tri.lo, tri.hi))
                 rows, cols = fixed[first:last], fixed[first:]
                 if rows.size:
@@ -414,9 +478,13 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
                     zero.offer(rows[bad_r], cols[bad_c], either=True)
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
+                before = best.value
                 best.update(ratio, tri.lo)
                 if stop_at is not None and best.value >= stop_at:
                     break
+                if bounds is not None:
+                    bound = math.inf if best.value > before else _excess_bound(num, scale, best.value)
+                    bounds.append((tri.lo, tri.hi, bound))
         pair = best.pair if best.value > -np.inf else (-1, -1)
         zpair = best.nan.pair or zero.pair
         return best.value, pair, zpair is not None, zpair or (-1, -1)

@@ -51,10 +51,14 @@ def _optional(cls) -> set:
     return {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
 
-def _tag(data, key: str, tags, family: str, context: str) -> str:
+def _object(data, context: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("expected an object", context=context)
-    tag = _require(data, key, context)
+    return data
+
+
+def _tag(data, key: str, tags, family: str, context: str) -> str:
+    tag = _require(_object(data, context), key, context)
     if isinstance(tag, str) and tag in tags:
         return tag
     raise ConfigError(f"unknown {family} '{tag}'", context=context)
@@ -68,6 +72,7 @@ def _read(row, data, context: str, make=None):
     """
     cls, fields = row
     optional = _optional(cls)
+    _object(data, context)
     try:
         obj = cls(**{
             attr: reader(_require(data, key, context), f"{context}.{key}")
@@ -113,8 +118,13 @@ def _array(value, context: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _as_is(value, context: str):
-    return value
+def _gamma(value, context: str):
+    """A step size: a number, or ``"auto"``."""
+    if value == solve.AUTO:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number or '{solve.AUTO}', got {value!r}", context=context)
+    return float(value)
 
 
 def _interval(value, context: str):
@@ -199,7 +209,7 @@ _SETS = {
 }
 _INSTANCES = {
     "sfp": (apps.SfpInstance, (("C", "c_set", convex_from_dict), ("Q", "q_set", convex_from_dict),
-                               ("A", "matrix", _matrix), ("gamma", "gamma", _as_is))),
+                               ("A", "matrix", _matrix), ("gamma", "gamma", _gamma))),
     "vip": (apps.VipInstance, (("C", "c_set", convex_from_dict), ("G", "operator", mapping_from_dict),
                                ("gamma", "gamma", _float))),
 }

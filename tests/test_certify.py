@@ -562,29 +562,41 @@ def small_blocks(monkeypatch):
     assert len(_kernels._blocks(201)) == 8
 
 
-@pytest.fixture
-def ratio_blocks(monkeypatch):
-    """The number of triangle blocks each ``ratio_sup`` call sweeps, one entry a call."""
+def _block_counts(monkeypatch, name):
+    """The number of triangle blocks each call of the kernel ``name`` sweeps, one entry a call."""
     counts, sweeping = [], []
-    ratio_sup = _kernels.ratio_sup
+    kernel = getattr(_kernels, name)
     blocks = _kernels._Triangle.__iter__
 
     def counting(self):
         for views in blocks(self):
-            counts[-1] += bool(sweeping)
+            if sweeping:
+                counts[-1] += 1
             yield views
 
     def counted(*args, **kwargs):
         counts.append(0)
         sweeping.append(True)
         try:
-            return ratio_sup(*args, **kwargs)
+            return kernel(*args, **kwargs)
         finally:
             sweeping.pop()
 
     monkeypatch.setattr(_kernels._Triangle, "__iter__", counting)
-    monkeypatch.setattr(_kernels, "ratio_sup", counted)
+    monkeypatch.setattr(_kernels, name, counted)
     return counts
+
+
+@pytest.fixture
+def ratio_blocks(monkeypatch):
+    """The number of triangle blocks each ``ratio_sup`` call sweeps, one entry a call."""
+    return _block_counts(monkeypatch, "ratio_sup")
+
+
+@pytest.fixture
+def check_blocks(monkeypatch):
+    """The number of triangle blocks each ``violation_max`` call sweeps, one entry a call."""
+    return _block_counts(monkeypatch, "violation_max")
 
 
 DEFAULT = certify.DEFAULT_K_GRID
@@ -634,6 +646,21 @@ class TestPrunedEstimate:
             assert ratio_blocks == [8, 1, 8, 8] * 3 + [8, 7, 8, 8]
         else:
             assert ratio_blocks == [8, 9, 8, 8] * 4
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_the_check_at_the_chosen_k_skips_blocks(self, small_blocks, check_blocks, seed):
+        # an affine contraction with eigenvalues -0.9 to -0.7, where k > 0
+        # wins. The chosen k's sweep bounds each block's excess, and the
+        # check sweeps only the blocks whose bound reaches the maximum; the
+        # unpruned loop's check sweeps all 8
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        mapping = AffineMap(matrix=q @ np.diag([-0.9, -0.8, -0.7]) @ q.T, offset=rng.uniform(-0.5, 0.5, 3))
+        sample = random_sample([(-1.0, 1.0)] * 3, 201, seed)
+        for cert in _same_as_unpruned(mapping, sample, DEFAULT):
+            assert cert.k > 0.0 and cert.feasible
+        assert check_blocks[1::2] == [8, 8]
+        assert all(0 < count < 8 for count in check_blocks[0::2]), check_blocks
 
     @pytest.mark.parametrize("grid", [(3.0, 1.0), (1.0, 3.0), DEFAULT, DEFAULT[::-1]])
     def test_a_nan_pair_at_one_k_before_or_after_the_winner(self, small_blocks, grid):

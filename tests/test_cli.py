@@ -283,6 +283,14 @@ class TestErrors:
         assert "at least one axis" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["sfp", "vip"])
+    def test_an_instance_that_is_not_an_object_exits_1(self, tmp_path, command):
+        five = write_json(tmp_path / "five.json", 5)
+        result = run_cli(command, "--input", five, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert "instance: expected an object" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_input(self, tmp_path):
         result = run_cli("solve", "--out", str(tmp_path / "o"))
         assert result.returncode == cli.EXIT_CONFIG_ERROR

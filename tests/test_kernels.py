@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from enrichedfp import _kernels
@@ -896,6 +896,153 @@ def test_a_given_row_rank_changes_no_bit(case):
     rank = _kernels._row_rank(pts)
     for kernel, _ in KERNELS[:-1]:  # every kernel with a rank keyword: all but inner_min
         assert _bits(kernel(pts, images, rank=rank)) == _bits(kernel(pts, images))
+
+
+# --- violation_max's blocks: a check bounded by a full ratio_sup sweep ------------
+
+
+def _fixed_rows_case(seed, n, d, k):
+    """Random rows, a fifth fixed exactly: half of those one repeated point, so
+    that some zero-scale pairs have a zero numerator and others do not."""
+    pts, images = _random_case(seed, n, d)
+    rng = np.random.default_rng(seed)
+    fixed = np.flatnonzero(rng.random(n) < 0.2)
+    pts[fixed[: len(fixed) // 2]] = pts[fixed[0]] if fixed.size else 0.0
+    images[fixed] = pts[fixed]
+    return pts, images
+
+
+def _orbit_case(seed, n, d, k):
+    """Rows in orbit order of an affine contraction, each row's image the next
+    row, converging to the fixed point until rows repeat it to the last bit."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    mat, offset = rng.uniform(0.3, 0.95) * q, rng.uniform(-1.0, 1.0, d)
+    orbit = [rng.uniform(-4.0, 4.0, d)]
+    for _ in range(n):
+        orbit.append(mat @ orbit[-1] + offset)
+    return np.array(orbit[:-1]), np.array(orbit[1:])
+
+
+def _overflow_case(seed, n, d, k):
+    """``x -> 0.25 - k x`` on coarse rows, one of them at 1e160: every ratio at
+    ``k`` is exactly 0, and the far row's displacement overflows to inf, so a
+    sweep at ``k`` has sup 0, a bound ``0 * inf`` (NaN) and a check at rate 0
+    a NaN rhs."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-8, 9, size=(n, d)) / 4
+    pts[rng.integers(n)] = 1e160
+    return pts, 0.25 - k * pts
+
+
+BOUNDED_CASES = {
+    "random": lambda seed, n, d, k: _random_case(seed, n, d),
+    "tie_heavy": lambda seed, n, d, k: _tie_heavy_case(seed, n, d),
+    "fixed_rows": _fixed_rows_case,
+    "orbit": _orbit_case,
+    "overflow": _overflow_case,
+}
+
+
+def _bounded_check(pts, images, k, mode, above=0.0):
+    """``(rate, full, bounded, bounds)``: a full ``ratio_sup`` sweep at ``k``
+    records ``bounds``, and ``violation_max`` at a rate ``above`` its sup
+    (and 0) runs in full and bounded by them. None when the sup is +inf."""
+    bounds = []
+    sup = ratio_sup(pts, images, k, mode, bounds=bounds)[0]
+    assert [b[:2] for b in bounds] == _kernels._blocks(len(pts))
+    if sup == math.inf:
+        return None
+    rate = max(sup, 0.0) * (1.0 + above) + above
+    return (rate, violation_max(pts, images, k, rate, mode),
+            violation_max(pts, images, k, rate, mode, blocks=bounds), bounds)
+
+
+@given(
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(BOUNDED_CASES)),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    above=st.sampled_from([0.0, 1e-12, 1.0]),
+)
+@settings(
+    max_examples=150, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_bounded_check_is_the_full_check(eight_blocks, d, seed, kind, mode, k, above):
+    # at the sup of a full sweep, and above it, the check that skips the
+    # blocks bounded below its maximum gives the full check's bits
+    pts, images = BOUNDED_CASES[kind](seed, N_MULTI_BLOCK, d, k)
+    checked = _bounded_check(pts, images, k, mode, above)
+    assume(checked is not None)
+    _, full, bounded, _ = checked
+    assert _bits(bounded) == _bits(full)
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+@pytest.mark.parametrize("kind", sorted(BOUNDED_CASES))
+def test_bounded_check_matches_the_oracle(eight_blocks, swept_blocks, kind, mode):
+    pts, images = BOUNDED_CASES[kind](5, N_MULTI_BLOCK, 3, 0.5)
+    rate, full, bounded, bounds = _bounded_check(pts, images, 0.5, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(bounded) == _bits(full) == _bits(brute_violation(pts, images, 0.5, rate, mode))
+    assert swept_blocks[0] == 8  # the ratio sweep records a bound for every block
+    if kind == "overflow":  # the far row's blocks have a NaN bound, and a NaN pair
+        assert full[0] == math.inf and math.inf in [b[2] for b in bounds[1:]]
+
+
+def test_nan_bound_keeps_the_far_rows_blocks(eight_blocks, swept_blocks):
+    # sup 0 and an infinite displacement: 0 * inf is NaN in both the bound
+    # and the rhs, so each block holding a pair with the far row records
+    # +inf and is swept, and the smallest NaN pair is found
+    pts, images = _overflow_case(seed=1, n=N_MULTI_BLOCK, d=2, k=1.0)
+    far = int(np.flatnonzero(pts[:, 0] == 1e160)[0])
+    rate, full, bounded, bounds = _bounded_check(pts, images, 1.0, MODE_KANNAN)
+    assert rate == 0.0
+    assert _bits(bounded) == _bits(full) and full[0] == math.inf
+    assert all(bound == math.inf for lo, _, bound in bounds if lo <= far)
+
+
+def _tie_across_blocks():
+    """A sample whose worst pair, at rows 0 and 120, ties with the pair of
+    row 120 and row 199, a copy of row 0; and the rate, the sup at k = 0.5."""
+    n = N_MULTI_BLOCK
+    pts, images = _random_case(seed=31, n=n - 1, d=3)
+    rate = ratio_sup(pts, images, 0.5, MODE_KANNAN)[0]
+    order = _moved(n - 1, violation_max(pts, images, 0.5, rate, MODE_KANNAN)[1], (0, 120))
+    order = np.append(order, order[0])
+    return pts[order], images[order], rate
+
+
+def test_ties_straddle_skipped_blocks(eight_blocks, swept_blocks):
+    # the tied pairs sit in the first block and the seventh, which is swept
+    # second; the blocks between them are skipped, and the earlier pair in
+    # row-major order wins
+    pts, images, rate = _tie_across_blocks()
+    _, full, bounded, _ = _bounded_check(pts, images, 0.5, MODE_KANNAN)
+    assert _bits(bounded) == _bits(full)
+    assert full[1] in ((0, 120), (120, 0))
+    tied = [(i, j) for v, i, j in brute_violations(pts, images, 0.5, rate, MODE_KANNAN) if v == full[0]]
+    assert {min(pair) for pair in tied} == {0, 120}
+    assert swept_blocks[-1] == 2
+
+
+def test_a_block_bounded_at_the_maximum_is_swept(eight_blocks):
+    # each block's bound is its own maximum, exact, but the block of the
+    # losing tie is bounded at +inf and swept first; the winner's block,
+    # bounded at the maximum itself, may hold a tie and must be swept too
+    pts, images, rate = _tie_across_blocks()
+    blocks = _kernels._blocks(N_MULTI_BLOCK)
+    tops = [-math.inf] * len(blocks)
+    for v, i, j in brute_violations(pts, images, 0.5, rate, MODE_KANNAN):
+        b = next(b for b, (lo, hi) in enumerate(blocks) if lo <= min(i, j) < hi)
+        tops[b] = max(tops[b], v)
+    full = violation_max(pts, images, 0.5, rate, MODE_KANNAN)
+    assert tops[0] == full[0]
+    tops[6] = math.inf
+    bounded = violation_max(pts, images, 0.5, rate, MODE_KANNAN, blocks=[(*b, t) for b, t in zip(blocks, tops)])
+    assert _bits(bounded) == _bits(full)
 
 
 # --- ratio_sup's sup alone tells whether some pair has a positive rhs scale --------

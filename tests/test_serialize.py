@@ -189,6 +189,28 @@ class TestInstanceRoundTrip:
         with pytest.raises(ConfigError, match="unknown instance type"):
             serialize.instance_from_dict({"type": "lp"})
 
+    @pytest.mark.parametrize("data", [5, "Cat", [1, 2], None], ids=["int", "str", "list", "null"])
+    @pytest.mark.parametrize("read", [serialize.sfp_instance_from_dict, serialize.vip_instance_from_dict])
+    def test_a_non_object_is_refused(self, read, data):
+        with pytest.raises(ConfigError) as info:
+            read(data)
+        assert str(info.value) == "instance: expected an object"
+
+    @pytest.mark.parametrize("gamma", [None, True, "0.5", [0.5]], ids=["null", "true", "string", "list"])
+    def test_sfp_gamma_is_a_number_or_auto(self, gamma):
+        data = serialize.instance_to_dict(catalog.standard_sfp())
+        data["gamma"] = gamma
+        with pytest.raises(ConfigError) as info:
+            serialize.sfp_instance_from_dict(data)
+        assert str(info.value) == f"instance.gamma: expected a number or 'auto', got {gamma!r}"
+
+    @pytest.mark.parametrize("gamma, read", [(1, 1.0), (0.25, 0.25), ("auto", "auto")])
+    def test_sfp_gamma_reads_a_number_as_a_float(self, gamma, read):
+        data = serialize.instance_to_dict(catalog.standard_sfp())
+        data["gamma"] = gamma
+        got = serialize.sfp_instance_from_dict(data).gamma
+        assert got == read and type(got) is type(read)
+
 
 class TestCertificateDict:
     def test_fields(self, unit_sample, reflection):
