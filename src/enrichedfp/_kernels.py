@@ -47,8 +47,11 @@ The floating-point semantics, which the brute-force oracles in
   at a time in index order, and the enriched difference is evaluated
   literally as ``k * (x_i - x_j) + (t_i - t_j)``. (``np.sum`` switches to
   pairwise summation from 8 terms on, so it would tie the bits to how numpy
-  splits the reduction.) Per-point norms (displacement, ``||x||``,
-  ``||Tx||``) are ``np.sum`` reductions.
+  splits the reduction.) At ``k = 0`` the Kannan and Bianchini sweeps
+  drop the ``k * (x_i - x_j)`` term when every coordinate range is finite,
+  which keeps every bit and nearly halves the sweep (``_x_term``).
+  Per-point norms (displacement, ``||x||``, ``||Tx||``) are ``np.sum``
+  reductions.
 * Ties on exactly equal values go to the ordered pair whose points
   ``x_i ++ x_j`` are lexicographically smallest, components compared as
   Python tuples compare them (so ``-0.0`` ties with ``0.0``). Pairs with
@@ -140,6 +143,23 @@ def _prepare(points, images):
     return x, t, disp, pnorm, tnorm
 
 
+def _x_term(x, xt, k):
+    """``xt``, or None where every ``k * (x_i - x_j)`` term of the pair sums is dead.
+
+    At ``k == 0`` with every coordinate range ``ptp(x, axis=0)`` finite,
+    each ``x_i - x_j`` is finite (its magnitude rounds to at most the
+    range, rounding being monotone), so ``0 * (x_i - x_j)`` is ``+-0``,
+    and ``+-0 + d`` is ``d`` up to the sign of a zero, which squaring
+    drops; a NaN or infinite ``d`` stays so. Dropping the term then keeps
+    every bit. An infinite or NaN coordinate, or a range that overflows,
+    makes some ``0 * (x_i - x_j)`` NaN, which the pair must keep. With no
+    rows there is no range, and no pair either.
+    """
+    if k == 0.0 and len(x) and np.all(np.isfinite(np.ptp(x, axis=0))):
+        return None
+    return xt
+
+
 def _row_rank(x):
     """Lexicographic rank of each row; rows that compare equal share a rank."""
     n = x.shape[0]
@@ -226,8 +246,16 @@ class _Triangle:
         """``acc = sum_c (k*(x_ic - x_jc) + (t_ic - t_jc))**2`` in index order.
 
         When ``dx_sq`` is given it receives ``sum_c (x_ic - x_jc)**2`` too.
+        With ``xt`` None (``_x_term``), the ``k*(x_ic - x_jc)`` term is
+        dropped, with the same bits.
         """
         acc.fill(0.0)
+        if xt is None:
+            for tc in tt:
+                self.outer(np.subtract, tc, diff)
+                diff *= diff
+                acc += diff
+            return
         if dx_sq is not None:
             dx_sq.fill(0.0)
         for xc, tc in zip(xt, tt):
@@ -388,6 +416,8 @@ def violation_max(points, images, k, rate, mode, *, rank=None, blocks=None):
         xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
         scale = PAIR_SCALE.get(mode)
         banach = scale is None
+        if not banach:  # Banach's rhs needs the x differences at every k
+            xt = _x_term(x, xt, k)
         n = x.shape[0]
         best = _Extremum(_row_rank(x) if rank is None else rank, largest=True)
         tri = _Triangle(n, 4 if banach else 3, _blocks(n) if blocks is None else _above(blocks, best))
@@ -454,7 +484,7 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, t, disp, _, _ = _prepare(points, images)
         k = float(k)
-        xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
+        xt, tt = _x_term(x, np.ascontiguousarray(x.T), k), np.ascontiguousarray(t.T)
         if rank is None:
             rank = _row_rank(x)
         # the rhs scale is zero exactly on pairs of two fixed points

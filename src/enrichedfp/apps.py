@@ -251,8 +251,16 @@ class VipResult:
 
 
 def _orbit_sample(trace: solve.IterationTrace, seed: int, random_points: int = 100) -> SampleSet | None:
-    """Orbit iterates plus seeded random points in an inflated orbit box."""
-    orbit = np.stack(trace.iterates)
+    """Orbit iterates, newest first, plus seeded random points in an inflated orbit box.
+
+    The row order decides no bit of a certificate: each pair's value holds
+    for both orientations, and ties and witnesses go by lexicographic row
+    rank, not by row index. It sets only how soon the sweeps find the sup.
+    The largest ratios sit near the fixed point, among the newest iterates,
+    so with those first each sweep meets the sup in its first block; losing
+    ``k`` stop there, and the violation check can skip the later blocks.
+    """
+    orbit = np.stack(trace.iterates[::-1])
     lo = orbit.min(axis=0)
     hi = orbit.max(axis=0)
     margin = np.maximum(0.5 * (hi - lo), 0.5)

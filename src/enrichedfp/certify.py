@@ -201,7 +201,8 @@ class ContractionCertificate:
     when the rate falls outside its class range (estimation found no
     admissible constant), and whenever ``max_violation`` is NaN or +inf: the
     kernels report a NaN pair value as +inf, so some pair was not checked.
-    A certificate marked feasible with either fails here.
+    A certificate marked feasible with either fails here. An estimate is
+    also infeasible when ``max_violation`` is positive.
     """
 
     class_tag: str
@@ -437,6 +438,12 @@ def _estimate(mapping, sample, k_grid, mode):
     The fallback witness, read only when no ``k`` is feasible, comes from
     the first infeasible ``k`` in grid order; with no feasible ``k`` no
     sweep had a bound.
+
+    The estimate is feasible only when its rate is inside the class range
+    and the check holds: ``max_violation <= 0``, which a NaN or +inf
+    violation fails too. The rate sweep passes over a pair of two fixed
+    points whose numerator is at most ``ZERO_NUM_TOL``, but the check
+    counts it, so a rate can be in range while a pair violates it.
     """
     k_values = [float(k) for k in k_grid]
     if not k_values:
@@ -489,7 +496,7 @@ def _estimate(mapping, sample, k_grid, mode):
         max_violation=viol,
         witness=_witness(sample, pair),
         sample=sample,
-        feasible=rate < limit and _checked(viol),
+        feasible=rate < limit and viol <= 0.0,
     )
 
 

@@ -110,7 +110,10 @@ def _to_json(value) -> Any:
     return value if value == solve.AUTO else float(value)
 
 
-def _float(value, context: str) -> float:
+def _float(value, context: str, expected: str = "a number") -> float:
+    """A JSON number as a float; ``true``, a string or any other value is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected {expected}, got {value!r}", context=context)
     return float(value)
 
 
@@ -122,9 +125,7 @@ def _gamma(value, context: str):
     """A step size: a number, or ``"auto"``."""
     if value == solve.AUTO:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number or '{solve.AUTO}', got {value!r}", context=context)
-    return float(value)
+    return _float(value, context, f"a number or '{solve.AUTO}'")
 
 
 def _interval(value, context: str):
@@ -133,7 +134,7 @@ def _interval(value, context: str):
         return None
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"expected [lo, hi], got {value!r}", context=context)
-    return float(value[0]), float(value[1])
+    return _float(value[0], context), _float(value[1], context)
 
 
 def _matrix(data, context: str) -> np.ndarray:

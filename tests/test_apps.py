@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enrichedfp import catalog, convex, solve
+from enrichedfp import _kernels, catalog, certify, convex, solve
 from enrichedfp.apps import (
     SfpInstance,
     VipInstance,
@@ -326,3 +326,69 @@ class TestSolveVip:
         assert result.certificate is not None
         assert not result.certificate.feasible
         assert "infeasible" in result.certificate_note
+
+
+def _orbit_order_sample(trace, seed, random_points=100):
+    """The orbit sample with its rows in iteration order, oldest iterate first."""
+    orbit = np.stack(trace.iterates)
+    lo, hi = orbit.min(axis=0), orbit.max(axis=0)
+    margin = np.maximum(0.5 * (hi - lo), 0.5)
+    lo, hi = lo - margin, hi + margin
+    rng = np.random.default_rng(seed)
+    extra = lo + rng.uniform(size=(random_points, orbit.shape[1])) * (hi - lo)
+    return certify.distinct_sample(
+        np.concatenate([orbit, extra]),
+        f"orbit ({trace.iterations + 1} iterates) + {random_points} random pts (seed {seed})",
+        seed,
+    )
+
+
+def _cert_bits(cert):
+    """Everything a certificate reports, floats as bytes so that -0.0 != 0.0."""
+    witness = None if cert.witness is None else tuple(w.tobytes() for w in cert.witness)
+    bits = [np.float64(v).tobytes() for v in (cert.k, cert.rate, cert.max_violation)]
+    sample = (cert.sample.description, cert.sample.seed, cert.sample.size)
+    return cert.class_tag, *bits, witness, cert.feasible, sample
+
+
+class TestOrbitCertificate:
+    """The orbit sample lists the newest iterate first; certificates match iteration order, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of 3000 entries, so that each orbit sample spans several
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * 3000)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_sfp(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 6
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = q @ np.diag(np.linspace(0.4, 1.9, d)) @ q.T
+        target = rng.uniform(-0.3, 0.3, d)
+        inst = SfpInstance(
+            c_set=convex.Box(lower=-np.ones(d), upper=np.ones(d)),
+            q_set=convex.Ball(center=a @ target, radius=0.2),
+            matrix=a,
+        )
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=5000, stop_rule=solve.STOP_STEP_NORM)
+        result = solve_sfp(inst, cfg, target + 2.5 * rng.standard_normal(d), cert_seed=seed)
+        want = certify.estimate_kannan_constants(sfp_operator(inst), _orbit_order_sample(result.trace, seed))
+        assert _cert_bits(result.certificate) == _cert_bits(want)
+        assert np.array_equal(result.certificate.sample.points[0], result.trace.final)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_vip(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 6
+        b = rng.standard_normal((d, d)) / np.sqrt(d)
+        inst = VipInstance(
+            c_set=convex.Box(lower=-np.ones(d), upper=np.ones(d)),
+            operator=AffineMap(matrix=np.eye(d) + 0.3 * (b - b.T), offset=rng.uniform(-1.5, 1.5, d)),
+            gamma=0.2,
+        )
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=5000, stop_rule=solve.STOP_STEP_NORM)
+        result = solve_vip(inst, cfg, np.zeros(d), seed=seed)
+        want = certify.estimate_bianchini_constants(vip_operator(inst), _orbit_order_sample(result.trace, seed))
+        assert _cert_bits(result.certificate) == _cert_bits(want)
+        assert np.array_equal(result.certificate.sample.points[0], result.trace.final)

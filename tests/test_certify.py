@@ -329,6 +329,18 @@ class TestEstimateKannan:
         wx, wy = cert.witness
         assert {tuple(wx), tuple(wy)} == {(0.0, 0.0), (1.0, 0.0)}
 
+    @pytest.mark.parametrize("estimate", [estimate_kannan_constants, estimate_bianchini_constants])
+    def test_a_positive_violation_at_the_chosen_k_is_infeasible(self, estimate):
+        # every point of [0, 2e-15] is fixed, so the map is not Kannan; the
+        # ratio sweep passes over the pair (0, 1e-15), whose numerator is
+        # below ZERO_NUM_TOL, but the violation check at the rate counts it
+        table = PiecewiseTable(breakpoints=[0.0, 2e-15, 1.0], slopes=[1.0, 0.1], intercepts=[0.0, 1.8e-15])
+        sample = SampleSet(points=np.array([0.0, 1e-15, 0.25, 0.5, 1.0]), description="5 pts")
+        cert = estimate(table, sample)
+        assert cert.k == 0.0 and cert.rate < 0.5
+        assert cert.max_violation > 0.0
+        assert not cert.satisfied and not cert.feasible
+
     def test_empty_grid(self, reflection, unit_sample):
         with pytest.raises(InvalidConstantError):
             estimate_kannan_constants(reflection, unit_sample, ())
@@ -516,7 +528,7 @@ def _unpruned_estimate(mapping, sample, k_grid, mode, rate_limit, plain_tag, enr
         max_violation=viol,
         witness=witness,
         sample=sample,
-        feasible=rate < rate_limit and certify._checked(viol),
+        feasible=rate < rate_limit and viol <= 0.0,
     )
 
 
@@ -757,6 +769,55 @@ class TestPrunedEstimate:
             except DegenerateSampleError:
                 with pytest.raises(DegenerateSampleError):
                     _unpruned_estimate(mapping, sample, grid, *ESTIMATORS[0][1])
+
+
+# --- row order: a certificate does not depend on the order of the sample rows --
+
+
+def _rows_in(sample, order, how):
+    return SampleSet(points=sample.points[list(order)], description=f"{sample.description}, {how}")
+
+
+class TestRowOrder:
+    @given(
+        d=st.integers(1, 12),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        orbit=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_a_row_permutation_changes_no_bit(self, d, n, seed, orbit, data):
+        # an affine map x -> b - c x plus a coarse perturbation, on coarse
+        # random points, or on its orbit from a random start followed by a
+        # few random points, as the apps' orbit samples are built
+        rng = np.random.default_rng(seed)
+        b = rng.integers(-4, 5, size=d) / 4
+        matrix = -rng.uniform(0.0, 1.5) * np.eye(d) + rng.integers(-2, 3, size=(d, d)) / 8
+        mapping = AffineMap(matrix=matrix, offset=b)
+        pts = rng.integers(-4, 5, size=(n, d)) / 4
+        if orbit:
+            rows = [pts[0]]
+            for _ in range(n - 1):
+                rows.append(0.5 * rows[-1] + 0.5 * mapping.apply(rows[-1]))
+            pts = np.concatenate([rows, pts[1:6]])
+        sample = distinct_sample(pts, f"{n} rows in R^{d}", seed=None)
+        if sample is None:
+            return
+        order = data.draw(st.permutations(range(sample.size)))
+        samples = [_rows_in(sample, range(sample.size)[::-1], "reversed"), _rows_in(sample, order, "permuted")]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_BLOCK_BYTES", 8 * 64)
+            for estimate, _ in ESTIMATORS:
+                try:
+                    want = _cert_bits(estimate(mapping, sample))
+                except DegenerateSampleError:
+                    for other in samples:
+                        with pytest.raises(DegenerateSampleError):
+                            estimate(mapping, other)
+                    continue
+                for other in samples:
+                    assert _cert_bits(estimate(mapping, other)) == want
 
 
 # --- the pick rule on its own: pruned outcomes never change it ---------------

@@ -274,6 +274,33 @@ class TestErrors:
         assert "mapping.domain: expected [lo, hi]" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("certify", {"variant": "scale_1d", "domain": [0, 1]}, "mapping.c"),
+            ("vip", {"type": "vip", "C": {"variant": "box", "lower": [0], "upper": [2]},
+                     "G": {"variant": "reflection_1d"}}, "instance.gamma"),
+            ("sfp", {"type": "sfp", "C": {"variant": "box", "lower": [0, 0], "upper": [1, 1]},
+                     "Q": {"variant": "ball", "center": [2, 2]}, "A": [[2, 0], [0, 2]], "gamma": 0.25},
+             "instance.Q.radius"),
+        ],
+        ids=["scale_c", "vip_gamma", "ball_radius"],
+    )
+    def test_a_float_field_that_is_not_a_number_exits_1(self, tmp_path, command, payload, named, value):
+        # ``named`` is the field's path below the file's top level, which sets ``value``
+        *parents, field = named.split(".")[1:]
+        payload = json.loads(json.dumps(payload))
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[field] = value
+        path = write_json(tmp_path / "input.json", payload)
+        result = run_cli(command, "--input", path, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert f"{named}: expected a number, got {value!r}" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_sample_bounds_without_an_axis_exit_1(self, tmp_path, reflection_json):
         config = write_json(tmp_path / "config.json", {"sample": {"bounds": []}})
         result = run_cli(

@@ -1105,3 +1105,91 @@ def test_a_full_sweep_has_no_sup_exactly_when_no_pair_has_a_positive_scale(d, n,
     sup, _, infeasible, _ = got
     if not infeasible:
         assert (sup == -math.inf) == (not positive)
+
+
+# --- k = 0: the dead k * (x_i - x_j) term is skipped where every range is finite --
+
+
+@pytest.fixture
+def x_terms(monkeypatch):
+    """Per ``enriched_sq`` call: True when it got the x differences, False when it skipped them."""
+    seen = []
+    real = _kernels._Triangle.enriched_sq
+
+    def spy(self, xt, *args, **kwargs):
+        seen.append(xt is not None)
+        return real(self, xt, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels._Triangle, "enriched_sq", spy)
+    return seen
+
+
+def _wide_case(seed, n, d):
+    """Random rows whose first coordinate spans about 2e150: huge, but a finite range."""
+    pts, images = _random_case(seed, n, d)
+    pts[:, 0] *= 1e150
+    images[:, 0] *= 1e150
+    return pts, images
+
+
+def _range_overflow_case(seed, n, d):
+    """Random rows, with fixed points at +-1e308 in the first coordinate (its
+    range overflows; the others stay small) and one more fixed point."""
+    pts, images = _random_case(seed, n, d)
+    far, near = [n // 3, 2 * n // 3], n // 2
+    pts[far, 0] = 1e308, -1e308
+    images[far + [near]] = pts[far + [near]]
+    return pts, images
+
+
+def _k0_results(pts, images, kernels):
+    """``ratio_sup`` at k = 0, then ``violation_max`` at k = 0 at that sup and at 0.2, per mode."""
+    out = []
+    for mode in (MODE_KANNAN, MODE_BIANCHINI):
+        ratio = kernels[0](pts, images, 0.0, mode)
+        out.append(ratio)
+        rate = max(ratio[0], 0.0) if math.isfinite(ratio[0]) else 0.2
+        out += [kernels[1](pts, images, 0.0, r, mode) for r in (rate, 0.2)]
+    return out
+
+
+ORACLES = (brute_ratio, brute_violation)
+
+
+@pytest.mark.parametrize("case", [_random_case, _tie_heavy_case, _wide_case])
+@pytest.mark.parametrize("d", DIMS)
+def test_k0_sweeps_skip_the_x_term_and_match_the_oracle(eight_blocks, x_terms, case, d):
+    pts, images = case(seed=60 + d, n=80, d=d)
+    got = _k0_results(pts, images, (ratio_sup, violation_max))
+    assert not any(x_terms)
+    assert _bits(got) == _bits(_k0_results(pts, images, ORACLES))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_k0_keeps_the_x_term_where_one_coordinate_range_overflows(eight_blocks, x_terms, d):
+    # x_i - x_j overflows to inf for the two far rows, so 0 * (x_i - x_j) is
+    # NaN and their pair fails closed. Without the x term its numerator would
+    # be inf instead, and the smallest zero-scale pair (53, 40) the witness
+    pts, images = _range_overflow_case(seed=d, n=80, d=d)
+    got = _k0_results(pts, images, (ratio_sup, violation_max))
+    assert x_terms and all(x_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _k0_results(pts, images, ORACLES)
+    assert _bits(got) == _bits(want)
+    assert got[0][2:] == got[3][2:] == (True, (53, 26))
+
+
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_banach_at_k0_keeps_the_x_term(eight_blocks, x_terms, d):
+    # Banach's rhs is ||x_i - x_j||, so its pass always subtracts the x
+    pts, images = _random_case(seed=d, n=80, d=d)
+    got = violation_max(pts, images, 0.0, 0.3, MODE_BANACH)
+    assert x_terms and all(x_terms)
+    assert _bits(got) == _bits(brute_violation(pts, images, 0.0, 0.3, MODE_BANACH))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_k0_sweeps_without_a_pair(n):
+    x = np.zeros((n, 3))
+    assert ratio_sup(x, x, 0.0, MODE_KANNAN) == (-math.inf, (-1, -1), False, (-1, -1))
+    assert violation_max(x, x, 0.0, 0.2, MODE_BIANCHINI) == (-math.inf, (-1, -1))

@@ -1,3 +1,4 @@
+import copy
 import csv
 from dataclasses import dataclass, fields, replace
 
@@ -210,6 +211,54 @@ class TestInstanceRoundTrip:
         data["gamma"] = gamma
         got = serialize.sfp_instance_from_dict(data).gamma
         assert got == read and type(got) is type(read)
+
+
+SFP_BALL_Q = {
+    "type": "sfp",
+    "C": {"variant": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "Q": {"variant": "ball", "center": [2.0, 2.0], "radius": 0.5},
+    "A": [[2.0, 0.0], [0.0, 2.0]],
+    "gamma": 0.25,
+}
+
+# (reader, a valid input, the path to one of its float fields, that field's context)
+FLOAT_FIELDS = [
+    (serialize.mapping_from_dict, {"variant": "scale_1d", "c": 0.5, "domain": [0.0, 1.0]}, ("c",), "mapping.c"),
+    (serialize.mapping_from_dict, {"variant": "scale_1d", "c": 0.5, "domain": [0.0, 1.0]},
+     ("domain", 1), "mapping.domain"),
+    (serialize.mapping_from_dict, {"variant": "averaged", "inner": {"variant": "reflection_1d"}, "lambda": 0.5},
+     ("lambda",), "mapping.lambda"),
+    (serialize.convex_from_dict, {"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}, ("radius",), "set.radius"),
+    (serialize.convex_from_dict, {"variant": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
+     ("offset",), "set.offset"),
+    (serialize.instance_from_dict, serialize.instance_to_dict(catalog.vip_line()), ("gamma",), "instance.gamma"),
+    (serialize.instance_from_dict, SFP_BALL_Q, ("Q", "radius"), "instance.Q.radius"),
+]
+
+
+def _with(data, path, value):
+    """A deep copy of ``data`` with the entry at ``path`` set to ``value``."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+class TestNumberOnlyFloats:
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]], ids=["true", "false", "string", "null", "list"])
+    @pytest.mark.parametrize("read, data, path, context", FLOAT_FIELDS, ids=[f[3] for f in FLOAT_FIELDS])
+    def test_a_float_field_takes_only_a_number(self, read, data, path, context, value):
+        read(data)
+        with pytest.raises(ConfigError) as info:
+            read(_with(data, path, value))
+        assert str(info.value) == f"{context}: expected a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5)])
+    def test_a_number_reads_as_a_float(self, value):
+        got = serialize._float(value, "field")
+        assert got == value and type(got) is float
 
 
 class TestCertificateDict:
