@@ -77,16 +77,77 @@ with a short block, 1/16 of a buffer, so that a sweep that stops at once
 covers few pairs even when one buffer holds most of the triangle (a
 201-point sample's first full block holds 96% of its pairs).
 
-A full ``ratio_sup`` sweep also bounds the violation check that follows
-it at the same ``k`` and mode. With ``bounds`` it records, for each block,
-``V = max(num - s * scale)`` over the block's pairs, with ``s`` the running
-sup after the block (at least 0). ``violation_max(..., blocks=)`` at a
-finite rate at or above both that sup and 0 then sweeps the blocks in
-descending ``V`` and stops at the first whose ``V`` is below its running
-maximum, with the bits of a full sweep: no pair of a skipped block reaches
-the maximum or ties with it (the proof is in ``violation_max``). A block
-whose pairs are far below the sup is passed over; the blocks that hold
-pairs at the sup are swept again.
+The Kannan and Bianchini sweeps skip the pairs that cannot reach their
+extremum, with the bits of a full sweep. Each row gets a key that bounds
+every pair it forms with a row of smaller key; the rows are swept by
+descending key, and the sweep stops at the first block whose leading key
+is strictly below the running extremum (``_until``). Every pair of the
+blocks left out is then below the extremum: not a tie with it, and not
+NaN. The rows are mapped back to the sample's rows (``_Smallest``), so
+the witness, the tie-break and every zero or NaN pair are those of the
+full sweep. ``violation_max`` keys each row by ``2 (H_i - w rate d_i)``,
+``w`` 1 (Kannan) or 1/2 (Bianchini), at a finite ``rate >= 0``;
+``ratio_sup`` by ``H_i / d_i`` (Kannan) or twice it (Bianchini). Here
+``d_i`` is the displacement the sweep uses and ``H_i`` is
+``_pair_bound``'s, below.
+
+*The pair bound.* Take a pivot row ``p``, the row of least displacement
+among the small rows (those whose points and images have a norm up to
+``2**500 / ((|k| + 1) d)``), and let ``h_i`` be the literal pair value
+``||k (x_i - x_p) + (t_i - t_p)||`` in floating point. Exactly,
+``v_ij = v_ip - v_jp`` for ``v_ij = k (x_i - x_j) + (t_i - t_j)``, so
+``||v_ij|| <= ||v_ip|| + ||v_jp||``. With ``u = 2**-53`` and each
+rounding ``fl(y) = y (1 + a) + b``, ``|a| <= u`` and ``|b| <= 2**-1075``
+(``b = 0`` for a sum):
+
+* a coordinate of the computed enriched difference is within
+  ``3u (|k| |x_ic - x_jc| + |t_ic - t_jc|) + 2**-1074`` of the exact one,
+  so the norm of those errors is at most ``3.01u (|k| + 1) (s_i + s_j)``,
+  ``s_i`` the larger of the row's two norms, plus ``sqrt(d) 2**-1074``;
+* the computed square sum lies within a factor ``(1 +- u)**d`` of the
+  exact sum of the computed squares, up to ``d 2**-1075`` for squares that
+  underflow, and the square root adds a factor ``1 +- u``.
+
+So the computed ``num_ij`` is at most ``(1 + (d + 2) u)`` times the norm
+of the exact difference plus those errors, and ``h_i`` at least
+``(1 - (d + 2) u)`` times the exact ``||v_ip||`` less its own errors.
+Chaining the three, ``num_ij <= H_i + H_j`` for
+
+    H_i = h_i (1 + (d + 6) eps) + 5 eps (|k| + 1) (s_i + s_p) + d 2**-500,
+
+``eps = 2u``, which is what ``_pair_bound`` computes, with room for its
+own three roundings. The last term is far above every underflow error,
+and keeps ``H_i``, and ``H_i / d_i`` of a small row (``d_i`` below
+``2**501``), normal numbers. A small row's points are below ``2**500`` in
+norm, so no operation on a pair of two small rows overflows, and its
+``num`` is finite; the other rows get ``H = +inf``.
+
+*The keys.* Take two rows with finite keys: small rows, so with a finite
+displacement, positive in ``ratio_sup``. Their Kannan ratio
+``fl(num / fl(d_i + d_j))`` is at most ``max(H_i / d_i, H_j / d_j) /
+(1 - u)`` by monotone rounding, and the key ``fl(fl(H_i / d_i) (1 + 2
+eps))``, a normal number, is at least ``(H_i / d_i) / (1 - u)``. Their
+Bianchini ratio ``fl(num / max(d_i, d_j))`` is at most ``H_i / d_i +
+H_j / d_j``, so at most twice the larger key. Their guarded excess
+``fl(fl(num - rhs) - guard)`` is at most ``(1 + u) num - (1 - u) rhs``,
+the guard being at least 0, with ``rhs`` at least ``(1 - u)**2 w rate
+(d_i + d_j) - 2**-1075`` (a sum rounds the Kannan scale; the maximum is
+exact and at least half the sum). The row key, rounded outward with
+``nextafter``, is at least twice ``(1 + u) H_i - (1 - u)**3 w rate d_i``,
+so the excess is at most the larger key plus ``2**-1075``, and no float
+lies strictly between a float ``K`` and ``K + 2**-1074``. A pair of two
+such rows has a finite ``num`` and scale, so no NaN value either (an
+``rhs`` that overflows makes the excess ``-inf``). The other rows have
+key +inf, NaN keys included: a row too large or not finite
+(``H = +inf``), and in ``ratio_sup`` a fixed row (``H / 0``), whose pairs
+with other fixed rows are zero pairs. These rows lead the order, so every
+pair they form is swept. (The excess bound holds at ``d_i = 0`` too.)
+
+A sweep of at most two blocks is not sorted (``_worth_sorting``): it
+could skip at most its second block, and the keys and the sort cost about
+what that block does. With 256 KB buffers that is every sample of up to
+278 rows, the 201-point default samples among them, whose first block
+holds 96% of the pairs.
 
 ``perfbench/`` measures these kernels end to end and per call.
 """
@@ -95,6 +156,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,20 +195,19 @@ _UFUNC_BUFSIZE = 256
 
 
 def _prepare(points, images):
+    """``(x, t, xt, tt, disp)``: points, images, both by coordinate, displacements."""
     x = np.ascontiguousarray(points, dtype=np.float64)
     t = np.ascontiguousarray(images, dtype=np.float64)
     if x.shape != t.shape or x.ndim != 2:
         raise ValueError(f"points/images shape mismatch: {x.shape} vs {t.shape}")
     disp = np.sqrt(np.sum((x - t) ** 2, axis=-1))
-    pnorm = np.sqrt(np.sum(x**2, axis=-1))
-    tnorm = np.sqrt(np.sum(t**2, axis=-1))
-    return x, t, disp, pnorm, tnorm
+    return x, t, np.ascontiguousarray(x.T), np.ascontiguousarray(t.T), disp
 
 
-def _x_term(x, xt, k):
+def _x_term(xt, k):
     """``xt``, or None where every ``k * (x_i - x_j)`` term of the pair sums is dead.
 
-    At ``k == 0`` with every coordinate range ``ptp(x, axis=0)`` finite,
+    At ``k == 0`` with every coordinate range ``ptp(xt, axis=1)`` finite,
     each ``x_i - x_j`` is finite (its magnitude rounds to at most the
     range, rounding being monotone), so ``0 * (x_i - x_j)`` is ``+-0``,
     and ``+-0 + d`` is ``d`` up to the sign of a zero, which squaring
@@ -155,7 +216,7 @@ def _x_term(x, xt, k):
     makes some ``0 * (x_i - x_j)`` NaN, which the pair must keep. With no
     rows there is no range, and no pair either.
     """
-    if k == 0.0 and len(x) and np.all(np.isfinite(np.ptp(x, axis=0))):
+    if k == 0.0 and xt.shape[1] and np.all(np.isfinite(np.ptp(xt, axis=1))):
         return None
     return xt
 
@@ -182,14 +243,20 @@ def _blocks(n, lead=False):
     (or one row), so a sweep that stops after it has covered few pairs even
     when one buffer holds most of the triangle.
     """
-    entries = _BLOCK_BYTES // 8
+    return list(_block_rows(n, lead, _BLOCK_BYTES))
+
+
+@lru_cache(maxsize=64)
+def _block_rows(n, lead, block_bytes):
+    """``_blocks`` at ``block_bytes``, cached: each sweep of a sample asks for the same."""
+    entries = block_bytes // 8
     blocks, lo = [], 0
     while lo < n:
         size = entries // _LEAD_SHARE if lead and not blocks else entries
         hi = min(n, lo + max(1, size // (n - lo)))
         blocks.append((lo, hi))
         lo = hi
-    return blocks
+    return tuple(blocks)
 
 
 @contextmanager
@@ -271,10 +338,14 @@ class _Triangle:
 
 
 class _Smallest:
-    """Smallest ordered pair by ``(rank key, i, j)`` among the pairs offered, in any order."""
+    """Smallest ordered pair by ``(rank key, i, j)`` among the pairs offered, in any order.
 
-    def __init__(self, rank):
-        self.rank = rank
+    A sweep over the rows in another order offers positions in that order:
+    ``order[pos]`` is the sample row at ``pos`` (None: the sample's order).
+    """
+
+    def __init__(self, rank, order=None):
+        self.rank, self.order = rank, order
         self.best = None  # (key, i, j)
 
     def offer(self, i, j, either=False):
@@ -282,7 +353,10 @@ class _Smallest:
         orientation comes first, for values that hold for ``(j, i)`` too."""
         if i.size == 0:
             return
+        if self.order is not None:
+            i, j = self.order[i], self.order[j]
         if either:  # equal points keep i < j, the first in row-major order
+            i, j = np.minimum(i, j), np.maximum(i, j)
             flip = self.rank[j] < self.rank[i]
             i, j = np.where(flip, j, i), np.where(flip, i, j)
         keys = self.rank[i] * self.rank.shape[0] + self.rank[j]
@@ -306,12 +380,12 @@ class _Extremum:
     masked with the sentinel, never does.
     """
 
-    def __init__(self, rank, largest):
-        self.rank = rank
+    def __init__(self, rank, largest, order=None):
+        self.rank, self.order = rank, order
         self.largest = largest
         self.value = -np.inf if largest else np.inf
-        self.winner = _Smallest(rank)
-        self.nan = _Smallest(rank)
+        self.winner = _Smallest(rank, order)
+        self.nan = _Smallest(rank, order)
 
     def _reduce(self, vals):
         return vals.max() if self.largest else vals.min()
@@ -335,7 +409,7 @@ class _Extremum:
         better = m > self.value if self.largest else m < self.value
         if better:
             self.value = float(m)
-            self.winner = _Smallest(self.rank)
+            self.winner = _Smallest(self.rank, self.order)
         if better or m == self.value:
             self.winner.offer(*_found(vals == m, lo, sides, lambda v: v == m), either=sides is None)
 
@@ -359,28 +433,109 @@ def _found(hits, lo, sides, test):
     return np.concatenate((i[fwd], j[rev])), np.concatenate((j[fwd], i[rev]))
 
 
-def _excess_bound(num, scale, sup):
-    """``max(num - max(sup, 0) * scale)`` off the block's diagonal; +inf for NaN.
+def _pair_bound(xt, tt, disp, k):
+    """Per row ``H`` such that ``fl(num_ij) <= H_i + H_j`` for any two rows of finite ``H``.
 
-    Overwrites ``scale``.
+    ``xt`` and ``tt`` are the points and images by coordinate. ``H`` is
+    +inf on the rows too large to bound and NaN on a row with a NaN entry;
+    it is None when it bounds no row: ``k`` is not finite, or every row is
+    too large or NaN. The module docstring has the proof.
     """
-    excess = np.multiply(scale, max(sup, 0.0), out=scale)
-    np.subtract(num, excess, out=excess)
-    np.fill_diagonal(excess, -np.inf)
-    bound = float(excess.max())
-    return math.inf if math.isnan(bound) else bound
+    d, n = xt.shape
+    if not math.isfinite(k):
+        return None
+    # a few coordinates at a time, so that no temporary outgrows half a block
+    # buffer: larger ones raised the peak memory of a sweep
+    step = max(1, _BLOCK_BYTES // 16 // n)
+    chunks = [slice(c, c + step) for c in range(0, d, step)]
+    sq_x, sq_t = np.zeros(n), np.zeros(n)
+    for c in chunks:
+        sq_x += np.sum(xt[c] * xt[c], axis=0)
+        sq_t += np.sum(tt[c] * tt[c], axis=0)
+    # the larger of each row's two norms; inf or NaN for a row with one
+    size = np.sqrt(np.maximum(sq_x, sq_t))
+    # a NaN row is not large, but its H is NaN, which its key reads as +inf
+    large = size > 2.0**500 / ((abs(k) + 1.0) * d)
+    least = np.where(large, np.inf, disp)
+    least[np.isnan(least)] = np.inf
+    if least.min() == np.inf:
+        return None
+    p = np.flatnonzero(least == least.min())[0]  # the pivot: least displacement
+    acc = np.zeros(n)
+    for c in chunks:
+        e = np.subtract(xt[c], xt[c, p, None])
+        e *= k
+        e += tt[c] - tt[c, p, None]
+        e *= e
+        acc += np.sum(e, axis=0)
+    h = np.sqrt(acc)
+    spread = (abs(k) + 1.0) * (size + size[p])
+    bound = h * (1.0 + (d + 6) * EPS) + spread * (5.0 * EPS) + d * 2.0**-500
+    return np.where(large, np.inf, bound)
 
 
-def _above(blocks, best):
-    """The ``(lo, hi)`` of ``blocks`` by descending bound, up to the first
-    bound below ``best``'s running value; every later bound is below it too."""
-    for lo, hi, bound in sorted(blocks, key=lambda block: -block[2]):
-        if bound < best.value:
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _row_keys(xt, tt, disp, k, mode, rate=None):
+    """Per row a bound on its pairs: every pair of two rows has a ratio
+    (``rate`` None) or a guarded excess at ``rate`` at most the larger key
+    of the two, +inf for a row with no bound. None where no sweep can stop
+    early: Banach mode, a ``rate`` that is negative or not finite, or too
+    few blocks.
+    """
+    if mode not in PAIR_SCALE or not _worth_sorting(len(disp)):
+        return None
+    if rate is not None and not 0.0 <= rate < np.inf:
+        return None
+    pair_bound = _pair_bound(xt, tt, disp, k)
+    if pair_bound is None:
+        return None
+    if rate is None:  # ratio <= max(key_i, key_j) (Kannan), <= key_i + key_j (Bianchini)
+        key = pair_bound / disp * (1.0 + 2.0 * EPS)
+        if mode == MODE_BIANCHINI:
+            key *= 2.0
+    else:  # excess <= key_i + key_j
+        w = 1.0 if mode == MODE_KANNAN else 0.5
+        rhs_low = _down(_down(rate * disp) * (w * (1.0 - 2.0 * EPS)))
+        key = 2.0 * _up(_up(pair_bound * (1.0 + EPS)) - rhs_low)
+    key[np.isnan(key)] = np.inf  # no bound
+    return key
+
+
+def _descending(key):
+    """The rows by descending ``key``, and the keys in that order; ``(None, None)`` for no key."""
+    if key is None:
+        return None, None
+    order = np.argsort(key, kind="stable")[::-1]
+    return order, key[order]
+
+
+def _until(blocks, key, best):
+    """``blocks`` up to the first whose leading row's ``key`` is below ``best``'s running value.
+
+    Rows come by descending key, and a key bounds every pair of its row
+    with a later one, so no pair of a block left out reaches the extremum
+    or ties with it. With no key, every block.
+    """
+    for lo, hi in blocks:
+        if key is not None and key[lo] < best.value:
             return
         yield lo, hi
 
 
-def violation_max(points, images, k, rate, mode, *, rank=None, blocks=None):
+def _worth_sorting(n):
+    """Whether a sweep of ``n`` rows sorts them: only with more than two
+    blocks, since a sort could skip at most the second (module docstring)."""
+    return len(_blocks(n)) > 2
+
+
+def violation_max(points, images, k, rate, mode, *, rank=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
     Returns ``(max_violation, (i, j))`` where the index pair is the
@@ -388,39 +543,31 @@ def violation_max(points, images, k, rate, mode, *, rank=None, blocks=None):
     ``(inf, smallest NaN pair)``. ``rank`` is ``_row_rank(points)`` when a
     caller already has it; by default it is computed here.
 
-    ``blocks`` is the ``bounds`` list of a ``ratio_sup`` sweep over the
-    same points and images at the same ``k`` and mode (Kannan or
-    Bianchini) that covered every pair, with a finite
-    ``rate >= max(sup, 0)``. The blocks are then swept in descending
-    bound, and the sweep stops at the first block whose bound is below the
-    running maximum: a block at the maximum may hold a tie, so it is swept. The result has the bits
-    of the full sweep. Take a pair of a block with bound ``V``, recorded
-    at the running sup ``s_run`` (clamped at 0), with ``num`` and
-    ``scale`` the bits both kernels compute. ``rate >= s_run`` and
-    rounding is monotone, so:
-
-    * ``rhs = fl(rate * scale) >= fl(s_run * scale)`` where neither is
-      NaN, so the pair's ``net = fl(num - rhs) <= fl(num - fl(s_run *
-      scale)) <= V``;
-    * the guard ``fl(8 eps * G)`` is at least 0, since ``G`` sums terms at
-      least 0, so either orientation's ``fl(net - guard) <= net <= V``;
-    * a pair whose ``net`` or excess is NaN has a NaN or +inf term in
-      ``V`` (a NaN ``num`` or ``scale``, ``0 * inf`` in ``s_run * scale``,
-      or ``num = inf``), and a NaN ``V`` is recorded as +inf.
-
-    So every pair of a skipped block is below the maximum and not NaN.
+    In the Kannan and Bianchini modes at a finite ``rate >= 0`` the rows
+    are swept by descending key ``2 (H_i - w rate d_i)``, ``w`` 1 (Kannan)
+    or 1/2 (Bianchini), and the sweep stops at the first block whose
+    leading key is below the running maximum (see the module docstring).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, t, disp, pnorm, tnorm = _prepare(points, images)
+        x, t, xt, tt, disp = _prepare(points, images)
+        pnorm = np.sqrt(np.sum(x**2, axis=-1))
+        tnorm = np.sqrt(np.sum(t**2, axis=-1))
         k, rate = float(k), float(rate)
-        xt, tt = np.ascontiguousarray(x.T), np.ascontiguousarray(t.T)
+        n = x.shape[0]
         scale = PAIR_SCALE.get(mode)
         banach = scale is None
+        if rank is None:
+            rank = _row_rank(x)
+        order, key = _descending(_row_keys(xt, tt, disp, k, mode, rate))
+        if order is not None:
+            xt = np.take(xt, order, axis=1)
+            tt = np.take(tt, order, axis=1)
+            disp, pnorm, tnorm = disp[order], pnorm[order], tnorm[order]
+        best = _Extremum(rank, largest=True, order=order)
+        blocks = _until(_blocks(n), key, best)
         if not banach:  # Banach's rhs needs the x differences at every k
-            xt = _x_term(x, xt, k)
-        n = x.shape[0]
-        best = _Extremum(_row_rank(x) if rank is None else rank, largest=True)
-        tri = _Triangle(n, 4 if banach else 3, _blocks(n) if blocks is None else _above(blocks, best))
+            xt = _x_term(xt, k)
+        tri = _Triangle(n, 4 if banach else 3, blocks)
         with _small_ufunc_buffer():
             for num, rhs, back, *extra in tri:
                 dx_sq = extra[0] if banach else None
@@ -452,7 +599,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None, blocks=None):
         return best.value, best.pair
 
 
-def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
+def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     """Supremum of ``lhs / rhs_scale`` over pairs with a positive rhs scale.
 
     The rhs scale is ``PAIR_SCALE[mode]`` of the pair's two displacements,
@@ -464,6 +611,10 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
     that is not infeasible only then: a pair with a positive scale has a
     ratio of at least 0, or a NaN one.
 
+    The rows are swept by descending key ``H_i / d_i`` (Kannan) or
+    ``2 H_i / d_i`` (Bianchini), and the sweep stops at the first block
+    whose leading key is below the running sup (see the module docstring).
+
     With ``stop_at``, the sweep returns after the first triangle block at
     which the running sup is ``>= stop_at``. The sup returned then is only a
     lower bound on the full sup that has reached ``stop_at``, and the witness
@@ -471,28 +622,25 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
     sweep that never reaches ``stop_at`` returns what it returns without
     it. ``rank`` is ``_row_rank(points)`` when a caller already has it; by
     default it is computed here.
-
-    With ``bounds``, a list, each block swept that does not stop the
-    sweep appends ``(lo, hi, V)``: its rows and
-    ``V = max(num - max(s_run, 0) * scale)`` over its pairs, with ``s_run``
-    the running sup after the block. ``V`` is +inf when it is NaN, and
-    when the block raised the running sup: such a block holds a pair with
-    ``num`` about ``s_run * scale``, so it would be swept again anyway,
-    and its extra passes are skipped. A full sweep's list is
-    ``violation_max``'s ``blocks``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, t, disp, _, _ = _prepare(points, images)
+        x, _, xt, tt, disp = _prepare(points, images)
         k = float(k)
-        xt, tt = _x_term(x, np.ascontiguousarray(x.T), k), np.ascontiguousarray(t.T)
+        n = x.shape[0]
         if rank is None:
             rank = _row_rank(x)
+        order, key = _descending(_row_keys(xt, tt, disp, k, mode))
+        if order is not None:
+            xt = np.take(xt, order, axis=1)
+            tt = np.take(tt, order, axis=1)
+            disp = disp[order]
+        best = _Extremum(rank, largest=True, order=order)
+        blocks = _until(_blocks(n, lead=stop_at is not None), key, best)
+        zero = _Smallest(rank, order)
+        xt = _x_term(xt, k)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
-        n = x.shape[0]
-        tri = _Triangle(n, 3, _blocks(n, lead=stop_at is not None))
-        best = _Extremum(rank, largest=True)
-        zero = _Smallest(rank)
+        tri = _Triangle(n, 3, blocks)
         with _small_ufunc_buffer():
             for num, scale, tmp in tri:
                 tri.enriched_sq(xt, tt, k, num, scale, tmp)
@@ -508,13 +656,9 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, bounds=None):
                     zero.offer(rows[bad_r], cols[bad_c], either=True)
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
-                before = best.value
                 best.update(ratio, tri.lo)
                 if stop_at is not None and best.value >= stop_at:
                     break
-                if bounds is not None:
-                    bound = math.inf if best.value > before else _excess_bound(num, scale, best.value)
-                    bounds.append((tri.lo, tri.hi, bound))
         pair = best.pair if best.value > -np.inf else (-1, -1)
         zpair = best.nan.pair or zero.pair
         return best.value, pair, zpair is not None, zpair or (-1, -1)

@@ -2,9 +2,8 @@
 
 A certificate never claims more than it measured: the quantified inequality
 is checked over all ordered pairs of a recorded sample set, and the verdict
-is explicitly "on S". Each pair is checked either exactly or, in the
-estimators, by a bound from the rate sweep that proves it below the
-maximum found (``_kernels.violation_max``'s ``blocks``). Violations are
+is explicitly "on S". Each pair is checked either exactly or by a per-row
+bound that proves it below the maximum found (``_kernels``). Violations are
 reported net of a per-pair rounding guard (`_kernels.CHECK_GUARD_EPS` times
 the magnitudes involved): double precision cannot resolve the inequality
 closer than a few ulp of the pair's scale, so constants that satisfy it
@@ -192,8 +191,8 @@ class ContractionCertificate:
 
     ``max_violation`` is the worst guarded excess lhs - rhs over all
     distinct ordered sample pairs; the condition holds on the sample iff it
-    is <= 0. Each pair's excess was either computed or, after an estimate,
-    bounded below the maximum by the rate sweep, so the maximum is that of
+    is <= 0. Each pair's excess was either computed or bounded below the
+    maximum by the kernel's per-row bound, so the maximum is that of
     the full pairwise loop, bit for bit. ``witness`` is the
     (lexicographically smallest) pair attaining it, kept for failure
     forensics; it is never a pair of equal points, so a kernel that
@@ -429,15 +428,9 @@ def _estimate(mapping, sample, k_grid, mode):
     ``s_ref`` ties with nothing, so every infinite sup must be kept).
 
     The rate and witness of the chosen ``k`` come from its full sweep, and
-    the violation check at the chosen ``(k, rate)`` covers every pair. That
-    sweep was full and feasible, so when its rate is finite it also bounds
-    each block's excess at that rate (``ratio_sup``'s ``bounds``), and the
-    check sweeps only the blocks whose bound reaches the maximum: every
-    pair of the others is proven below it, with the bits of a full check.
-    The ``check_*`` functions sweep every pair.
+    the violation check at the chosen ``(k, rate)`` covers every pair.
     The fallback witness, read only when no ``k`` is feasible, comes from
-    the first infeasible ``k`` in grid order; with no feasible ``k`` no
-    sweep had a bound.
+    the first infeasible ``k`` in grid order.
 
     The estimate is feasible only when its rate is inside the class range
     and the check holds: ``max_violation <= 0``, which a NaN or +inf
@@ -459,12 +452,11 @@ def _estimate(mapping, sample, k_grid, mode):
     rank = _kernels._row_rank(sample.points)  # one tie-break order for every sweep
     guesses = _probe(sample.points, images, k_values, mode)
     outcomes = [None] * len(k_values)
-    bounds = [[] for _ in k_values]  # each k's per-block excess bounds
     s_ref = None  # the smallest full sup of a feasible k so far
     for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
         stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
         outcome = _kernels.ratio_sup(
-            sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank, bounds=bounds[i]
+            sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank
         )
         sup, _, infeasible, _ = outcome
         if stop_at is not None and sup >= stop_at:
@@ -487,8 +479,7 @@ def _estimate(mapping, sample, k_grid, mode):
         )
 
     k, rate, pair = k_values[best], outcomes[best][0], outcomes[best][1]
-    blocks = bounds[best] if math.isfinite(rate) else None
-    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank, blocks=blocks)
+    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank)
     return ContractionCertificate(
         class_tag=plain if k == 0.0 else enriched,
         k=k,

@@ -116,6 +116,13 @@ def _point(dim: int):
     return convert
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is ``true`` or ``false``, or an array holding one."""
+    if isinstance(value, bool):
+        return True
+    return isinstance(value, list) and any(_holds_bool(item) for item in value)
+
+
 def _stop_rule(value) -> str:
     rules = (solve.STOP_AUTO, solve.STOP_APOSTERIORI, solve.STOP_STEP_NORM)
     if value not in rules:
@@ -136,8 +143,10 @@ class _Settings:
         """The value of ``flag``, else of the dotted ``config_path``, else
         ``default`` (returned as is); either source may be None.
 
-        ``convert`` turns a given value into its type. A value it rejects
-        raises ``ConfigError`` naming the flag or the config path.
+        ``convert`` turns a given value into its type. A value it rejects,
+        and a JSON boolean anywhere in the value (no setting is one, and
+        ``float`` and ``int`` would read ``true`` as 1), raises
+        ``ConfigError`` naming the flag or the config path.
         """
         source, value = flag, None
         if flag is not None:
@@ -153,6 +162,8 @@ class _Settings:
             return default
         if convert is None:
             return value
+        if _holds_bool(value):
+            raise ConfigError(f"{source}: expected no boolean, got {value!r}")
         try:
             return convert(value)
         except (TypeError, ValueError) as exc:

@@ -117,8 +117,21 @@ def _float(value, context: str, expected: str = "a number") -> float:
     return float(value)
 
 
+def _numbers(value, context: str):
+    """``value`` if it is a JSON number or nested arrays of them; ``true``,
+    a string or any other entry is refused, as ``_float`` refuses it."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, (list, tuple)):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ConfigError(f"expected numbers, got {item!r}", context=context)
+    return value
+
+
 def _array(value, context: str) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    return np.asarray(_numbers(value, context), dtype=np.float64)
 
 
 def _gamma(value, context: str):
@@ -144,9 +157,10 @@ def _matrix(data, context: str) -> np.ndarray:
             raise ConfigError(
                 f"matrix rows have inconsistent lengths {lengths}", context=context
             )
+    _numbers(data, context)
     try:
         arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # rows of different depths
         raise ConfigError(f"not a numeric matrix: {exc}", context=context) from exc
     if arr.ndim != 2:
         raise ConfigError(

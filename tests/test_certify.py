@@ -611,6 +611,22 @@ def check_blocks(monkeypatch):
     return _block_counts(monkeypatch, "violation_max")
 
 
+@pytest.fixture
+def ratio_stopped(monkeypatch):
+    """Per ``ratio_sup`` call: whether its sup reached its ``stop_at``, so that
+    it may have stopped before its last block."""
+    stopped = []
+    kernel = _kernels.ratio_sup
+
+    def recorded(*args, stop_at=None, **kwargs):
+        result = kernel(*args, stop_at=stop_at, **kwargs)
+        stopped.append(stop_at is not None and result[0] >= stop_at)
+        return result
+
+    monkeypatch.setattr(_kernels, "ratio_sup", recorded)
+    return stopped
+
+
 DEFAULT = certify.DEFAULT_K_GRID
 GRIDS = {
     "default": DEFAULT,
@@ -650,29 +666,33 @@ class TestPrunedEstimate:
             kannan, _ = _same_as_unpruned(reflection, sample, grid)
             assert kannan.k == (k_near if k_near == 2.0 - 1e-11 else 0.0)
         # per sample: the estimate's two sweeps, then the unpruned loop's two,
-        # for Kannan and then Bianchini. A sup within the tie tolerance lies
-        # below the bound, so the second k sweeps every pair: its leading
-        # block and 8 more. At 2 - 1e-11 the probe puts k near 2 first, and
-        # k = 0, 5e-12 above it, stops once a block reaches the bound
+        # for Kannan and then Bianchini. Every pair across the fixed point 1/2
+        # is at the sup, so each row's key reaches it and a full sweep takes
+        # all 8 blocks. A sup within the tie tolerance lies below the bound,
+        # so the second k sweeps every pair: its leading block and 8 more. At
+        # 2 - 1e-11 the probe puts k near 2 first, and k = 0, 5e-12 above it,
+        # stops once a block reaches the bound: at once for Kannan, where the
+        # fixed point's row leads and its pairs are at the sup; a block later
+        # for Bianchini, where they are at half of it
         if k_near == 2.0 - 1e-11:
-            assert ratio_blocks == [8, 1, 8, 8] * 3 + [8, 7, 8, 8]
+            assert ratio_blocks == [8, 1, 8, 8, 8, 2, 8, 8] * 2
         else:
             assert ratio_blocks == [8, 9, 8, 8] * 4
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_the_check_at_the_chosen_k_skips_blocks(self, small_blocks, check_blocks, seed):
         # an affine contraction with eigenvalues -0.9 to -0.7, where k > 0
-        # wins. The chosen k's sweep bounds each block's excess, and the
-        # check sweeps only the blocks whose bound reaches the maximum; the
-        # unpruned loop's check sweeps all 8
+        # wins. The check sweeps the rows by descending key and stops at the
+        # first block whose key is below its running maximum, in the
+        # estimate and in the unpruned loop alike
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         mapping = AffineMap(matrix=q @ np.diag([-0.9, -0.8, -0.7]) @ q.T, offset=rng.uniform(-0.5, 0.5, 3))
         sample = random_sample([(-1.0, 1.0)] * 3, 201, seed)
         for cert in _same_as_unpruned(mapping, sample, DEFAULT):
             assert cert.k > 0.0 and cert.feasible
-        assert check_blocks[1::2] == [8, 8]
-        assert all(0 < count < 8 for count in check_blocks[0::2]), check_blocks
+        assert check_blocks[0::2] == check_blocks[1::2]
+        assert all(0 < count < 8 for count in check_blocks), check_blocks
 
     @pytest.mark.parametrize("grid", [(3.0, 1.0), (1.0, 3.0), DEFAULT, DEFAULT[::-1]])
     def test_a_nan_pair_at_one_k_before_or_after_the_winner(self, small_blocks, grid):
@@ -712,7 +732,7 @@ class TestPrunedEstimate:
         for cert in _same_as_unpruned(t, pts, (1.0, 0.0, 3.0)):
             assert not cert.feasible and cert.witness is not None
 
-    def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_blocks):
+    def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_stopped):
         # T(x, y) = (-x, y / 2). The first 65 rows lie on the x axis, where T
         # reflects and k = 1 gives rate 0, so the probe puts k = 1 first; the
         # grid below them makes k = 0 win. The walk stays exact; it only
@@ -730,7 +750,7 @@ class TestPrunedEstimate:
         assert kannan.k == bianchini.k == 0.0
         # swept in probe order k = 1, 0.75, 0.5, 1.5, 0.25, 0, 2, 3: the sup
         # falls at each of 1, 0.75, 0.5, 0.25 and 0, and 1.5, 2, 3 stop early
-        assert [count >= 8 for count in ratio_blocks[:8]] == [True] * 3 + [False, True, True, False, False]
+        assert ratio_stopped[:8] == [False] * 3 + [True, False, False, True, True]
 
     @given(
         d=st.integers(1, 12),

@@ -301,6 +301,30 @@ class TestErrors:
         assert f"{named}: expected a number, got {value!r}" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
+    @pytest.mark.parametrize(
+        "command, payload, path, named",
+        [
+            ("certify", {"variant": "affine", "matrix": [[0.5]], "offset": [0.0]}, ("offset", 0), "mapping.offset"),
+            ("certify", {"variant": "affine", "matrix": [[0.5]], "offset": [0.0]},
+             ("matrix", 0, 0), "mapping.matrix"),
+            ("vip", {"type": "vip", "C": {"variant": "box", "lower": [0], "upper": [2]},
+                     "G": {"variant": "reflection_1d"}, "gamma": 0.5}, ("C", "lower", 0), "instance.C.lower"),
+        ],
+        ids=["affine_offset", "affine_matrix", "box_lower"],
+    )
+    def test_an_array_field_that_is_not_numbers_exits_1(self, tmp_path, command, payload, path, named, value):
+        payload = json.loads(json.dumps(payload))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        data = write_json(tmp_path / "input.json", payload)
+        result = run_cli(command, "--input", data, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert f"{named}: expected numbers, got {value!r}" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_sample_bounds_without_an_axis_exit_1(self, tmp_path, reflection_json):
         config = write_json(tmp_path / "config.json", {"sample": {"bounds": []}})
         result = run_cli(
@@ -490,6 +514,32 @@ class TestFlagsAndValues:
         assert result.returncode == cli.EXIT_CONFIG_ERROR
         assert result.stderr.startswith(f"configuration error: {named}: ")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("solve", {"solver": {"tol": True, "max_iter": True}}, "solver.tol"),
+            ("solve", {"solver": {"max_iter": True}}, "solver.max_iter"),
+            ("solve", {"solver": {"lambda": True}}, "solver.lambda"),
+            ("solve", {"solver": {"lambda": 0.5, "rate": False}}, "solver.rate"),
+            ("solve", {"sample": {"seed": False}}, "sample.seed"),
+            ("solve", {"k_grid": [0.5, True]}, "k_grid"),
+            ("solve", {"x0": [True]}, "x0"),
+            ("certify", {"sample": {"bounds": [[0, True]]}}, "sample.bounds"),
+            ("certify", {"sample": {"grid_points": True}}, "sample.grid_points"),
+            ("bench", {"lambdas": [True, 0.5]}, "lambdas"),
+        ],
+    )
+    def test_a_boolean_setting_is_a_configuration_error(
+        self, tmp_path, reflection_json, capsys, command, config, named
+    ):
+        # float(True) and int(True) are 1: a config of {"solver": {"tol": true,
+        # "max_iter": true}} ran solve with tol 1.0 and 1 iteration, and exited 0
+        out = tmp_path / "o"
+        argv = [command, "--input", reflection_json, "--config", write_json(tmp_path / "cfg.json", config)]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"configuration error: {named}: expected no boolean, got ")
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,6 +13,7 @@ import sys
 import threading
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -843,6 +844,13 @@ def swept_blocks(monkeypatch):
     return counts
 
 
+def _unsorted(call):
+    """``call()`` with no row key: a full sweep, the reference for a sorted one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: None)
+        return call()
+
+
 RATIO_MODES = pytest.mark.parametrize(
     "mode, k", [(m, k) for m in (MODE_KANNAN, MODE_BIANCHINI) for k in (0.0, 1.0)]
 )
@@ -856,7 +864,12 @@ def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mod
     assert _bits(full) == _bits(brute_ratio(pts, images, k, mode))
     for stop in (None, math.nextafter(full[0], math.inf), full[0] + 1.0, math.inf):
         assert repr(ratio_sup(pts, images, k, mode, stop_at=stop)) == repr(full)
-    assert swept_blocks == [8, 8] + [9] * 3  # a sweep with a bound has a leading block
+    # the sorted sweep stops at the first block whose leading key is below
+    # its sup, with or without a bound above the sup; a sweep with a bound
+    # has a leading block, so it may take one block more
+    full_blocks, bounded = swept_blocks[0], swept_blocks[2]
+    assert swept_blocks[:2] == [full_blocks] * 2 and full_blocks < 8
+    assert swept_blocks[2:] == [bounded] * 3 and full_blocks <= bounded <= full_blocks + 1
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
@@ -878,15 +891,17 @@ def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, 
 
 
 def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
-    # the winning pair is moved to the last two rows, so only the last block
-    # holds a pair at the sup and a stop at the sup must sweep all 8 blocks
+    # with the rows in the sample's order, the winning pair is moved to the
+    # last two rows, so only the last block holds a pair at the sup and a
+    # stop at the sup must sweep all 8 blocks
     n = N_MULTI_BLOCK
     pts, images = _random_case(seed=23, n=n, d=3)
     order = _moved(n, brute_ratio(pts, images, 0.5, MODE_KANNAN)[1], (n - 2, n - 1))
     pts, images = pts[order], images[order]
-    full = ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    full = _unsorted(lambda: ratio_sup(pts, images, 0.5, MODE_KANNAN))
     assert full[1] == (n - 2, n - 1) or full[1] == (n - 1, n - 2)
-    assert repr(ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=full[0])) == repr(full)
+    stopped = _unsorted(lambda: ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=full[0]))
+    assert repr(stopped) == repr(full)
     assert swept_blocks == [8, 9]
 
 
@@ -898,7 +913,7 @@ def test_a_given_row_rank_changes_no_bit(case):
         assert _bits(kernel(pts, images, rank=rank)) == _bits(kernel(pts, images))
 
 
-# --- violation_max's blocks: a check bounded by a full ratio_sup sweep ------------
+# --- the sorted sweep: rows by descending key, stopped below the extremum ---------
 
 
 def _fixed_rows_case(seed, n, d, k):
@@ -945,17 +960,17 @@ BOUNDED_CASES = {
 
 
 def _bounded_check(pts, images, k, mode, above=0.0):
-    """``(rate, full, bounded, bounds)``: a full ``ratio_sup`` sweep at ``k``
-    records ``bounds``, and ``violation_max`` at a rate ``above`` its sup
-    (and 0) runs in full and bounded by them. None when the sup is +inf."""
-    bounds = []
-    sup = ratio_sup(pts, images, k, mode, bounds=bounds)[0]
-    assert [b[:2] for b in bounds] == _kernels._blocks(len(pts))
+    """``(rate, full, bounded)``: ``violation_max`` at ``k`` and a rate
+    ``above`` the sup of a ``ratio_sup`` sweep (and 0), unsorted over every
+    block and sorted by row key. None when the sup is +inf."""
+    ratio = ratio_sup(pts, images, k, mode)
+    assert _bits(ratio) == _bits(_unsorted(lambda: ratio_sup(pts, images, k, mode)))
+    sup = ratio[0]
     if sup == math.inf:
         return None
     rate = max(sup, 0.0) * (1.0 + above) + above
-    return (rate, violation_max(pts, images, k, rate, mode),
-            violation_max(pts, images, k, rate, mode, blocks=bounds), bounds)
+    return (rate, _unsorted(lambda: violation_max(pts, images, k, rate, mode)),
+            violation_max(pts, images, k, rate, mode))
 
 
 @given(
@@ -971,12 +986,13 @@ def _bounded_check(pts, images, k, mode, above=0.0):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_bounded_check_is_the_full_check(eight_blocks, d, seed, kind, mode, k, above):
-    # at the sup of a full sweep, and above it, the check that skips the
-    # blocks bounded below its maximum gives the full check's bits
+    # at the sup of a full sweep, and above it, the sweeps that skip the
+    # blocks whose leading key is below their extremum give the bits of
+    # the sweeps over every block
     pts, images = BOUNDED_CASES[kind](seed, N_MULTI_BLOCK, d, k)
     checked = _bounded_check(pts, images, k, mode, above)
     assume(checked is not None)
-    _, full, bounded, _ = checked
+    _, full, bounded = checked
     assert _bits(bounded) == _bits(full)
 
 
@@ -984,24 +1000,30 @@ def test_bounded_check_is_the_full_check(eight_blocks, d, seed, kind, mode, k, a
 @pytest.mark.parametrize("kind", sorted(BOUNDED_CASES))
 def test_bounded_check_matches_the_oracle(eight_blocks, swept_blocks, kind, mode):
     pts, images = BOUNDED_CASES[kind](5, N_MULTI_BLOCK, 3, 0.5)
-    rate, full, bounded, bounds = _bounded_check(pts, images, 0.5, mode)
+    rate, full, bounded = _bounded_check(pts, images, 0.5, mode)
     with np.errstate(over="ignore", invalid="ignore"):
         assert _bits(bounded) == _bits(full) == _bits(brute_violation(pts, images, 0.5, rate, mode))
-    assert swept_blocks[0] == 8  # the ratio sweep records a bound for every block
-    if kind == "overflow":  # the far row's blocks have a NaN bound, and a NaN pair
-        assert full[0] == math.inf and math.inf in [b[2] for b in bounds[1:]]
+    # per call: the sorted ratio sweep, the full one, the full check, the sorted check
+    assert swept_blocks[1:3] == [8, 8]
+    if kind in ("random", "fixed_rows", "tie_heavy"):  # some rows are bounded below the extremum
+        assert swept_blocks[0] < 8 and swept_blocks[3] < 8
+    if kind == "overflow":  # the far row leads, and its pairs are NaN
+        assert full[0] == math.inf
 
 
 def test_nan_bound_keeps_the_far_rows_blocks(eight_blocks, swept_blocks):
-    # sup 0 and an infinite displacement: 0 * inf is NaN in both the bound
-    # and the rhs, so each block holding a pair with the far row records
-    # +inf and is swept, and the smallest NaN pair is found
+    # sup 0 and an infinite displacement: the far row has no bound, so it
+    # leads the order and its pairs are swept first, where 0 * inf in the
+    # rhs is NaN and the smallest NaN pair is found
     pts, images = _overflow_case(seed=1, n=N_MULTI_BLOCK, d=2, k=1.0)
     far = int(np.flatnonzero(pts[:, 0] == 1e160)[0])
-    rate, full, bounded, bounds = _bounded_check(pts, images, 1.0, MODE_KANNAN)
+    rate, full, bounded = _bounded_check(pts, images, 1.0, MODE_KANNAN)
     assert rate == 0.0
     assert _bits(bounded) == _bits(full) and full[0] == math.inf
-    assert all(bound == math.inf for lo, _, bound in bounds if lo <= far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, xt, tt, disp = _kernels._prepare(pts, images)
+        key = _kernels._row_keys(xt, tt, disp, 1.0, MODE_KANNAN, rate)
+    assert key[far] == math.inf and _kernels._descending(key)[0][0] == far
 
 
 def _tie_across_blocks():
@@ -1016,33 +1038,101 @@ def _tie_across_blocks():
 
 
 def test_ties_straddle_skipped_blocks(eight_blocks, swept_blocks):
-    # the tied pairs sit in the first block and the seventh, which is swept
-    # second; the blocks between them are skipped, and the earlier pair in
-    # row-major order wins
+    # the tied pairs share row 120, and rows 0 and 199 are copies, so they
+    # have one key; the blocks below the maximum are skipped, and the
+    # earlier pair in row-major order wins
     pts, images, rate = _tie_across_blocks()
-    _, full, bounded, _ = _bounded_check(pts, images, 0.5, MODE_KANNAN)
+    _, full, bounded = _bounded_check(pts, images, 0.5, MODE_KANNAN)
     assert _bits(bounded) == _bits(full)
     assert full[1] in ((0, 120), (120, 0))
     tied = [(i, j) for v, i, j in brute_violations(pts, images, 0.5, rate, MODE_KANNAN) if v == full[0]]
     assert {min(pair) for pair in tied} == {0, 120}
-    assert swept_blocks[-1] == 2
+    assert swept_blocks[-1] < 8
 
 
-def test_a_block_bounded_at_the_maximum_is_swept(eight_blocks):
-    # each block's bound is its own maximum, exact, but the block of the
-    # losing tie is bounded at +inf and swept first; the winner's block,
-    # bounded at the maximum itself, may hold a tie and must be swept too
+def test_a_block_whose_key_is_at_the_maximum_is_swept(eight_blocks, monkeypatch):
+    # a block whose leading key equals the running extremum may hold a tie,
+    # so the sweep stops only at a key strictly below it
+    blocks = [(0, 1), (1, 3), (3, 4), (4, 6)]
+    key = np.array([math.inf, 0.5, 0.5, 0.25, 0.125, 0.0])
+    running = SimpleNamespace(value=0.25)
+    assert list(_kernels._until(blocks, key, running)) == blocks[:3]
+    assert list(_kernels._until(blocks, None, running)) == blocks
+    # keyed by each row's own largest excess, a valid bound: row 199 and 14
+    # others lead, so the first block finds the losing tie (199, 120) and
+    # the second leads with row 120, whose key is the maximum itself; it
+    # holds the winning tie (0, 120), the first in row-major order
     pts, images, rate = _tie_across_blocks()
-    blocks = _kernels._blocks(N_MULTI_BLOCK)
-    tops = [-math.inf] * len(blocks)
-    for v, i, j in brute_violations(pts, images, 0.5, rate, MODE_KANNAN):
-        b = next(b for b, (lo, hi) in enumerate(blocks) if lo <= min(i, j) < hi)
-        tops[b] = max(tops[b], v)
     full = violation_max(pts, images, 0.5, rate, MODE_KANNAN)
-    assert tops[0] == full[0]
-    tops[6] = math.inf
-    bounded = violation_max(pts, images, 0.5, rate, MODE_KANNAN, blocks=[(*b, t) for b, t in zip(blocks, tops)])
-    assert _bits(bounded) == _bits(full)
+    own = np.full(N_MULTI_BLOCK, -math.inf)
+    for v, i, j in brute_violations(pts, images, 0.5, rate, MODE_KANNAN):
+        own[i] = max(own[i], v)
+    own[[199, *range(1, 15)]] = math.inf
+    assert own[0] == own[120] == full[0] and np.sum(own >= full[0]) == 17
+    monkeypatch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: own.copy())
+    assert _bits(violation_max(pts, images, 0.5, rate, MODE_KANNAN)) == _bits(full)
+
+
+# --- properties: the sorted sweeps against the literal oracles -------------------
+
+N_PROPERTY = 100  # three triangle blocks under eight_blocks: enough for a sorted sweep
+
+
+@st.composite
+def _oracle_cases(draw):
+    """``(points, images)``: an affine contraction's rows at a scale from
+    1e-300 to 1e300, with NaN or inf images, fixed rows (the pivot among
+    them), every row fixed, duplicate rows, or near-ties."""
+    d = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["plain", "nonfinite", "fixed_pivot", "all_fixed", "duplicates", "near_ties"]))
+    scale = draw(st.sampled_from([1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150, 1e300]))
+    n = N_PROPERTY
+    rng = np.random.default_rng(seed)
+    pts, images = _random_case(seed, n, d)
+    if kind == "nonfinite":
+        rows = rng.choice(n, size=rng.integers(1, 4), replace=False)
+        images[rows, rng.integers(d, size=len(rows))] = rng.choice([np.nan, np.inf, -np.inf], size=len(rows))
+    elif kind == "fixed_pivot":  # the least displacement is 0, so the pivot is a fixed point
+        fixed = rng.choice(n, size=rng.integers(1, 4), replace=False)
+        images[fixed] = pts[fixed]
+    elif kind == "all_fixed":
+        images = pts.copy()
+    elif kind == "duplicates":
+        rows, copies = rng.choice(n, size=n // 4, replace=False), rng.integers(n, size=n // 4)
+        pts[rows], images[rows] = pts[copies], images[copies]
+    elif kind == "near_ties":
+        # x -> c - x on rows symmetric about c / 2: every pair across c / 2 is
+        # at the sup; a few images one ulp off make near-ties
+        c = rng.uniform(-1.0, 1.0, d)
+        pts = np.concatenate([pts[: n // 2], c - pts[: n // 2]])
+        images = c - pts
+        nudged = rng.choice(n, size=5, replace=False)
+        images[nudged] = np.nextafter(images[nudged], np.inf)
+    return pts * scale, images * scale
+
+
+@given(
+    case=_oracle_cases(),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    above=st.sampled_from([0.0, 0.5]),
+)
+@settings(
+    max_examples=120, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_sorted_sweeps_match_the_oracles(eight_blocks, case, mode, k, above):
+    # the sup, its witness, the infeasible flag and zero pair, the maximum
+    # violation at and above the sup, and its witness, bit for bit
+    assert _kernels._worth_sorting(N_PROPERTY)
+    pts, images = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = ratio_sup(pts, images, k, mode)
+        assert _bits(ratio) == _bits(brute_ratio(pts, images, k, mode))
+        rate = max(ratio[0], 0.0) * (1.0 + above) if math.isfinite(ratio[0]) else 0.25
+        got = violation_max(pts, images, k, rate, mode)
+        assert _bits(got) == _bits(brute_violation(pts, images, k, rate, mode))
 
 
 # --- ratio_sup's sup alone tells whether some pair has a positive rhs scale --------

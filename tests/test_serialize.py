@@ -261,6 +261,47 @@ class TestNumberOnlyFloats:
         assert got == value and type(got) is float
 
 
+# (reader, a valid input, the path to one entry of an array field, that field's context)
+ARRAY_FIELDS = [
+    (serialize.convex_from_dict, {"variant": "box", "lower": [0, 0], "upper": [1, 2]}, ("lower", 1), "set.lower"),
+    (serialize.convex_from_dict, {"variant": "ball", "center": [0.0, 0.0], "radius": 1.0},
+     ("center", 0), "set.center"),
+    (serialize.mapping_from_dict, {"variant": "affine", "matrix": [[0.5]], "offset": [0.0]},
+     ("matrix", 0, 0), "mapping.matrix"),
+    (serialize.mapping_from_dict, {"variant": "affine", "matrix": [[0.5]], "offset": [0.0]},
+     ("offset", 0), "mapping.offset"),
+    (serialize.mapping_from_dict,
+     {"variant": "piecewise_table", "breakpoints": [0.0, 0.5, 1.0], "slopes": [0.5, 0.25], "intercepts": [0.0, 0.125]},
+     ("slopes", 1), "mapping.slopes"),
+    (serialize.instance_from_dict, SFP_BALL_Q, ("A", 1, 1), "instance.A"),
+]
+
+
+class TestNumberOnlyArrays:
+    @pytest.mark.parametrize("value", [True, False, "0", None, {}], ids=["true", "false", "string", "null", "object"])
+    @pytest.mark.parametrize("read, data, path, context", ARRAY_FIELDS, ids=[f[3] for f in ARRAY_FIELDS])
+    def test_an_array_field_takes_only_numbers(self, read, data, path, context, value):
+        read(data)
+        with pytest.raises(ConfigError) as info:
+            read(_with(data, path, value))
+        assert str(info.value) == f"{context}: expected numbers, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+    def test_a_whole_array_field_that_is_not_an_array(self, value):
+        with pytest.raises(ConfigError) as info:
+            serialize.convex_from_dict({"variant": "box", "lower": value, "upper": [1.0]})
+        assert str(info.value) == f"set.lower: expected numbers, got {value!r}"
+
+    def test_a_box_of_strings_and_booleans_is_refused(self):
+        # this read as Box(lower=[0., 1.]) when array fields took any value numpy converts
+        with pytest.raises(ConfigError, match="set.lower: expected numbers"):
+            serialize.convex_from_dict({"variant": "box", "lower": ["0", True], "upper": [1, 2]})
+
+    def test_integers_and_floats_read_as_floats(self):
+        box = serialize.convex_from_dict({"variant": "box", "lower": [0, -1.5], "upper": [1, 2]})
+        assert box.lower.dtype == np.float64 and box.lower.tolist() == [0.0, -1.5]
+
+
 class TestCertificateDict:
     def test_fields(self, unit_sample, reflection):
         cert = certify.check_enriched_kannan(reflection, 0.5, 0.25, unit_sample)
