@@ -6,9 +6,9 @@ kernel is one numpy pass over the pairs i < j only, each unordered pair
 once, in upper-triangle blocks: a block pairs rows ``lo:hi`` with columns
 ``lo:n``. Each block is a contiguous ``(hi - lo, n - lo)`` view of a flat
 256 KB buffer that starts on a cache line, so the blocks grow taller as
-the columns right of the diagonal run out, and the three or four buffers
-a kernel uses stay in L2 cache; the extremum and its tied candidates are
-found in the same pass.
+the columns right of the diagonal run out, and the three buffers a kernel
+uses stay in L2 cache; the extremum and its tied candidates are found in
+the same pass. Every kernel sets its sweep up in ``_sweep``.
 Entries left of a block's diagonal repeat pairs found right of it and are
 passed over.
 
@@ -47,9 +47,11 @@ The floating-point semantics, which the brute-force oracles in
   at a time in index order, and the enriched difference is evaluated
   literally as ``k * (x_i - x_j) + (t_i - t_j)``. (``np.sum`` switches to
   pairwise summation from 8 terms on, so it would tie the bits to how numpy
-  splits the reduction.) At ``k = 0`` the Kannan and Bianchini sweeps
-  drop the ``k * (x_i - x_j)`` term when every coordinate range is finite,
-  which keeps every bit and nearly halves the sweep (``_x_term``).
+  splits the reduction.) At ``k = 0`` the ``ratio_sup`` and
+  ``violation_max`` sweeps drop the ``k * (x_i - x_j)`` term when every
+  coordinate range is finite, which keeps every bit and nearly halves the
+  sweep (``_x_term``). Banach's ``||x_i - x_j||`` is a separate sum
+  (``_Triangle.sq_dist``).
   Per-point norms (displacement, ``||x||``, ``||Tx||``) are ``np.sum``
   reductions.
 * Ties on exactly equal values go to the ordered pair whose points
@@ -61,7 +63,8 @@ The floating-point semantics, which the brute-force oracles in
   (the ``rank`` keyword).
 * A NaN pair value fails closed: ``violation_max`` returns ``+inf`` and
   ``inner_min`` ``-inf``, and ``ratio_sup`` reports the pair as infeasible.
-  The witness is then the smallest NaN pair in the same order.
+  The witness is then the smallest NaN pair in the same order
+  (``_Extremum.result``).
 * Diagonal pairs are masked with the extremum's sentinel (``-inf`` for a
   maximum, ``+inf`` for a minimum) and are never a witness, even when every
   distinct pair ties with the sentinel.
@@ -71,8 +74,8 @@ Overflow and invalid operations on huge or non-finite inputs are expected
 with those floating-point warnings off.
 
 ``ratio_sup`` can stop early: with ``stop_at`` it returns after the first
-block at which its running sup reaches that bound, for a caller that only
-needs to know that the sup is at least ``stop_at``. Such a sweep starts
+block at which its running sup reaches that bound (``_until``), for a
+caller that only needs to know that the sup is at least ``stop_at``. Such a sweep starts
 with a short block, 1/16 of a buffer, so that a sweep that stops at once
 covers few pairs even when one buffer holds most of the triangle (a
 201-point sample's first full block holds 96% of its pairs).
@@ -195,13 +198,14 @@ _UFUNC_BUFSIZE = 256
 
 
 def _prepare(points, images):
-    """``(x, t, xt, tt, disp)``: points, images, both by coordinate, displacements."""
+    """``(x, t, xt, tt, disp)``: points, images, both by coordinate (new
+    arrays, which ``_sweep`` may reorder), displacements."""
     x = np.ascontiguousarray(points, dtype=np.float64)
     t = np.ascontiguousarray(images, dtype=np.float64)
     if x.shape != t.shape or x.ndim != 2:
         raise ValueError(f"points/images shape mismatch: {x.shape} vs {t.shape}")
     disp = np.sqrt(np.sum((x - t) ** 2, axis=-1))
-    return x, t, np.ascontiguousarray(x.T), np.ascontiguousarray(t.T), disp
+    return x, t, x.T.copy(), t.T.copy(), disp
 
 
 def _x_term(xt, k):
@@ -274,28 +278,29 @@ def _small_ufunc_buffer():
 
 
 class _Triangle:
-    """Triangle blocks of the pair matrix over reusable flat buffers.
+    """Triangle blocks of the pair matrix over three reusable flat buffers.
 
     Iterating yields, for each block of ``blocks``, one contiguous
     ``(hi - lo, n - lo)`` view of each buffer: entry ``[r, c]`` is the pair
     ``(lo + r, lo + c)``.
     """
 
-    def __init__(self, n, buffers, blocks):
+    def __init__(self, n, blocks):
         self.n, self.blocks = n, blocks
+
+    def __iter__(self):
         # One allocation, of one size for every sweep of more than about 180
         # points, so the chunk a call frees serves the next call. Separate
         # buffers went back to the system after each call and came back as
         # fresh pages: about 190 page faults a call at N = 201. It starts on
         # a cache line: malloc aligns to 16 bytes only, and 16 bytes off a
         # 32-byte boundary the sweeps at (2000, 5) ran about 15% slower
-        # (numpy 2.4 on an AVX-512 Xeon).
-        size = buffers * min(n * n, max(_BLOCK_BYTES // 8, n))
+        # (numpy 2.4 on an AVX-512 Xeon). Made here, after ``_x_term`` has
+        # dropped the x rows, it does not add to the peak memory.
+        size = 3 * min(self.n * self.n, max(_BLOCK_BYTES // 8, self.n))
         raw = np.empty(size + _LINE_BYTES // 8)
         start = -raw.ctypes.data % _LINE_BYTES // 8
-        self._flat = raw[start : start + size].reshape(buffers, -1)
-
-    def __iter__(self):
+        self._flat = raw[start : start + size].reshape(3, -1)
         for lo, hi in self.blocks:
             self.lo, self.hi = lo, hi
             shape = (hi - lo, self.n - lo)
@@ -309,27 +314,25 @@ class _Triangle:
         """``op(col[i], col[j])`` for rows i and columns j of the block."""
         return op(*self.ends(col), out=out)
 
-    def enriched_sq(self, xt, tt, k, acc, diff, tmp, dx_sq=None):
+    def sq_dist(self, cols, acc, diff):
+        """``acc = sum_c (col_ic - col_jc)**2`` over the rows ``cols``, in index order."""
+        acc.fill(0.0)
+        for col in cols:
+            self.outer(np.subtract, col, diff)
+            diff *= diff
+            acc += diff
+
+    def enriched_sq(self, xt, tt, k, acc, diff, tmp):
         """``acc = sum_c (k*(x_ic - x_jc) + (t_ic - t_jc))**2`` in index order.
 
-        When ``dx_sq`` is given it receives ``sum_c (x_ic - x_jc)**2`` too.
         With ``xt`` None (``_x_term``), the ``k*(x_ic - x_jc)`` term is
         dropped, with the same bits.
         """
-        acc.fill(0.0)
         if xt is None:
-            for tc in tt:
-                self.outer(np.subtract, tc, diff)
-                diff *= diff
-                acc += diff
-            return
-        if dx_sq is not None:
-            dx_sq.fill(0.0)
+            return self.sq_dist(tt, acc, diff)
+        acc.fill(0.0)
         for xc, tc in zip(xt, tt):
             self.outer(np.subtract, xc, diff)
-            if dx_sq is not None:
-                np.multiply(diff, diff, out=tmp)
-                dx_sq += tmp
             diff *= k
             self.outer(np.subtract, tc, tmp)
             diff += tmp
@@ -416,6 +419,14 @@ class _Extremum:
     @property
     def pair(self):
         return self.winner.pair or (-1, -1)
+
+    @property
+    def result(self):
+        """``(value, pair)``; with a NaN pair, ``+inf`` for a max (``-inf``
+        for a min) and the smallest NaN pair: NaN fails closed."""
+        if self.nan.pair is not None:
+            return (np.inf if self.largest else -np.inf), self.nan.pair
+        return self.value, self.pair
 
 
 def _found(hits, lo, sides, test):
@@ -508,25 +519,44 @@ def _row_keys(xt, tt, disp, k, mode, rate=None):
     return key
 
 
-def _descending(key):
-    """The rows by descending ``key``, and the keys in that order; ``(None, None)`` for no key."""
-    if key is None:
-        return None, None
-    order = np.argsort(key, kind="stable")[::-1]
-    return order, key[order]
-
-
-def _until(blocks, key, best):
-    """``blocks`` up to the first whose leading row's ``key`` is below ``best``'s running value.
+def _until(blocks, key, best, stop_at=None):
+    """``blocks`` up to the first whose leading row's ``key`` is below
+    ``best``'s running value, or to the first that takes it to ``stop_at``.
 
     Rows come by descending key, and a key bounds every pair of its row
     with a later one, so no pair of a block left out reaches the extremum
-    or ties with it. With no key, every block.
+    or ties with it. With no key and no ``stop_at``, every block.
     """
     for lo, hi in blocks:
         if key is not None and key[lo] < best.value:
             return
         yield lo, hi
+        if stop_at is not None and best.value >= stop_at:
+            return
+
+
+def _sweep(x, rank, key, cols, stop_at=None, largest=True):
+    """The set-up every kernel shares: ``(tri, best)``.
+
+    ``rank`` is ``_row_rank(x)`` when None. With a row ``key``, the rows go
+    by descending key: each of ``cols``, the kernel's own arrays whose last
+    axis runs over the rows, is permuted in place. ``best`` is the running
+    ``_Extremum`` over the sample's rows, ``tri`` the triangle over the
+    blocks that ``_until`` lets through.
+    """
+    if rank is None:
+        rank = _row_rank(x)
+    order = None
+    if key is not None:
+        order = np.argsort(key, kind="stable")[::-1]
+        key = key[order]
+        for c in cols:  # in place: one spare copy at a time, for the peak memory
+            # np.take: 11 us at (5, 2000), c[..., order] 35 us (numpy 2.4, x86-64)
+            c[...] = np.take(c, order, axis=-1)
+    best = _Extremum(rank, largest, order)
+    n = x.shape[0]
+    blocks = _until(_blocks(n, lead=stop_at is not None), key, best, stop_at)
+    return _Triangle(n, blocks), best
 
 
 def _worth_sorting(n):
@@ -543,38 +573,26 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
     ``(inf, smallest NaN pair)``. ``rank`` is ``_row_rank(points)`` when a
     caller already has it; by default it is computed here.
 
-    In the Kannan and Bianchini modes at a finite ``rate >= 0`` the rows
-    are swept by descending key ``2 (H_i - w rate d_i)``, ``w`` 1 (Kannan)
-    or 1/2 (Bianchini), and the sweep stops at the first block whose
-    leading key is below the running maximum (see the module docstring).
+    The Kannan and Bianchini modes at a finite ``rate >= 0`` sweep sorted
+    rows and stop below the running maximum (module docstring).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, t, xt, tt, disp = _prepare(points, images)
         pnorm = np.sqrt(np.sum(x**2, axis=-1))
         tnorm = np.sqrt(np.sum(t**2, axis=-1))
         k, rate = float(k), float(rate)
-        n = x.shape[0]
+        key = _row_keys(xt, tt, disp, k, mode, rate)
+        tri, best = _sweep(x, rank, key, (xt, tt, disp, pnorm, tnorm))
         scale = PAIR_SCALE.get(mode)
-        banach = scale is None
-        if rank is None:
-            rank = _row_rank(x)
-        order, key = _descending(_row_keys(xt, tt, disp, k, mode, rate))
-        if order is not None:
-            xt = np.take(xt, order, axis=1)
-            tt = np.take(tt, order, axis=1)
-            disp, pnorm, tnorm = disp[order], pnorm[order], tnorm[order]
-        best = _Extremum(rank, largest=True, order=order)
-        blocks = _until(_blocks(n), key, best)
-        if not banach:  # Banach's rhs needs the x differences at every k
-            xt = _x_term(xt, k)
-        tri = _Triangle(n, 4 if banach else 3, blocks)
+        x_rows = xt if scale is None else None  # Banach's rhs: ||x_i - x_j||
+        xt = _x_term(xt, k)
         with _small_ufunc_buffer():
-            for num, rhs, back, *extra in tri:
-                dx_sq = extra[0] if banach else None
-                tri.enriched_sq(xt, tt, k, num, rhs, back, dx_sq)
+            for num, rhs, back in tri:
+                tri.enriched_sq(xt, tt, k, num, rhs, back)
                 np.sqrt(num, out=num)
-                if banach:
-                    np.sqrt(dx_sq, out=rhs)
+                if scale is None:
+                    tri.sq_dist(x_rows, rhs, back)
+                    np.sqrt(rhs, out=rhs)
                 else:
                     tri.outer(scale, disp, rhs)
                 rhs *= rate
@@ -594,9 +612,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
                     guard *= CHECK_GUARD_EPS
                     sides.append(np.subtract(net, guard, out=guard))
                 best.update(np.maximum(*sides, out=net), tri.lo, sides)
-        if best.nan.pair is not None:
-            return np.inf, best.nan.pair
-        return best.value, best.pair
+        return best.result
 
 
 def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
@@ -611,9 +627,8 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     that is not infeasible only then: a pair with a positive scale has a
     ratio of at least 0, or a NaN one.
 
-    The rows are swept by descending key ``H_i / d_i`` (Kannan) or
-    ``2 H_i / d_i`` (Bianchini), and the sweep stops at the first block
-    whose leading key is below the running sup (see the module docstring).
+    The rows are swept sorted and stop below the running sup (module
+    docstring).
 
     With ``stop_at``, the sweep returns after the first triangle block at
     which the running sup is ``>= stop_at``. The sup returned then is only a
@@ -626,21 +641,12 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, _, xt, tt, disp = _prepare(points, images)
         k = float(k)
-        n = x.shape[0]
-        if rank is None:
-            rank = _row_rank(x)
-        order, key = _descending(_row_keys(xt, tt, disp, k, mode))
-        if order is not None:
-            xt = np.take(xt, order, axis=1)
-            tt = np.take(tt, order, axis=1)
-            disp = disp[order]
-        best = _Extremum(rank, largest=True, order=order)
-        blocks = _until(_blocks(n, lead=stop_at is not None), key, best)
-        zero = _Smallest(rank, order)
+        key = _row_keys(xt, tt, disp, k, mode)
+        tri, best = _sweep(x, rank, key, (xt, tt, disp), stop_at)
+        zero = _Smallest(best.rank, best.order)
         xt = _x_term(xt, k)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
-        tri = _Triangle(n, 3, blocks)
         with _small_ufunc_buffer():
             for num, scale, tmp in tri:
                 tri.enriched_sq(xt, tt, k, num, scale, tmp)
@@ -657,8 +663,6 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
                     # zero pairs carry no ratio; a NaN numerator still fails closed
                     ratio[sub] = np.where(np.isnan(num[sub]) & upper, np.nan, -np.inf)
                 best.update(ratio, tri.lo)
-                if stop_at is not None and best.value >= stop_at:
-                    break
         pair = best.pair if best.value > -np.inf else (-1, -1)
         zpair = best.nan.pair or zero.pair
         return best.value, pair, zpair is not None, zpair or (-1, -1)
@@ -670,14 +674,8 @@ def inner_min(points, images):
     Any NaN pair value gives ``(-inf, smallest NaN pair)``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.ascontiguousarray(points, dtype=np.float64)
-        g = np.ascontiguousarray(images, dtype=np.float64)
-        if x.shape != g.shape or x.ndim != 2:
-            raise ValueError(f"points/images shape mismatch: {x.shape} vs {g.shape}")
-        xt, gt = np.ascontiguousarray(x.T), np.ascontiguousarray(g.T)
-        n = x.shape[0]
-        tri = _Triangle(n, 3, _blocks(n))
-        best = _Extremum(_row_rank(x), largest=False)
+        x, _, xt, gt, _ = _prepare(points, images)
+        tri, best = _sweep(x, None, None, (), largest=False)
         with _small_ufunc_buffer():
             for acc, diff, tmp in tri:
                 acc.fill(0.0)
@@ -687,6 +685,4 @@ def inner_min(points, images):
                     diff *= tmp
                     acc += diff
                 best.update(acc, tri.lo)
-        if best.nan.pair is not None:
-            return -np.inf, best.nan.pair
-        return best.value, best.pair
+        return best.result

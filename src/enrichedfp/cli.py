@@ -100,6 +100,14 @@ def _floats(value) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _int(value) -> int:
+    """An integer from text or a JSON number; a number with a fraction,
+    which ``int`` would truncate, is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _bounds(value) -> list:
     return [(float(lo), float(hi)) for lo, hi in value]
 
@@ -177,7 +185,7 @@ class _Settings:
 
     @property
     def seed(self) -> int:
-        return self.get("--seed", "sample.seed", 0, int)
+        return self.get("--seed", "sample.seed", 0, _int)
 
     @property
     def tol(self) -> float:
@@ -185,7 +193,7 @@ class _Settings:
 
     @property
     def max_iter(self) -> int:
-        return self.get("--max-iter", "solver.max_iter", 1000, int)
+        return self.get("--max-iter", "solver.max_iter", 1000, _int)
 
     @property
     def k_grid(self) -> tuple:
@@ -216,8 +224,8 @@ def _mapping_bounds(settings: _Settings, mapping: Mapping):
 def _box_sample(settings: _Settings, bounds) -> certify.SampleSet:
     return certify.default_sample(
         bounds,
-        grid_points=settings.get(None, "sample.grid_points", 101, int),
-        random_points=settings.get(None, "sample.random_points", 100, int),
+        grid_points=settings.get(None, "sample.grid_points", 101, _int),
+        random_points=settings.get(None, "sample.random_points", 100, _int),
         seed=settings.seed,
     )
 

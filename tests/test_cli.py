@@ -542,6 +542,33 @@ class TestFlagsAndValues:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("solve", {"sample": {"seed": 1.9}}, "sample.seed"),
+            ("solve", {"sample": {"seed": float("inf")}}, "sample.seed"),
+            ("solve", {"solver": {"max_iter": 10.5}}, "solver.max_iter"),
+            ("certify", {"sample": {"grid_points": 101.5}}, "sample.grid_points"),
+            ("certify", {"sample": {"random_points": 0.5}}, "sample.random_points"),
+        ],
+    )
+    def test_a_fractional_integer_setting_is_a_configuration_error(
+        self, tmp_path, reflection_json, capsys, command, config, named
+    ):
+        # int() truncates: {"sample": {"seed": 1.9}} ran with seed 1, and
+        # summary.json recorded "seed": 1
+        out = tmp_path / "o"
+        argv = [command, "--input", reflection_json, "--config", write_json(tmp_path / "cfg.json", config)]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"configuration error: {named}: expected an integer, got ")
+        assert not (out / "summary.json").exists()
+
+    def test_an_integral_number_is_an_integer_setting(self, tmp_path, reflection_json):
+        out = tmp_path / "o"
+        config = write_json(tmp_path / "cfg.json", {"sample": {"seed": 3.0}, "solver": {"max_iter": 50.0}})
+        assert cli.main(["solve", "--input", reflection_json, "--config", config, "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == 3
+
+    @pytest.mark.parametrize(
         "argv",
         [["demo", "--gamma", "7"], ["certify", "--tol", "1"], ["bench", "--lambda", "0.3"],
          ["solve", "--bogus", "1"], ["solve", "--max", "5"]],

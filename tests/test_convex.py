@@ -15,6 +15,7 @@ from enrichedfp.convex import (
     project,
     sample_points,
 )
+from enrichedfp.convex import _sampling_window
 from enrichedfp.exceptions import DimensionMismatchError, InvalidConstantError
 
 
@@ -152,6 +153,50 @@ class TestSampling:
         point_box = Box(lower=np.zeros(1), upper=np.zeros(1))
         zs = sample_points(point_box, 10, seed=0)
         assert np.all(zs == 0.0)
+
+
+def _sample_points_loop(convex_set, n, seed):
+    """The reference for ``sample_points``: the same draws, one ``project``
+    or ``contains`` call per candidate."""
+    rng = np.random.default_rng(seed)
+    lo, hi = _sampling_window(convex_set)
+    dim = convex_set.dim
+    if isinstance(convex_set, Hyperplane):
+        raw = lo + rng.uniform(size=(n, dim)) * (hi - lo)
+        return np.stack([convex_set.project(z) for z in raw])
+    out = []
+    for _ in range(1000):
+        raw = lo + rng.uniform(size=(4 * n, dim)) * (hi - lo)
+        for z in raw:
+            if contains(convex_set, z, 0.0):
+                out.append(z)
+                if len(out) == n:
+                    return np.stack(out)
+    raise InvalidConstantError(f"rejection sampling failed to fill {n} points for {type(convex_set).__name__}")
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("kind", ["ball", "halfspace", "hyperplane"])
+    def test_matches_the_per_point_loop(self, kind, d):
+        cs = _sets_around_the_origin(d, np.random.default_rng(100 + d))[kind]
+        for n in (1, 7, 100):
+            got = sample_points(cs, n, seed=d + n)
+            assert got.shape == (n, d)
+            assert got.tobytes() == _sample_points_loop(cs, n, d + n).tobytes()
+
+    def test_a_12d_ball_fills_its_sample(self):
+        ball = Ball(center=np.zeros(12), radius=1.0)
+        zs = sample_points(ball, 200, seed=1)
+        # the per-point loop takes about 14 s here, so only membership is checked
+        assert zs.shape == (200, 12) and all(contains(ball, z) for z in zs)
+
+    def test_a_failed_rejection_raises_as_the_loop_does(self):
+        # a 30-D ball fills about 2e-14 of its bounding box: 4000 candidates miss it
+        ball = Ball(center=np.zeros(30), radius=1.0)
+        for sample in (sample_points, _sample_points_loop):
+            with pytest.raises(InvalidConstantError, match="failed to fill 1 points for Ball"):
+                sample(ball, 1, 0)
 
 
 class TestValidation:

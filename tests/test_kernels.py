@@ -659,8 +659,9 @@ def test_blocks_are_contiguous_views_of_one_buffer(monkeypatch, n, entries):
             assert blocks[0][1] * n <= max(entries // 16, n)
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == n
-        tri = _kernels._Triangle(n, 2, blocks)
+        tri = _kernels._Triangle(n, blocks)
         for (lo, hi), views in zip(blocks, tri):
+            assert len(views) == 3
             for view in views:
                 assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
             # never taller than wide, and one buffer's worth unless one row is wider
@@ -674,7 +675,8 @@ def test_block_buffers_start_on_a_cache_line(n):
     held = []
     for size in (3, 5, 1001, 70001):
         held.append(np.empty(size))
-        tri = _kernels._Triangle(n, 3, _kernels._blocks(n))
+        tri = _kernels._Triangle(n, _kernels._blocks(n))
+        next(iter(tri))  # the buffer is made when the sweep starts
         assert tri._flat.ctypes.data % _kernels._LINE_BYTES == 0
         assert tri._flat.shape == (3, min(n * n, max(_kernels._BLOCK_BYTES // 8, n)))
 
@@ -1011,6 +1013,18 @@ def test_bounded_check_matches_the_oracle(eight_blocks, swept_blocks, kind, mode
         assert full[0] == math.inf
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_sorted_sweeps_leave_the_inputs_alone(eight_blocks, swept_blocks, d):
+    # the sweeps reorder their own copies of the columns in place; at d = 1
+    # the points by coordinate could otherwise be a view of the points
+    pts, images = _random_case(seed=d, n=N_MULTI_BLOCK, d=d)
+    before = pts.copy(), images.copy()
+    ratio_sup(pts, images, 0.5, MODE_KANNAN)
+    violation_max(pts, images, 0.5, 0.3, MODE_BIANCHINI)
+    assert swept_blocks[0] < 8 and swept_blocks[1] < 8  # both sorted, and stopped early
+    assert pts.tobytes() == before[0].tobytes() and images.tobytes() == before[1].tobytes()
+
+
 def test_nan_bound_keeps_the_far_rows_blocks(eight_blocks, swept_blocks):
     # sup 0 and an infinite displacement: the far row has no bound, so it
     # leads the order and its pairs are swept first, where 0 * inf in the
@@ -1023,7 +1037,8 @@ def test_nan_bound_keeps_the_far_rows_blocks(eight_blocks, swept_blocks):
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, xt, tt, disp = _kernels._prepare(pts, images)
         key = _kernels._row_keys(xt, tt, disp, 1.0, MODE_KANNAN, rate)
-    assert key[far] == math.inf and _kernels._descending(key)[0][0] == far
+    _, best = _kernels._sweep(pts, None, key, ())
+    assert key[far] == math.inf and best.order[0] == far
 
 
 def _tie_across_blocks():
@@ -1270,12 +1285,23 @@ def test_k0_keeps_the_x_term_where_one_coordinate_range_overflows(eight_blocks, 
 
 
 @pytest.mark.parametrize("d", [1, 3, 12])
-def test_banach_at_k0_keeps_the_x_term(eight_blocks, x_terms, d):
-    # Banach's rhs is ||x_i - x_j||, so its pass always subtracts the x
+def test_banach_at_k0_skips_the_x_term_where_every_range_is_finite(eight_blocks, x_terms, d):
+    # Banach's rhs ||x_i - x_j|| is its own sum, so the numerator drops the
+    # dead term as the other modes' do
     pts, images = _random_case(seed=d, n=80, d=d)
     got = violation_max(pts, images, 0.0, 0.3, MODE_BANACH)
-    assert x_terms and all(x_terms)
+    assert x_terms and not any(x_terms)
     assert _bits(got) == _bits(brute_violation(pts, images, 0.0, 0.3, MODE_BANACH))
+
+
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_banach_at_k0_keeps_the_x_term_where_one_coordinate_range_overflows(eight_blocks, x_terms, d):
+    pts, images = _range_overflow_case(seed=d, n=80, d=d)
+    got = violation_max(pts, images, 0.0, 0.3, MODE_BANACH)
+    assert x_terms and all(x_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = brute_violation(pts, images, 0.0, 0.3, MODE_BANACH)
+    assert _bits(got) == _bits(want) and got[0] == math.inf
 
 
 @pytest.mark.parametrize("n", [0, 1])
