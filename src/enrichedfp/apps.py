@@ -250,8 +250,8 @@ class VipResult:
     certificate_note: str
 
 
-def _orbit_sample(trace: solve.IterationTrace, seed: int, random_points: int = 100) -> SampleSet | None:
-    """Orbit iterates, newest first, plus seeded random points in an inflated orbit box.
+def _orbit_sample(trace: solve.IterationTrace, seed: int) -> SampleSet | None:
+    """Orbit iterates, newest first, plus 100 seeded random points in an inflated orbit box.
 
     The row order decides no bit of a certificate: each pair's value holds
     for both orientations, and ties and witnesses go by lexicographic row
@@ -266,10 +266,10 @@ def _orbit_sample(trace: solve.IterationTrace, seed: int, random_points: int = 1
     margin = np.maximum(0.5 * (hi - lo), 0.5)
     lo, hi = lo - margin, hi + margin
     rng = np.random.default_rng(seed)
-    extra = lo + rng.uniform(size=(random_points, orbit.shape[1])) * (hi - lo)
+    extra = lo + rng.uniform(size=(100, orbit.shape[1])) * (hi - lo)
     return certify.distinct_sample(
         np.concatenate([orbit, extra]),
-        f"orbit ({trace.iterations + 1} iterates) + {random_points} random pts (seed {seed})",
+        f"orbit ({trace.iterations + 1} iterates) + 100 random pts (seed {seed})",
         seed,
     )
 
@@ -286,19 +286,22 @@ def _attempt_certificate(operator, trace, seed, k_grid, estimator):
     return cert, note
 
 
-def _auto_config(operator, c_set, cfg, seed, k_grid, estimators) -> solve.SolveConfig:
-    """``cfg`` with a certificate for auto lambda when it lacks one: the first
-    feasible estimate in ``estimators`` order over 200 seeded points in C.
+def _solve(operator, c_set, cfg, start, seed, k_grid, estimators):
+    """The projection-type solve shared by SFP and VIP: ``(trace, certificate, note)``.
+
+    Auto lambda without a certificate takes the first feasible estimate in
+    ``estimators`` order over 200 seeded points in C. After the run, the
+    orbit certificate attempt uses ``estimators[0]``.
     """
-    if cfg.lam != solve.AUTO or cfg.certificate is not None:
-        return cfg
-    sample = certify.distinct_sample(
-        convex.sample_points(c_set, 200, seed), f"200 seeded pts in C (seed {seed})", seed
-    )
-    if sample is None:
-        raise AutoLambdaError("auto lambda refused: C collapses to a single point")
-    cert = solve.certify_for_auto(operator, sample, k_grid, estimators)
-    return replace(cfg, certificate=cert)
+    if cfg.lam == solve.AUTO and cfg.certificate is None:
+        sample = certify.distinct_sample(
+            convex.sample_points(c_set, 200, seed), f"200 seeded pts in C (seed {seed})", seed
+        )
+        if sample is None:
+            raise AutoLambdaError("auto lambda refused: C collapses to a single point")
+        cfg = replace(cfg, certificate=solve.certify_for_auto(operator, sample, k_grid, estimators))
+    trace = solve.krasnoselskij(operator, start, cfg)
+    return (trace, *_attempt_certificate(operator, trace, seed, k_grid, estimators[0]))
 
 
 def solve_sfp(
@@ -319,20 +322,15 @@ def solve_sfp(
     without a certificate certifies on C, displacement-sum class first.
     """
     operator = sfp_operator(instance)
-    cfg = _auto_config(
-        operator, instance.c_set, cfg, cert_seed, k_grid,
+    trace, cert, note = _solve(
+        operator, instance.c_set, cfg, instance.c_set.project(as_point(x0)), cert_seed, k_grid,
         (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
     )
-    start = instance.c_set.project(as_point(x0))
-    trace = solve.krasnoselskij(operator, start, cfg)
     point = trace.final
     residual_c = convex.distance(instance.c_set, point)
     image = instance.matrix @ point
     residual_q = float(np.linalg.norm(image - instance.q_set.project(image)))
     feasible = residual_c <= feas_tol and residual_q <= feas_tol
-    cert, note = _attempt_certificate(
-        operator, trace, cert_seed, k_grid, certify.estimate_kannan_constants
-    )
     return SfpResult(
         trace=trace,
         point=point,
@@ -364,11 +362,10 @@ def solve_vip(
     Auto lambda without a certificate certifies on C, max-displacement first.
     """
     operator = vip_operator(instance)
-    cfg = _auto_config(
-        operator, instance.c_set, cfg, seed, k_grid,
+    trace, cert, note = _solve(
+        operator, instance.c_set, cfg, as_point(x0), seed, k_grid,
         (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
     )
-    trace = solve.krasnoselskij(operator, as_point(x0), cfg)
     point = trace.final
     g_at_point = instance.operator.apply(point)
     samples = convex.sample_points(instance.c_set, n_samples, seed)
@@ -381,10 +378,6 @@ def solve_vip(
     mono_cert = None
     if mono_sample is not None:
         mono_cert = certify.check_monotone(instance.operator, mono_sample)
-
-    cert, note = _attempt_certificate(
-        operator, trace, seed, k_grid, certify.estimate_bianchini_constants
-    )
     return VipResult(
         trace=trace,
         point=point,

@@ -97,19 +97,15 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def _dedupe_rows(points: np.ndarray) -> np.ndarray:
-    """Drop exact duplicate rows, keeping first occurrences in order."""
-    _, idx = np.unique(points, axis=0, return_index=True)
-    return points[np.sort(idx)]
-
-
 def distinct_sample(points, description: str, seed: int | None) -> SampleSet | None:
     """Sample of the distinct rows of ``points``, first occurrences in order.
 
     Returns None when fewer than 2 distinct rows remain, so callers can skip
     a pairwise check that has no pair to sweep.
     """
-    pts = _dedupe_rows(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
+    _, idx = np.unique(pts, axis=0, return_index=True)
+    pts = pts[np.sort(idx)]
     if pts.shape[0] < 2:
         return None
     return SampleSet(points=pts, description=description, seed=seed)
@@ -145,6 +141,8 @@ def grid_sample(bounds, points_per_axis: int) -> SampleSet:
 def random_sample(bounds, n: int, seed: int) -> SampleSet:
     """Seeded uniform sample over a box."""
     bounds = _as_bounds(bounds)
+    if n < 0:
+        raise InvalidConstantError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -166,22 +164,20 @@ def default_sample(bounds, grid_points: int = 101, random_points: int = 100, see
     per-axis-dense grid would be intractable.
     """
     bounds = _as_bounds(bounds)
+    for name, count in (("grid_points", grid_points), ("random_points", random_points)):
+        if count < 0:
+            raise InvalidConstantError(f"{name} must be >= 0, got {count}")
     dim = len(bounds)
     if dim > 3:
         return random_sample(bounds, max(random_points, 2000), seed)
     per_axis = max(2, int(round(grid_points ** (1.0 / dim))))
-    grid = grid_sample(bounds, per_axis)
-    parts = [grid.points]
+    parts = [grid_sample(bounds, per_axis).points]
     if random_points > 0:
         parts.append(random_sample(bounds, random_points, seed).points)
-    pts = _dedupe_rows(np.concatenate(parts, axis=0))
-    return SampleSet(
-        points=pts,
-        description=(
-            f"grid {per_axis} pts/axis + {random_points} random pts on "
-            f"{bounds} (seed {seed})"
-        ),
-        seed=seed,
+    return distinct_sample(
+        np.concatenate(parts, axis=0),
+        f"grid {per_axis} pts/axis + {random_points} random pts on {bounds} (seed {seed})",
+        seed,
     )
 
 

@@ -34,9 +34,10 @@ is a configuration error naming the flag or the dotted config path.
 Exit codes: 0 success, 1 bad configuration/input, 2 iteration cap reached,
 3 divergence, 4 certification infeasible (including refused auto lambda),
 5 split-feasibility instance flagged infeasible, 6 inequality residual
-check failed. All randomness flows from the single --seed value, and
-rerunning an identical configuration reproduces output files byte for byte
-(the summary isolates its timestamp in a dedicated field).
+check failed. All randomness flows from the single --seed value (a
+non-negative integer), and rerunning an identical configuration reproduces
+output files byte for byte (the summary isolates its timestamp in a
+dedicated field).
 """
 
 from __future__ import annotations
@@ -108,6 +109,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _bounds(value) -> list:
     return [(float(lo), float(hi)) for lo, hi in value]
 
@@ -146,6 +154,8 @@ class _Settings:
         self.config = serialize.load_json(args.config) if args.config else {}
         if not isinstance(self.config, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
+        # every command records the seed, so a bad one is refused before any work
+        self.seed = self.get("--seed", "sample.seed", 0, _seed)
 
     def get(self, flag, config_path, default=None, convert=None):
         """The value of ``flag``, else of the dotted ``config_path``, else
@@ -182,10 +192,6 @@ class _Settings:
         out = self.get("--out", "output_dir", Path("out"), Path)
         out.mkdir(parents=True, exist_ok=True)
         return out
-
-    @property
-    def seed(self) -> int:
-        return self.get("--seed", "sample.seed", 0, _int)
 
     @property
     def tol(self) -> float:

@@ -50,19 +50,6 @@ def _finite_vector(value, name) -> np.ndarray:
     return arr
 
 
-def _normal(value, kind) -> np.ndarray:
-    """A finite normal whose squared norm, the divisor of the projection, is
-    neither 0 nor inf."""
-    a = _finite_vector(value, "normal")
-    with np.errstate(over="ignore"):
-        sq_norm = float(a @ a)
-    if not 0.0 < sq_norm < np.inf:
-        raise InvalidConstantError(
-            f"{kind} normal must have a squared norm in (0, inf), got {sq_norm} for {a.tolist()}"
-        )
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
     """Axis-aligned box {x : lower <= x <= upper}; may be degenerate."""
@@ -136,21 +123,34 @@ class Ball(ConvexSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace(ConvexSet):
-    """Halfspace {x : <normal, x> <= offset}."""
+class _Plane(ConvexSet):
+    """The shared part of ``Halfspace`` and ``Hyperplane``: a finite normal
+    whose squared norm, the divisor of the projection, is neither 0 nor inf,
+    and a finite offset."""
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
-        a = _normal(self.normal, "halfspace")
+        kind = type(self).__name__.lower()
+        a = _finite_vector(self.normal, "normal")
+        with np.errstate(over="ignore"):
+            sq_norm = float(a @ a)
+        if not 0.0 < sq_norm < np.inf:
+            raise InvalidConstantError(
+                f"{kind} normal must have a squared norm in (0, inf), got {sq_norm} for {a.tolist()}"
+            )
         if not np.isfinite(self.offset):
-            raise InvalidConstantError("halfspace offset must be finite")
+            raise InvalidConstantError(f"{kind} offset must be finite")
         object.__setattr__(self, "normal", a)
 
     @property
     def dim(self):
         return self.normal.shape[0]
+
+
+class Halfspace(_Plane):
+    """Halfspace {x : <normal, x> <= offset}."""
 
     def _project(self, point):
         excess = float(self.normal @ point) - self.offset
@@ -167,22 +167,8 @@ class Halfspace(ConvexSet):
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class Hyperplane(ConvexSet):
+class Hyperplane(_Plane):
     """Hyperplane {x : <normal, x> = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        a = _normal(self.normal, "hyperplane")
-        if not np.isfinite(self.offset):
-            raise InvalidConstantError("hyperplane offset must be finite")
-        object.__setattr__(self, "normal", a)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
 
     def _project(self, point):
         shift = (float(self.normal @ point) - self.offset) / float(
@@ -234,13 +220,32 @@ def _sampling_window(convex_set: ConvexSet):
     return anchor - 2.0, anchor + 2.0
 
 
+def _candidates(convex_set: ConvexSet, n: int, rng, lo, hi):
+    """Rounds of candidate points for rejection: ``4 n`` uniform window
+    points at a time, then, for a ball whose window rounds could not fill
+    the sample, ``n`` points drawn in the ball at a time."""
+    for _ in range(1000):
+        yield lo + rng.uniform(size=(4 * n, convex_set.dim)) * (hi - lo)
+    if isinstance(convex_set, Ball):
+        # the ball's share of its window, about 1e-4 at d = 13 and 2e-14 at
+        # d = 30, starves the window rounds: a Gaussian direction times
+        # radius * u^(1/d) is uniform in the ball
+        for _ in range(1000):
+            direction = rng.standard_normal((n, convex_set.dim))
+            direction /= np.sqrt(stacked_dot(direction, direction))[:, None]
+            radius = convex_set.radius * rng.uniform(size=n) ** (1.0 / convex_set.dim)
+            yield convex_set.center + radius[:, None] * direction
+
+
 def sample_points(convex_set: ConvexSet, n: int, seed: int = 0) -> np.ndarray:
     """n seeded points inside the set.
 
     Boxes are sampled uniformly; balls and halfspaces by rejection inside a
     window that overlaps them, a round of ``4 n`` candidates at a time, each
     kept where ``contains`` would keep it: where its distance to the set,
-    the norm of ``z - P(z)``, is 0. Hyperplanes have measure zero, so window
+    the norm of ``z - P(z)``, is 0. A ball whose window rounds cannot fill
+    the sample (from about 13 dimensions on) goes on with points drawn in
+    the ball, under the same rule. Hyperplanes have measure zero, so window
     samples are projected onto the plane instead of rejected.
     """
     if n < 1:
@@ -256,8 +261,7 @@ def sample_points(convex_set: ConvexSet, n: int, seed: int = 0) -> np.ndarray:
         return convex_set._project_many(raw)
 
     out, found = [], 0
-    for _ in range(1000):
-        raw = lo + rng.uniform(size=(4 * n, dim)) * (hi - lo)
+    for raw in _candidates(convex_set, n, rng, lo, hi):
         with np.errstate(over="ignore"):
             off = raw - convex_set._project_many(raw)
             out.append(raw[np.sqrt(stacked_dot(off, off)) <= 0.0])

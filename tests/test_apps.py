@@ -328,6 +328,73 @@ class TestSolveVip:
         assert "infeasible" in result.certificate_note
 
 
+class TestAutoLambdaClassOrder:
+    """Auto lambda takes the first class that certifies on C: displacement-sum
+    (Kannan) for SFP, max-displacement (Bianchini) for VIP."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("estimate_kannan_constants", "estimate_bianchini_constants"):
+
+            def spy(mapping, sample, k_grid=certify.DEFAULT_K_GRID, real=getattr(certify, name), name=name):
+                cert = real(mapping, sample, k_grid)
+                calls.append((name, sample.description, cert.feasible))
+                return cert
+
+            monkeypatch.setattr(certify, name, spy)
+        return calls
+
+    def _both_certify_on_c(self, calls, operator, c_set, seed):
+        sample = certify.distinct_sample(convex.sample_points(c_set, 200, seed), "C", seed)
+        assert certify.estimate_kannan_constants(operator, sample).feasible
+        assert certify.estimate_bianchini_constants(operator, sample).feasible
+        calls.clear()
+
+    def test_sfp_takes_kannan_first(self, calls):
+        # the operator is constant on C, so both classes certify there
+        inst = catalog.standard_sfp()
+        self._both_certify_on_c(calls, sfp_operator(inst), inst.c_set, 3)
+        cfg = solve.SolveConfig(lam=solve.AUTO, tol=1e-10, max_iter=50)
+        solve_sfp(inst, cfg, [0.0, 0.0], cert_seed=3)
+        on_c = [call for call in calls if call[1] == "200 seeded pts in C (seed 3)"]
+        assert on_c == [("estimate_kannan_constants", "200 seeded pts in C (seed 3)", True)]
+        assert calls[-1][0] == "estimate_kannan_constants" and calls[-1][1].startswith("orbit")
+
+    def test_vip_takes_bianchini_first(self, calls):
+        # G(x) = x - c with gamma 1 makes T the constant P_C(c)
+        inst = VipInstance(
+            c_set=convex.Box(lower=np.zeros(2), upper=np.ones(2)),
+            operator=AffineMap(matrix=np.eye(2), offset=np.array([-0.3, -2.0])),
+            gamma=1.0,
+        )
+        self._both_certify_on_c(calls, vip_operator(inst), inst.c_set, 3)
+        cfg = solve.SolveConfig(lam=solve.AUTO, tol=1e-10, max_iter=50)
+        result = solve_vip(inst, cfg, [0.5, 0.5], seed=3)
+        assert np.array_equal(result.point, [0.3, 1.0])
+        on_c = [call for call in calls if call[1] == "200 seeded pts in C (seed 3)"]
+        assert on_c == [("estimate_bianchini_constants", "200 seeded pts in C (seed 3)", True)]
+        assert calls[-1][0] == "estimate_bianchini_constants" and calls[-1][1].startswith("orbit")
+
+
+class TestHighDimensionalBall:
+    """A ball C samples at any dimension (auto lambda on a 30-D ball is in test_cli)."""
+
+    def test_vip_on_a_20d_ball(self):
+        d = 20
+        inst = VipInstance(
+            c_set=convex.Ball(center=np.zeros(d), radius=1.0),
+            operator=AffineMap(matrix=np.eye(d), offset=np.full(d, 0.1)),
+            gamma=0.5,
+        )
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=500)
+        result = solve_vip(inst, cfg, np.zeros(d), seed=1)
+        assert result.trace.converged
+        assert np.allclose(result.point, -0.1, atol=1e-8)  # interior: G(x*) = 0
+        assert result.vi_ok
+        assert result.monotone_certificate.satisfied
+
+
 def _orbit_order_sample(trace, seed, random_points=100):
     """The orbit sample with its rows in iteration order, oldest iterate first."""
     orbit = np.stack(trace.iterates)

@@ -95,6 +95,26 @@ class TestSampleSet:
         with pytest.raises(InvalidConstantError, match="at least one axis"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda bounds: default_sample(bounds, grid_points=-1), "grid_points"),
+            (lambda bounds: default_sample(bounds, random_points=-3), "random_points"),
+            (lambda bounds: random_sample(bounds, -1, seed=0), "n"),
+        ],
+        ids=["grid_points", "random_points", "random_n"],
+    )
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_a_negative_count_is_refused(self, build, named, dim):
+        # (-1) ** 0.5 is complex, and -3 random points printed as such
+        with pytest.raises(InvalidConstantError, match=f"^{named} must be >= 0, got -"):
+            build([(0.0, 1.0)] * dim)
+
+    def test_zero_counts_are_allowed(self):
+        s = default_sample([(0.0, 1.0), (0.0, 1.0)], grid_points=0, random_points=0)
+        assert s.size == 4
+        assert s.description.startswith("grid 2 pts/axis + 0 random pts on ")
+
 
 class TestCheckKannan:
     def test_plain_rate_fails_on_isometry(self, reflection, unit_sample):

@@ -562,6 +562,72 @@ class TestFlagsAndValues:
         assert capsys.readouterr().err.startswith(f"configuration error: {named}: expected an integer, got ")
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "solve", "sfp", "vip", "demo", "bench"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_negative_seed_is_a_configuration_error(
+        self, tmp_path, reflection_json, sfp_json, capsys, command, where
+    ):
+        # numpy refused it with a traceback; bench ran and recorded "seed": -1
+        vip = {"type": "vip", "C": {"variant": "box", "lower": [0], "upper": [2]},
+               "G": {"variant": "affine", "matrix": [[1]], "offset": [-1]}, "gamma": 0.5}
+        inputs = {"sfp": sfp_json, "vip": write_json(tmp_path / "vip.json", vip)}
+        argv = [command, "--out", str(tmp_path / "o")]
+        if command != "demo":
+            argv += ["--input", inputs.get(command, reflection_json)]
+        if command == "solve":
+            argv += ["--lambda", "auto"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+            named = "--seed"
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json", {"sample": {"seed": -1}})]
+            named = "sample.seed"
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {named}: expected a non-negative integer, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_negative_seed_exits_1_without_a_traceback(self, tmp_path, reflection_json):
+        result = run_cli("certify", "--input", reflection_json, "--seed", "-1", "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert result.stderr == "configuration error: --seed: expected a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ({"grid_points": -1, "bounds": [[0, 1], [0, 1]]}, "grid_points must be >= 0, got -1"),
+            ({"random_points": -3, "bounds": [[0, 1], [0, 1]]}, "random_points must be >= 0, got -3"),
+        ],
+    )
+    def test_a_negative_sample_count_exits_1(self, tmp_path, sample, message):
+        # grid_points -1 raised a TypeError on (-1) ** 0.5; random_points -3
+        # ran and described its sample as "+ -3 random pts"
+        mapping = write_json(tmp_path / "affine.json", {"variant": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0, 0]})
+        config = write_json(tmp_path / "cfg.json", {"sample": sample})
+        result = run_cli("certify", "--input", mapping, "--config", config, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert result.stderr == f"error: {message}\n"
+
+    def test_sfp_auto_lambda_on_a_30d_ball_never_fails_to_sample(self, tmp_path, capsys):
+        # the ball's share of its bounding box is about 2e-14: the sample in C
+        # for auto lambda used to raise "rejection sampling failed to fill"
+        d = 30
+        instance = {
+            "type": "sfp",
+            "C": {"variant": "ball", "center": [0.0] * d, "radius": 1.0},
+            "Q": {"variant": "ball", "center": [0.1] * d, "radius": 0.5},
+            "A": np.eye(d).tolist(),
+        }
+        argv = ["sfp", "--input", write_json(tmp_path / "sfp30.json", instance), "--lambda", "auto",
+                "--x0", ",".join(["1"] * d), "--seed", "2", "--out", str(tmp_path / "o")]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CERT_INFEASIBLE), err
+        if code == cli.EXIT_CERT_INFEASIBLE:
+            assert err == "auto lambda refused: no feasible certificate on 200 seeded pts in C (seed 2)\n"
+        else:
+            assert (tmp_path / "o" / "certificate.json").exists()
+
     def test_an_integral_number_is_an_integer_setting(self, tmp_path, reflection_json):
         out = tmp_path / "o"
         config = write_json(tmp_path / "cfg.json", {"sample": {"seed": 3.0}, "solver": {"max_iter": 50.0}})

@@ -191,12 +191,22 @@ class TestBatchedSampling:
         # the per-point loop takes about 14 s here, so only membership is checked
         assert zs.shape == (200, 12) and all(contains(ball, z) for z in zs)
 
-    def test_a_failed_rejection_raises_as_the_loop_does(self):
-        # a 30-D ball fills about 2e-14 of its bounding box: 4000 candidates miss it
+    def test_a_ball_the_window_rounds_miss_is_drawn_directly(self):
+        # a 30-D ball fills about 2e-14 of its bounding box: the 1000 window
+        # rounds of 4 candidates miss it, and the direct draws fill it
         ball = Ball(center=np.zeros(30), radius=1.0)
-        for sample in (sample_points, _sample_points_loop):
-            with pytest.raises(InvalidConstantError, match="failed to fill 1 points for Ball"):
-                sample(ball, 1, 0)
+        with pytest.raises(InvalidConstantError, match="failed to fill 1 points for Ball"):
+            _sample_points_loop(ball, 1, 0)
+        zs = sample_points(ball, 1, 0)
+        assert zs.shape == (1, 30) and contains(ball, zs[0])
+
+    @pytest.mark.parametrize("d", [13, 20, 30])
+    def test_a_high_dimensional_ball_fills_its_sample(self, d):
+        ball = Ball(center=np.linspace(-1.0, 2.0, d), radius=0.5)
+        zs = sample_points(ball, 200, seed=1)
+        assert zs.shape == (200, d) and all(contains(ball, z) for z in zs)
+        assert len(np.unique(zs, axis=0)) == 200
+        assert np.array_equal(zs, sample_points(ball, 200, seed=1))
 
 
 class TestValidation:
@@ -217,6 +227,19 @@ class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             project(Box(lower=np.zeros(2), upper=np.ones(2)), [1.0])
+
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    def test_plane_messages_name_the_set(self, kind):
+        name = kind.__name__.lower()
+        with pytest.raises(InvalidConstantError, match=rf"^{name} normal must have a squared norm in \(0, inf\), got 0.0 for \[0.0, 0.0\]$"):
+            kind(normal=np.zeros(2), offset=1.0)
+        with pytest.raises(InvalidConstantError, match=f"^{name} offset must be finite$"):
+            kind(normal=np.ones(2), offset=np.nan)
+        with pytest.raises(InvalidConstantError, match="^normal must be a finite vector$"):
+            kind(normal=[1.0, np.inf], offset=0.0)
+        cs = kind(normal=[3.0, 4.0], offset=1.0)
+        assert cs.dim == 2 and not cs.normal.flags.writeable
+        assert repr(cs).startswith(f"{kind.__name__}(normal=array([3., 4.]), offset=1.0)")
 
 
 # --- _project_many: project at each row, bit for bit ---------------------------
