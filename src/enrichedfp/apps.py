@@ -32,7 +32,7 @@ from .exceptions import (
     GammaRangeError,
     InvalidConstantError,
 )
-from .mappings import Mapping, as_point, stacked_matvec
+from .mappings import Mapping, as_point, as_seed, stacked_matvec
 
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
@@ -323,7 +323,8 @@ def solve_sfp(
     """
     operator = sfp_operator(instance)
     trace, cert, note = _solve(
-        operator, instance.c_set, cfg, instance.c_set.project(as_point(x0)), cert_seed, k_grid,
+        operator, instance.c_set, cfg, instance.c_set.project(as_point(x0)),
+        as_seed(cert_seed, "cert_seed"), k_grid,
         (certify.estimate_kannan_constants, certify.estimate_bianchini_constants),
     )
     point = trace.final
@@ -363,7 +364,7 @@ def solve_vip(
     """
     operator = vip_operator(instance)
     trace, cert, note = _solve(
-        operator, instance.c_set, cfg, as_point(x0), seed, k_grid,
+        operator, instance.c_set, cfg, as_point(x0), as_seed(seed), k_grid,
         (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
     )
     point = trace.final

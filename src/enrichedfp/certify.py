@@ -23,7 +23,7 @@ for any finite rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .exceptions import (
     EnrichedFPError,
     InvalidConstantError,
 )
-from .mappings import Mapping
+from .mappings import Mapping, as_seed
 
 KANNAN_RATE_LIMIT = 0.5
 BIANCHINI_RATE_LIMIT = 1.0
@@ -65,14 +65,20 @@ class SampleSet:
 
     ``points`` is an (N, d) array with N >= 2, finite entries and no
     duplicate rows. ``seed`` records the generator seed of any randomized
-    part so certificates are reproducible.
+    part so certificates are reproducible. ``rank`` is each row's
+    lexicographic rank (``_kernels._row_rank``), computed once, here: two
+    rows that share a rank are duplicates, and every sweep of the sample
+    breaks its ties by it. ``distinct_sample`` hands over the rank it has
+    already computed as ``_rank``.
     """
 
     points: np.ndarray
     description: str
     seed: int | None = None
+    rank: np.ndarray = field(init=False, repr=False)
+    _rank: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _rank):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -82,11 +88,13 @@ class SampleSet:
             )
         if not np.all(np.isfinite(pts)):
             raise InvalidConstantError("sample contains non-finite points")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        rank = _kernels._row_rank(pts) if _rank is None else np.asarray(_rank)
+        if rank.max() + 1 != pts.shape[0]:
             raise InvalidConstantError("sample contains duplicate points")
         pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        for array, name in ((pts, "points"), (rank, "rank")):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
@@ -100,15 +108,22 @@ class SampleSet:
 def distinct_sample(points, description: str, seed: int | None) -> SampleSet | None:
     """Sample of the distinct rows of ``points``, first occurrences in order.
 
-    Returns None when fewer than 2 distinct rows remain, so callers can skip
-    a pairwise check that has no pair to sweep.
+    The rows are ranked once: the first row of each rank is kept, and the
+    kept rows' ranks become the sample's ``rank``. Returns None when fewer
+    than 2 distinct rows remain, so callers can skip a pairwise check that
+    has no pair to sweep.
     """
     pts = np.asarray(points, dtype=np.float64)
-    _, idx = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(idx)]
-    if pts.shape[0] < 2:
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    rank = _kernels._row_rank(pts)
+    first = np.full(rank.max(initial=-1) + 1, len(rank))
+    np.minimum.at(first, rank, np.arange(len(rank)))
+    keep = np.zeros(len(rank), dtype=bool)
+    keep[first] = True
+    if np.count_nonzero(keep) < 2:
         return None
-    return SampleSet(points=pts, description=description, seed=seed)
+    return SampleSet(points=pts[keep], description=description, seed=seed, _rank=rank[keep])
 
 
 def _as_bounds(bounds) -> list[tuple[float, float]]:
@@ -143,7 +158,7 @@ def random_sample(bounds, n: int, seed: int) -> SampleSet:
     bounds = _as_bounds(bounds)
     if n < 0:
         raise InvalidConstantError(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     pts = lo + rng.uniform(size=(n, len(bounds))) * (hi - lo)
@@ -167,6 +182,7 @@ def default_sample(bounds, grid_points: int = 101, random_points: int = 100, see
     for name, count in (("grid_points", grid_points), ("random_points", random_points)):
         if count < 0:
             raise InvalidConstantError(f"{name} must be >= 0, got {count}")
+    as_seed(seed)  # recorded even where no point is random
     dim = len(bounds)
     if dim > 3:
         return random_sample(bounds, max(random_points, 2000), seed)
@@ -264,7 +280,7 @@ def _check(mapping: Mapping, sample: SampleSet, k: float, rate: float, mode: int
     if not (0.0 <= rate < limit):
         raise InvalidConstantError(f"rate must lie in {span}, got {rate}")
     images = evaluate_on(mapping, sample)
-    viol, pair = _kernels.violation_max(sample.points, images, k, rate, mode)
+    viol, pair = _kernels.violation_max(sample.points, images, k, rate, mode, rank=sample.rank)
     return ContractionCertificate(
         class_tag=plain if k == 0.0 else enriched,
         k=float(k),
@@ -307,7 +323,7 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
     max_violation <= 0 reading applies.
     """
     images = evaluate_on(operator, sample)
-    min_inner, pair = _kernels.inner_min(sample.points, images)
+    min_inner, pair = _kernels.inner_min(sample.points, images, rank=sample.rank)
     return ContractionCertificate(
         class_tag="monotone",
         k=0.0,
@@ -319,28 +335,24 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
     )
 
 
-# The probe that orders an estimate's sweeps reads the pairs of consecutive
-# rows among the first _PROBE_PAIRS + 1 sample points.
-_PROBE_PAIRS = 64
-
-
 def _probe(points, images, k_values, mode):
-    """Each ``k``'s ratio sup over a few consecutive-row pairs: a cheap guess at its rank.
+    """Each ``k``'s ratio sup over the probe pairs: a cheap guess at its rank.
 
-    It only orders the sweeps, so it decides nothing and has no bit
-    contract. A pair of two fixed points (``0 / 0``) is passed over, and a
-    ``k`` with no finite guess ranks last.
+    The probe pairs and their values are those with which a ``ratio_sup``
+    sweep with ``stop_at`` starts (``_kernels._probe_pairs``), so each
+    guess is, bit for bit, a lower bound on that ``k``'s full sup: the
+    value of a pair the full sweep covers. A ``k`` that the probe pairs
+    already show infeasible guesses ``+inf`` and ranks last.
     """
-    x = points[: _PROBE_PAIRS + 1]
-    t = images[: _PROBE_PAIRS + 1]
+    x = points[: _kernels.PROBE_PAIRS + 1]
+    t = images[: _kernels.PROBE_PAIRS + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        disp = np.sqrt(np.sum((x - t) ** 2, axis=1))
-        den = _kernels.PAIR_SCALE[mode](disp[:-1], disp[1:])
-        dx, dt = x[:-1] - x[1:], t[:-1] - t[1:]
+        disp = _kernels._displacements(x, t)
         guesses = []
         for k in k_values:
-            sup = float(np.fmax.reduce(np.sqrt(np.sum((k * dx + dt) ** 2, axis=1)) / den))
-            guesses.append(math.inf if math.isnan(sup) else sup)
+            ratio, nan, bad = _kernels._probe_pairs(x, t, disp, k, mode)
+            infeasible = nan.any() or bad.any()
+            guesses.append(math.inf if infeasible else float(ratio.max(initial=-math.inf)))
     return guesses
 
 
@@ -445,7 +457,7 @@ def _estimate(mapping, sample, k_grid, mode):
             "every sample point is fixed; no displacement to estimate against"
         )
 
-    rank = _kernels._row_rank(sample.points)  # one tie-break order for every sweep
+    rank = sample.rank  # one tie-break order for every sweep
     guesses = _probe(sample.points, images, k_values, mode)
     outcomes = [None] * len(k_values)
     s_ref = None  # the smallest full sup of a feasible k so far

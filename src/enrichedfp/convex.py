@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidConstantError
-from .mappings import as_point, stacked_dot
+from .mappings import as_point, as_seed, stacked_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +250,7 @@ def sample_points(convex_set: ConvexSet, n: int, seed: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise InvalidConstantError("need n >= 1 sample points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     lo, hi = _sampling_window(convex_set)
     dim = convex_set.dim
 

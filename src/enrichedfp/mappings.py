@@ -31,6 +31,14 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
+def as_seed(seed, name: str = "seed"):
+    """``seed`` for numpy's generator, with a negative one refused by a typed
+    error here rather than by numpy's untyped one."""
+    if seed < 0:
+        raise InvalidConstantError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def norm_dist(x, y) -> float:
     """Euclidean distance between two points of equal dimension."""
     xa, ya = as_point(x), as_point(y)

@@ -202,6 +202,13 @@ class TestApplyMany:
 
 
 class TestSolveSfp:
+    @pytest.mark.parametrize("lam", [solve.AUTO, 0.5])
+    def test_a_negative_seed_is_refused(self, lam):
+        # refused before the solve, with auto lambda or without
+        cfg = solve.SolveConfig(lam=lam, tol=1e-10, max_iter=50)
+        with pytest.raises(InvalidConstantError, match=r"^cert_seed must be >= 0, got -1$"):
+            solve_sfp(catalog.standard_sfp(), cfg, [0.0, 0.0], cert_seed=-1)
+
     def test_standard_instance(self):
         cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=500)
         result = solve_sfp(catalog.standard_sfp(), cfg, [0.0, 0.0])
@@ -256,6 +263,13 @@ class TestSolveSfp:
 
 
 class TestSolveVip:
+    @pytest.mark.parametrize("lam", [solve.AUTO, 1.0])
+    def test_a_negative_seed_is_refused(self, lam):
+        # refused before the solve, with auto lambda or without
+        cfg = solve.SolveConfig(lam=lam, tol=1e-10, max_iter=50)
+        with pytest.raises(InvalidConstantError, match=r"^seed must be >= 0, got -1$"):
+            solve_vip(catalog.vip_line(), cfg, [0.0], seed=-1)
+
     def test_auto_lambda_certifies_on_c(self):
         # G(x) = x - 1 makes T a 1/2-scaling, which no class certifies; the
         # refusal names the sample in C it tried

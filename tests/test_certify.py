@@ -50,6 +50,45 @@ class TestSampleSet:
         assert sample.points.tolist() == [[0.5], [0.0], [1.0]]
         assert (sample.description, sample.seed) == ("five pts", 3)
 
+    def test_distinct_sample_keeps_the_first_signed_zero(self):
+        # -0.0 and 0.0 compare equal, so the first of the two rows stays, with its sign
+        pts = np.array([[-0.0, 1.0], [0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [0.0, 1.0]])
+        sample = distinct_sample(pts, "signed zeros", seed=None)
+        assert sample.points.tobytes() == pts[[0, 2]].tobytes()
+        assert sample.rank.tolist() == [0, 1]
+
+    @given(
+        d=st.integers(1, 12),
+        n=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from([1, 2, 3, 9]),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_rows_are_ranked_once(self, d, n, seed, values):
+        # coarse rows with signed zeros, often repeated: the rank stored on a
+        # sample is _row_rank of its points, duplicates are refused with the
+        # same message, and distinct_sample keeps the rows, in the order, that
+        # np.unique(axis=0, return_index=True) keeps
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, values, size=(n, d)) - (values - 1) / 2
+        pts[rng.random((n, d)) < 0.2] *= -0.0
+        _, first = np.unique(pts, axis=0, return_index=True) if n else (None, np.zeros(0, int))
+        kept = pts[np.sort(first)]
+        sample = distinct_sample(pts, "coarse rows", seed=None)
+        if len(kept) < 2:
+            assert sample is None
+        else:
+            assert sample.points.tobytes() == kept.tobytes()
+            assert np.array_equal(sample.rank, _kernels._row_rank(kept))
+            assert not sample.rank.flags.writeable
+        if n < 2:
+            return
+        if len(kept) < n:
+            with pytest.raises(InvalidConstantError, match="^sample contains duplicate points$"):
+                SampleSet(points=pts, description="coarse rows")
+        else:
+            assert np.array_equal(SampleSet(points=pts, description="x").rank, _kernels._row_rank(pts))
+
     def test_distinct_sample_none_below_two_points(self):
         assert distinct_sample(np.array([[1.0], [1.0]]), "one pt", seed=None) is None
 
@@ -108,6 +147,21 @@ class TestSampleSet:
     def test_a_negative_count_is_refused(self, build, named, dim):
         # (-1) ** 0.5 is complex, and -3 random points printed as such
         with pytest.raises(InvalidConstantError, match=f"^{named} must be >= 0, got -"):
+            build([(0.0, 1.0)] * dim)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bounds: default_sample(bounds, seed=-1),
+            lambda bounds: default_sample(bounds, random_points=0, seed=-1),
+            lambda bounds: random_sample(bounds, 10, seed=-1),
+        ],
+        ids=["default", "default_grid_only", "random"],
+    )
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_a_negative_seed_is_refused(self, build, dim):
+        # numpy's generator would raise an untyped ValueError
+        with pytest.raises(InvalidConstantError, match=r"^seed must be >= 0, got -1$"):
             build([(0.0, 1.0)] * dim)
 
     def test_zero_counts_are_allowed(self):
@@ -671,10 +725,10 @@ class TestPrunedEstimate:
     def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, reflection, unit_sample):
         # the reflection's rate |1 - k| / 2 is about 0 at k = 1, which the probe
         # guesses too: k = 1 is swept first, in full, and every other k stops
-        # after its one-row leading block
+        # on the probe pairs, before its first block
         kannan, _ = _same_as_unpruned(reflection, unit_sample, DEFAULT)
         assert kannan.k == 1.0 and kannan.rate < 1e-15
-        assert ratio_blocks[:8] == [8] + [1] * 7
+        assert ratio_blocks[:8] == [8] + [0] * 7
 
     @pytest.mark.parametrize("k_near", [2.0 + 2e-13, 2.0 - 2e-13, 2.0 - 1e-11, 2.0])
     @pytest.mark.parametrize("first", ["k = 0", "k near 2"])
@@ -691,11 +745,12 @@ class TestPrunedEstimate:
         # all 8 blocks. A sup within the tie tolerance lies below the bound,
         # so the second k sweeps every pair: its leading block and 8 more. At
         # 2 - 1e-11 the probe puts k near 2 first, and k = 0, 5e-12 above it,
-        # stops once a block reaches the bound: at once for Kannan, where the
-        # fixed point's row leads and its pairs are at the sup; a block later
-        # for Bianchini, where they are at half of it
+        # stops once it reaches the bound: for Kannan on the probe pairs,
+        # before any block, since the grid pairs next to the fixed point are
+        # at the sup; for Bianchini, where those pairs are at half of it,
+        # after the leading block, which holds the fixed point's row, and one more
         if k_near == 2.0 - 1e-11:
-            assert ratio_blocks == [8, 1, 8, 8, 8, 2, 8, 8] * 2
+            assert ratio_blocks == [8, 0, 8, 8, 8, 2, 8, 8] * 2
         else:
             assert ratio_blocks == [8, 9, 8, 8] * 4
 

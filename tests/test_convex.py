@@ -154,6 +154,12 @@ class TestSampling:
         zs = sample_points(point_box, 10, seed=0)
         assert np.all(zs == 0.0)
 
+    @pytest.mark.parametrize("cs", set_variants(), ids=lambda s: type(s).__name__)
+    def test_a_negative_seed_is_refused(self, cs):
+        # numpy's generator would raise an untyped ValueError
+        with pytest.raises(InvalidConstantError, match=r"^seed must be >= 0, got -1$"):
+            sample_points(cs, 10, seed=-1)
+
 
 def _sample_points_loop(convex_set, n, seed):
     """The reference for ``sample_points``: the same draws, one ``project``

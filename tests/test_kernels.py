@@ -93,12 +93,13 @@ def brute_violation(points, images, k, rate, mode, guard_eps=CHECK_GUARD_EPS):
     return best, _witness([_key(points, i, j) for v, i, j in vals if v == best])
 
 
-def brute_ratio(points, images, k, mode):
-    """Literal reference for ``ratio_sup``: (sup, witness, infeasible, zpair)."""
+def brute_ratio(points, images, k, mode, pairs=None):
+    """Literal reference for ``ratio_sup``: (sup, witness, infeasible, zpair),
+    over every ordered pair or over the ordered ``pairs`` given."""
     disp, _, _ = _point_norms(points, images)
     x, t = points.tolist(), images.tolist()
     ratios, nan, bad = [], [], []
-    for i, j in _pairs(len(x)):
+    for i, j in _pairs(len(x)) if pairs is None else pairs:
         num = _norm([k * (a - b) + (c - e) for a, b, c, e in zip(x[i], x[j], t[i], t[j])])
         den = disp[i] + disp[j] if mode == MODE_KANNAN else np.maximum(disp[i], disp[j])
         if den == 0.0:
@@ -874,22 +875,71 @@ def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mod
     assert swept_blocks[2:] == [bounded] * 3 and full_blocks <= bounded <= full_blocks + 1
 
 
+def _probe_pairs(n):
+    """The ordered pairs a sweep with ``stop_at`` probes first: consecutive
+    rows among the first 65, each in both orientations."""
+    assert _kernels.PROBE_PAIRS == 64
+    return [p for i in range(min(n, 65) - 1) for p in ((i, i + 1), (i + 1, i))]
+
+
+# Blocks swept per call at seed 22 by a sweep that stops at the full sup, one
+# ulp below it, half of it, the probe pairs' sup, 0 and -inf: 0 where the
+# probe pairs reach the bound, so the call returns before its first block
+STOP_BLOCKS = {
+    ("_random_case", MODE_KANNAN, 0.0): [2, 2, 0, 0, 0, 0],
+    ("_random_case", MODE_KANNAN, 1.0): [2, 2, 0, 0, 0, 0],
+    ("_random_case", MODE_BIANCHINI, 0.0): [2, 2, 0, 0, 0, 0],
+    ("_random_case", MODE_BIANCHINI, 1.0): [2, 2, 0, 0, 0, 0],
+    ("_tie_heavy_case", MODE_KANNAN, 0.0): [4, 4, 0, 0, 0, 0],
+    ("_tie_heavy_case", MODE_KANNAN, 1.0): [4, 4, 1, 0, 0, 0],
+    ("_tie_heavy_case", MODE_BIANCHINI, 0.0): [4, 4, 0, 0, 0, 0],
+    ("_tie_heavy_case", MODE_BIANCHINI, 1.0): [4, 4, 1, 0, 0, 0],
+}
+
+
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
 @RATIO_MODES
 def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, swept_blocks, case, mode, k):
     pts, images = case(seed=22, n=N_MULTI_BLOCK, d=3)
     full = ratio_sup(pts, images, k, mode)
-    # with a bound no sweep can miss, the sweep ends after its first block;
-    # with that block's own sup as the bound, too (the test is >=, not >)
+    # with a bound no sweep can miss, the call ends on the probe pairs, before
+    # any block, with their oracle result; with their own sup as the bound,
+    # too (the test is >=, not >)
     first = ratio_sup(pts, images, k, mode, stop_at=-math.inf)
-    assert swept_blocks[1:] == [1]
+    assert len(swept_blocks) == 1
+    assert _bits(first) == _bits(brute_ratio(pts, images, k, mode, _probe_pairs(len(pts))))
     assert -math.inf < first[0] <= full[0]
     bounds = (full[0], math.nextafter(full[0], -math.inf), full[0] / 2, first[0], 0.0, -math.inf)
+    counts = []
     for stop in bounds:
+        calls = len(swept_blocks)
         got = ratio_sup(pts, images, k, mode, stop_at=stop)
+        counts.append(swept_blocks[-1] if len(swept_blocks) > calls else 0)
         assert stop <= got[0] <= full[0]
-    assert swept_blocks[-3:] == [1, 1, 1]
-    assert swept_blocks[2] <= 9  # the full sup is found at whichever block holds it
+    assert counts == STOP_BLOCKS[case.__name__, mode, k]
+
+
+@pytest.mark.parametrize("d", [1, 3, 12])
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+def test_a_stop_on_the_probe_pairs_is_their_oracle(swept_blocks, d, mode):
+    # NaN and infinite images, fixed rows (some pairs of them with a
+    # numerator above ZERO_NUM_TOL) and duplicate rows among the probe rows:
+    # the result is the oracle's over the probe pairs alone, witness,
+    # NaN pair and zero pair included, and no block is swept
+    pts, images = _tie_heavy_case(seed=25, n=90, d=d)
+    pts[10:14], images[10:14] = [0.0] * d, [0.0] * d
+    pts[12:14, 0] += 1e-13
+    images[12:14] = pts[12:14]
+    for k in (0.0, 0.5, 2.0):
+        for rows, value in ((), np.nan), ((30,), np.nan), ((30, 47), np.inf):
+            bad = images.copy()
+            bad[list(rows), 0] = value
+            with np.errstate(invalid="ignore"):  # the oracle's inf / inf
+                probed = brute_ratio(pts, bad, k, mode, _probe_pairs(len(pts)))
+            got = ratio_sup(pts, bad, k, mode, stop_at=-math.inf)
+            assert _bits(got) == _bits(probed)
+            assert got[0] <= ratio_sup(pts, bad, k, mode)[0]
+    assert swept_blocks == [1] * 9  # the full sweeps only, of one block each
 
 
 def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
@@ -911,8 +961,106 @@ def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_bloc
 def test_a_given_row_rank_changes_no_bit(case):
     pts, images = case(seed=24, n=N_MULTI_BLOCK, d=4)
     rank = _kernels._row_rank(pts)
-    for kernel, _ in KERNELS[:-1]:  # every kernel with a rank keyword: all but inner_min
+    for kernel, _ in KERNELS:
         assert _bits(kernel(pts, images, rank=rank)) == _bits(kernel(pts, images))
+
+
+def _through(blocks, seen):
+    for block in blocks:
+        seen.append(block)
+        yield block
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Per sweep set up: ``(n, blocks, order)``, the blocks filled in as they are
+    swept and ``order`` the row order (None: the sample's)."""
+    calls = []
+    sweep = _kernels._sweep
+
+    def recorded(*args, **kwargs):
+        tri, best = sweep(*args, **kwargs)
+        blocks = []
+        tri.blocks = _through(tri.blocks, blocks)
+        calls.append((tri.n, blocks, best.order))
+        return tri, best
+
+    monkeypatch.setattr(_kernels, "_sweep", recorded)
+    return calls
+
+
+def _covered(n, blocks, order):
+    """The ordered sample pairs of the triangle blocks swept."""
+    order = np.arange(n) if order is None else order
+    return [
+        pair
+        for lo, hi in blocks
+        for r in range(lo, hi)
+        for c in range(r + 1, n)
+        for pair in ((order[r], order[c]), (order[c], order[r]))
+    ]
+
+
+STOPS = {
+    "-inf": lambda sup, probe: -math.inf,
+    "probe": lambda sup, probe: probe,
+    "half": lambda sup, probe: sup / 2,
+    "below": lambda sup, probe: math.nextafter(sup, -math.inf),
+    "at": lambda sup, probe: sup,
+    "above": lambda sup, probe: math.nextafter(sup, math.inf),
+    "inf": lambda sup, probe: math.inf,
+}
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.sampled_from([2, 3, 40, 65, 66, 120, 200, 200]),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    fixed=st.sampled_from([0.0, 0.0, 0.2, 1.0]),
+    nonfinite=st.sampled_from([(), (), (np.nan,), (np.inf,), (np.nan, np.inf, np.inf)]),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    stop=st.sampled_from(["-inf", "probe", "half", "below", "below", "at", "at", "above", "inf"]),
+)
+@settings(
+    max_examples=200, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_a_stopped_sweep_is_the_oracle_over_the_pairs_it_covered(
+    eight_blocks, sweeps, d, n, seed, coarse, fixed, nonfinite, mode, k, stop
+):
+    # random or coarse rows (ties, duplicates, signed zeros), a share fixed, and
+    # NaN and infinite images at random rows. A sweep stopped at or below the
+    # full sup returns a sup at or above the bound and at most the full sup,
+    # the oracle's result over the pairs it covered: the probe pairs when it
+    # ends on them, else the triangle blocks it swept. Above the full sup it
+    # returns the full sweep's bits
+    rng = np.random.default_rng(seed)
+    if coarse:
+        pts = rng.integers(-4, 5, size=(n, d)) / 4
+        pts[rng.random((n, d)) < 0.1] = -0.0
+        images = -0.75 * pts[:, ::-1] + rng.integers(-2, 3, size=(n, d)) / 8
+    else:
+        pts, images = _random_case(seed, n, d, contraction=2.0)
+    rows = rng.random(n) < fixed
+    images[rows] = pts[rows]
+    for value in nonfinite:
+        images[rng.integers(n), rng.integers(d)] = value
+    full = ratio_sup(pts, images, k, mode)
+    probe = ratio_sup(pts, images, k, mode, stop_at=-math.inf)[0]
+    bound = STOPS[stop](full[0], probe)
+    sweeps.clear()
+    got = ratio_sup(pts, images, k, mode, stop_at=bound)
+    if got[0] >= bound:
+        assert got[0] <= full[0]
+        covered = _covered(*sweeps[0]) if sweeps else _probe_pairs(n)
+        with np.errstate(invalid="ignore", over="ignore"):  # the oracle's inf / inf
+            oracle = brute_ratio(pts, images, k, mode, covered)
+        assert _bits(got) == _bits(oracle)
+    else:  # a bound above the full sup, or NaN: no sweep reaches it
+        assert not bound <= full[0]
+        assert _bits(got) == _bits(full)
 
 
 # --- the sorted sweep: rows by descending key, stopped below the extremum ---------
