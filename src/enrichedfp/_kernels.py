@@ -74,16 +74,14 @@ Overflow and invalid operations on huge or non-finite inputs are expected
 with those floating-point warnings off.
 
 ``ratio_sup`` can stop early, for a caller that only needs to know that
-the sup is at least ``stop_at``. It first reads the probe pairs, the
-consecutive rows ``(i, i + 1)`` among the first ``PROBE_PAIRS + 1``, in one
-vectorised pass with the pair arithmetic above (``_probe_pairs``). If
-their sup reaches ``stop_at`` it returns at once, before any row key,
-sort or block, with the oracle's result over those pairs (``_probed``).
-Otherwise it sweeps as without the probe, and returns after the first
-block at which its running sup reaches the bound (``_until``). That sweep
-starts with a short block, 1/16 of a buffer, so that a sweep that stops
-at once covers few pairs even when one buffer holds most of the triangle
-(a 201-point sample's first full block holds 96% of its pairs).
+the sup is at least ``stop_at``: it returns after the first block at
+which its running sup reaches the bound (``_until``). That sweep starts
+with a short block, 1/16 of a buffer, so that a sweep that stops at once
+covers few pairs even when one buffer holds most of the triangle (a
+201-point sample's first full block holds 96% of its pairs). The
+estimators settle most such ``k`` before any kernel call, on probe pairs
+valued with the pair arithmetic above (``certify._probe``): consecutive
+rows, and the row of least displacement against every other row.
 
 The Kannan and Bianchini sweeps skip the pairs that cannot reach their
 extremum, with the bits of a full sweep. Each row gets a key that bounds
@@ -193,10 +191,6 @@ HAVE_NUMBA = False
 _BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
 _LINE_BYTES = 64  # the block buffers start on a cache line
 
-# A sweep that may stop early first reads the pairs of consecutive rows among
-# its first PROBE_PAIRS + 1 rows (``_probe_pairs``).
-PROBE_PAIRS = 64
-
 # The first block of a sweep that may stop early holds 1/_LEAD_SHARE of a buffer.
 _LEAD_SHARE = 16
 
@@ -219,51 +213,6 @@ def _prepare(points, images):
 def _displacements(x, t):
     """Each row's ``||x - Tx||``, an ``np.sum`` reduction."""
     return np.sqrt(np.sum((x - t) ** 2, axis=-1))
-
-
-def _probe_pairs(x, t, disp, k, mode):
-    """``(ratio, nan, bad)`` over the probe pairs: rows ``(i, i + 1)`` for ``i < PROBE_PAIRS``.
-
-    ``x``, ``t`` and ``disp`` are the rows' points, images and
-    displacements, of which the probe reads the first ``PROBE_PAIRS + 1``.
-    A pair's value has the bits of the sweeps and the oracles: the literal
-    ``k * (x_i - x_j) + (t_i - t_j)``, squared and summed in index order
-    from ``0.0``, which ``np.add.accumulate`` gives, since no term is
-    ``-0.0``. ``ratio`` is ``-inf`` on the pairs that carry no ratio: two
-    fixed rows, and NaN pairs. ``nan`` marks a NaN ratio, or a NaN
-    numerator of two fixed rows; ``bad`` two fixed rows whose numerator
-    exceeds ``ZERO_NUM_TOL``.
-    """
-    x, t, disp = x[: PROBE_PAIRS + 1], t[: PROBE_PAIRS + 1], disp[: PROBE_PAIRS + 1]
-    sq = np.subtract(x[:-1], x[1:])
-    sq *= k
-    sq += t[:-1] - t[1:]
-    sq *= sq
-    num = np.sqrt(np.add.accumulate(sq, axis=1)[:, -1])
-    scale = PAIR_SCALE[mode](disp[:-1], disp[1:])
-    zero = scale == 0.0  # both rows fixed
-    ratio = num / scale
-    nan = np.isnan(np.where(zero, num, ratio))
-    bad = zero & (num > ZERO_NUM_TOL)
-    ratio[zero | nan] = -np.inf
-    return ratio, nan, bad
-
-
-def _probed(x, rank, ratio, nan, bad):
-    """``ratio_sup``'s result over the probe pairs alone, as the oracle gives it."""
-    if rank is None:  # the probe rows' own rank orders their pairs as the sample's does
-        rank = _row_rank(x[: len(ratio) + 1])
-    i = np.arange(len(ratio))
-
-    def smallest(mask):
-        pairs = _Smallest(rank)
-        pairs.offer(i[mask], i[mask] + 1, either=True)
-        return pairs.pair
-
-    sup = float(ratio.max(initial=-np.inf))
-    zpair = smallest(nan) or smallest(bad)
-    pair = smallest(ratio == sup) if sup > -np.inf else (-1, -1)
-    return sup, pair, zpair is not None, zpair or (-1, -1)
 
 
 def _x_term(xt, k):
@@ -688,25 +637,19 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     The rows are swept sorted and stop below the running sup (module
     docstring).
 
-    With ``stop_at``, the call first reads the probe pairs
-    (``_probe_pairs``) and returns their result if their sup is ``>=
-    stop_at``; otherwise the sweep returns after the first triangle block
-    at which the running sup is ``>= stop_at``. The sup returned then is
-    only a lower bound on the full sup that has reached ``stop_at``, and
-    the witness pair, ``infeasible`` and ``(zi, zj)`` cover only the probe
-    pairs or the blocks swept, as the oracle over those pairs gives them. A
-    call that never reaches ``stop_at`` returns what it returns without
-    it. ``rank`` is ``_row_rank(points)`` when a caller already has it; by
-    default it is computed here (over the probe rows only, for a call that
-    ends on them).
+    With ``stop_at``, the sweep returns after the first triangle block at
+    which the running sup is ``>= stop_at``. The sup returned then is only
+    a lower bound on the full sup that has reached ``stop_at``, and the
+    witness pair, ``infeasible`` and ``(zi, zj)`` cover only the blocks
+    swept, as the oracle over those pairs gives them. A call that never
+    reaches ``stop_at`` returns what it returns without it. Callers that
+    can show a ``k`` reaches the bound on a few pairs of their own do so
+    before calling (``certify._probe``). ``rank`` is ``_row_rank(points)``
+    when a caller already has it; by default it is computed here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, t, xt, tt, disp = _prepare(points, images)
+        x, _, xt, tt, disp = _prepare(points, images)
         k = float(k)
-        if stop_at is not None:
-            probe = _probe_pairs(x, t, disp, k, mode)
-            if probe[0].max(initial=-np.inf) >= stop_at:
-                return _probed(x, rank, *probe)
         key = _row_keys(xt, tt, disp, k, mode)
         tri, best = _sweep(x, rank, key, (xt, tt, disp), stop_at)
         zero = _Smallest(best.rank, best.order)

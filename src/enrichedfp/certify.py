@@ -58,6 +58,10 @@ RATE_TIE_TOL = 1e-12
 
 DEFAULT_K_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
+# The probe pairs (``_probe``) hold the consecutive rows among the first
+# PROBE_PAIRS + 1.
+PROBE_PAIRS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -336,24 +340,68 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
 
 
 def _probe(points, images, k_values, mode):
-    """Each ``k``'s ratio sup over the probe pairs: a cheap guess at its rank.
+    """Each ``k``'s ``(sup, infeasible)`` over the probe pairs.
 
-    The probe pairs and their values are those with which a ``ratio_sup``
-    sweep with ``stop_at`` starts (``_kernels._probe_pairs``), so each
-    guess is, bit for bit, a lower bound on that ``k``'s full sup: the
-    value of a pair the full sweep covers. A ``k`` that the probe pairs
-    already show infeasible guesses ``+inf`` and ranks last.
+    The probe pairs are the consecutive rows ``(i, i + 1)`` for ``i <
+    PROBE_PAIRS``, and the pivot row, the one of least displacement (the
+    first of them, NaN displacements last), against every other row. On an
+    orbit sample the pivot is the newest iterate, nearest the fixed point.
+    A pair's value has the bits of the kernels' sweeps: the literal
+    ``k * (x_i - x_j) + (t_i - t_j)``, squared and summed in index order
+    from ``0.0`` (a square is never ``-0.0``, so the first coordinate's
+    square is that sum's first partial sum), its square root over
+    ``_kernels.PAIR_SCALE[mode]`` of the two displacements. So ``sup``,
+    the largest ratio of a pair with a positive scale, is the value of a
+    pair every full sweep covers: a lower bound on that ``k``'s full sup,
+    bit for bit, or ``-inf`` with no such pair. ``infeasible`` marks a NaN
+    ratio, or a pair of two fixed rows whose numerator is NaN or exceeds
+    ``_kernels.ZERO_NUM_TOL``; NaN ratios count nowhere in ``sup``.
+
+    The pair arrays are laid out ``(d, pairs)``, so that the sum over the
+    coordinates adds whole rows; there are four, of O(N d), made once a
+    call.
     """
-    x = points[: _kernels.PROBE_PAIRS + 1]
-    t = images[: _kernels.PROBE_PAIRS + 1]
+    n, d = points.shape
+    lead = min(n - 1, PROBE_PAIRS)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        disp = _kernels._displacements(x, t)
-        guesses = []
+        disp = _kernels._displacements(points, images)
+        pivot = int(np.argmax(disp == np.fmin.reduce(disp)))  # fmin passes over NaN
+        ends = (
+            (slice(0, lead), slice(1, lead + 1)),
+            (slice(pivot, pivot + 1), slice(0, pivot)),
+            (slice(pivot, pivot + 1), slice(pivot + 1, n)),
+        )
+        dx, dt = np.empty((d, lead + n - 1)), np.empty((d, lead + n - 1))
+        scale = np.empty(lead + n - 1)
+        start = 0
+        for i, j in ends:  # the pairs (i, j), column by column
+            cols = slice(start, start + j.stop - j.start)
+            np.subtract(points[i].T, points[j].T, out=dx[:, cols])
+            np.subtract(images[i].T, images[j].T, out=dt[:, cols])
+            _kernels.PAIR_SCALE[mode](disp[i], disp[j], out=scale[cols])
+            start = cols.stop
+        zero = np.flatnonzero(scale == 0.0)  # both rows fixed
+        sq, ratio = np.empty_like(dx), np.empty_like(scale)
+        probes = []
         for k in k_values:
-            ratio, nan, bad = _kernels._probe_pairs(x, t, disp, k, mode)
-            infeasible = nan.any() or bad.any()
-            guesses.append(math.inf if infeasible else float(ratio.max(initial=-math.inf)))
-    return guesses
+            np.multiply(dx, k, out=sq)
+            sq += dt
+            sq *= sq
+            num = sq[0]
+            for term in sq[1:]:
+                num += term
+            np.sqrt(num, out=num)
+            np.divide(num, scale, out=ratio)
+            # a zero pair carries no ratio, and rules k out unless its
+            # numerator is at most ZERO_NUM_TOL
+            infeasible = not np.all(num[zero] <= _kernels.ZERO_NUM_TOL)
+            ratio[zero] = -np.inf
+            sup = ratio.max()
+            if math.isnan(sup):  # a NaN ratio: the sup of the others
+                infeasible = True
+                sup = np.fmax.reduce(ratio)
+            probes.append((-math.inf if math.isnan(sup) else float(sup), infeasible))
+    return probes
 
 
 def _prune_bound(s_ref, n):
@@ -399,16 +447,21 @@ def _estimate(mapping, sample, k_grid, mode):
     """The grid ``k`` with the smallest rate, as a certificate checked at that (k, rate).
 
     The chosen ``k`` is ``_pick``'s over every ``k``'s full ratio sup, in
-    grid order. Each ``k`` is swept once, in another order, and most sweeps
-    stop early:
+    grid order. Each ``k`` is swept at most once, in another order, and
+    most sweeps stop early or are never made:
 
-    * The ``k`` are swept in ascending ``_probe`` guess, ties by grid
-      index, so that the winner tends to come first.
+    * The ``k`` are swept in ascending ``_probe`` sup, ``+inf`` for a
+      ``k`` that the probe pairs show infeasible, ties by grid index, so
+      that the winner tends to come first.
     * Once some ``k`` has a feasible full sup, with ``s_ref`` the smallest
-      so far, each later sweep stops at ``_prune_bound(s_ref, n)``, about
-      ``s_ref + 2 n RATE_TIE_TOL`` for ``n = len(k_grid)``. A ``k`` whose
-      sup reaches the bound is pruned: ``_pick`` passes over it. Every
-      other sweep covered every pair.
+      so far, each later ``k`` is held to ``_prune_bound(s_ref, n)``,
+      about ``s_ref + 2 n RATE_TIE_TOL`` for ``n = len(k_grid)``. A ``k``
+      whose probe sup reaches the bound is settled before any kernel
+      call: the probe value is a pair's value, so the full sup reaches
+      the bound too. Otherwise its sweep stops at the bound. A ``k``
+      whose sup reaches the bound, on the probe pairs or in its sweep, is
+      pruned: ``_pick`` passes over it. Every other sweep covered every
+      pair.
 
     Pruning never changes the pick. Let ``T = RATE_TIE_TOL``, ``m`` the
     smallest full sup of a feasible ``k`` and ``θ = m + 2nT``; each bound
@@ -458,11 +511,14 @@ def _estimate(mapping, sample, k_grid, mode):
         )
 
     rank = sample.rank  # one tie-break order for every sweep
-    guesses = _probe(sample.points, images, k_values, mode)
+    probes = _probe(sample.points, images, k_values, mode)
+    guesses = [math.inf if infeasible else sup for sup, infeasible in probes]
     outcomes = [None] * len(k_values)
     s_ref = None  # the smallest full sup of a feasible k so far
     for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
         stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
+        if stop_at is not None and probes[i][0] >= stop_at:
+            continue  # settled on the probe pairs
         outcome = _kernels.ratio_sup(
             sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank
         )

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from enrichedfp import _kernels, catalog, certify, convex, solve
+from enrichedfp import _kernels, apps, catalog, certify, convex, solve
 from enrichedfp.apps import (
     SfpInstance,
+    SfpOperator,
     VipInstance,
+    VipOperator,
     power_iteration,
     sfp_operator,
     solve_sfp,
@@ -12,7 +16,12 @@ from enrichedfp.apps import (
     spectral_radius_ata,
     vip_operator,
 )
-from enrichedfp.exceptions import AutoLambdaError, GammaRangeError, InvalidConstantError
+from enrichedfp.exceptions import (
+    AutoLambdaError,
+    GammaRangeError,
+    InvalidConstantError,
+    OutOfDomainError,
+)
 from enrichedfp.mappings import AffineMap, Scale1D
 
 
@@ -199,6 +208,128 @@ class TestApplyMany:
                 op.apply_many(pts)
         assert type(batch_error.value) is type(loop_error.value) is InvalidConstantError
         assert str(batch_error.value) == str(loop_error.value)
+
+
+def _sfp_step_checked(op, point):
+    """One SFP operator step through the public ``project``, point checks and all."""
+    inst = op.instance
+    image = inst.matrix @ point
+    residual = image - inst.q_set.project(image)
+    gradient = inst.matrix.T @ residual
+    return inst.c_set.project(point - op.gamma * gradient)
+
+
+def _vip_step_checked(op, point):
+    """One VIP operator step through the public ``apply`` and ``project``."""
+    inst = op.instance
+    return inst.c_set.project(point - inst.gamma * inst.operator.apply(point))
+
+
+@pytest.fixture
+def ball_sides(monkeypatch):
+    """Per ball projected onto: the sides of it, inside or not, of the points it got."""
+    sides = {}
+    project = convex.Ball._project
+
+    def recorded(ball, point):
+        inside = bool(np.linalg.norm(point - ball.center) <= ball.radius)
+        sides.setdefault(id(ball), set()).add(inside)
+        return project(ball, point)
+
+    monkeypatch.setattr(convex.Ball, "_project", recorded)
+    return sides
+
+
+def _raised(step, op, point):
+    """The type and message of the error ``step(op, point)`` raises."""
+    with np.errstate(over="ignore"):  # the matmul that overflows warns
+        with pytest.raises(Exception) as error:
+            step(op, point)
+    return type(error.value), str(error.value)
+
+
+class TestProjectionSteps:
+    """The operators project a point they know is finite without the point checks."""
+
+    @staticmethod
+    def _same_as_checked(op, step, rng, balls, ball_sides):
+        # rows near the origin and far from it: inside and outside every set,
+        # with warnings as errors, since the steps may raise none
+        points = rng.standard_normal((60, op.dim)) * np.repeat([0.2, 10.0], 30)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in points:
+                assert op._apply(point).tobytes() == step(op, point).tobytes()
+        for ball in balls:  # both of a ball's branches ran
+            assert ball_sides[id(ball)] == {True, False}
+
+    @pytest.mark.parametrize("q_kind", SET_KINDS)
+    @pytest.mark.parametrize("c_kind", SET_KINDS)
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 3), (8, 5), (30, 30)])
+    def test_sfp(self, ball_sides, c_kind, q_kind, d, m):
+        rng = np.random.default_rng(d * m + 7)
+        a = rng.standard_normal((m, d)) / np.sqrt(d)
+        # half the usual step, so that far points stay outside C after it
+        inst = SfpInstance(
+            c_set=_sets(d, rng)[c_kind], q_set=_sets(m, rng)[q_kind], matrix=a,
+            gamma=0.5 / spectral_radius_ata(a),
+        )
+        balls = [s for s in (inst.c_set, inst.q_set) if isinstance(s, convex.Ball)]
+        self._same_as_checked(sfp_operator(inst), _sfp_step_checked, rng, balls, ball_sides)
+
+    @pytest.mark.parametrize("c_kind", SET_KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 8, 30])
+    def test_vip(self, ball_sides, c_kind, d):
+        rng = np.random.default_rng(d + 7)
+        g = AffineMap(matrix=rng.standard_normal((d, d)) / np.sqrt(d), offset=rng.standard_normal(d))
+        inst = VipInstance(c_set=_sets(d, rng)[c_kind], operator=g, gamma=0.2)
+        balls = [inst.c_set] if c_kind == "ball" else []
+        self._same_as_checked(vip_operator(inst), _vip_step_checked, rng, balls, ball_sides)
+
+    @pytest.mark.parametrize("case", ["image", "step"])
+    def test_an_sfp_intermediate_that_overflows(self, case):
+        # A x overflows, or A^T (A x - P_Q(A x)) does: the same typed error
+        # and message as through the public projection
+        a = np.array([[2.0, 0.0], [0.0, 2.0]]) if case == "image" else np.array([[1e75, 0.0], [0.0, 1.0]])
+        inst = SfpInstance(
+            c_set=convex.Box(lower=-np.ones(2), upper=np.ones(2)),
+            q_set=convex.Ball(center=np.zeros(2), radius=1.0),
+            matrix=a,
+        )
+        op = sfp_operator(inst)
+        point = np.array([1e308, 0.0]) if case == "image" else np.array([1e160, 0.5])
+        got = _raised(SfpOperator._apply, op, point)
+        assert got == _raised(_sfp_step_checked, op, point)
+        assert got[0] is InvalidConstantError and "non-finite" in got[1]
+
+    def test_vip_errors_are_the_checked_ones(self):
+        # a step that overflows, and a point outside G's domain
+        g = Scale1D(c=1e300, bounds=(-1e10, 1e10))
+        op = vip_operator(VipInstance(c_set=convex.Box(lower=[-1.0], upper=[1.0]), operator=g, gamma=1.0))
+        for point, error in ((1e9, InvalidConstantError), (1e11, OutOfDomainError)):
+            got = _raised(VipOperator._apply, op, np.array([point]))
+            assert got == _raised(_vip_step_checked, op, np.array([point]))
+            assert got[0] is error
+
+    @pytest.mark.parametrize("kind", ["sfp", "vip"])
+    def test_iterates_match_the_checked_steps(self, monkeypatch, kind):
+        # the solver's iterates at d = 8, with and without the point checks
+        rng = np.random.default_rng(12)
+        d = 8
+        sets = _sets(d, rng)
+        if kind == "sfp":
+            inst = SfpInstance(c_set=sets["box"], q_set=sets["ball"], matrix=rng.standard_normal((d, d)))
+            op = sfp_operator(inst)
+        else:
+            g = AffineMap(matrix=np.eye(d) + 0.3 * rng.standard_normal((d, d)), offset=rng.standard_normal(d))
+            op = vip_operator(VipInstance(c_set=sets["ball"], operator=g, gamma=0.2))
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-12, max_iter=300)
+        start = 3.0 * rng.standard_normal(d)
+        fast = solve.krasnoselskij(op, start, cfg)
+        monkeypatch.setattr(apps, "_project", lambda convex_set, vector: convex_set.project(vector))
+        checked = solve.krasnoselskij(op, start, cfg)
+        assert fast.iterations == checked.iterations > 10
+        assert np.stack(fast.iterates).tobytes() == np.stack(checked.iterates).tobytes()
 
 
 class TestSolveSfp:

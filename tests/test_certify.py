@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from enrichedfp import (
     _kernels,
+    apps,
     certify,
     check_banach,
     check_enriched_bianchini,
     check_enriched_kannan,
     check_monotone,
+    convex,
     estimate_bianchini_constants,
     estimate_kannan_constants,
+    solve,
 )
 from enrichedfp.certify import (
     SampleSet,
@@ -686,19 +689,19 @@ def check_blocks(monkeypatch):
 
 
 @pytest.fixture
-def ratio_stopped(monkeypatch):
-    """Per ``ratio_sup`` call: whether its sup reached its ``stop_at``, so that
-    it may have stopped before its last block."""
-    stopped = []
+def ratio_calls(monkeypatch):
+    """Per ``ratio_sup`` call: ``(k, stopped)``, ``stopped`` whether its sup
+    reached its ``stop_at``, so that it may have stopped before its last block."""
+    calls = []
     kernel = _kernels.ratio_sup
 
-    def recorded(*args, stop_at=None, **kwargs):
-        result = kernel(*args, stop_at=stop_at, **kwargs)
-        stopped.append(stop_at is not None and result[0] >= stop_at)
+    def recorded(points, images, k, *args, stop_at=None, **kwargs):
+        result = kernel(points, images, k, *args, stop_at=stop_at, **kwargs)
+        calls.append((k, stop_at is not None and result[0] >= stop_at))
         return result
 
     monkeypatch.setattr(_kernels, "ratio_sup", recorded)
-    return stopped
+    return calls
 
 
 DEFAULT = certify.DEFAULT_K_GRID
@@ -722,13 +725,15 @@ class TestPrunedEstimate:
             sample = unit_sample
         _same_as_unpruned(mapping, _descending(sample) if order == "descending" else sample, grid)
 
-    def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, reflection, unit_sample):
+    def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, ratio_calls, reflection, unit_sample):
         # the reflection's rate |1 - k| / 2 is about 0 at k = 1, which the probe
-        # guesses too: k = 1 is swept first, in full, and every other k stops
-        # on the probe pairs, before its first block
+        # guesses too: k = 1 is swept first, in full, and every other k is
+        # settled on the probe pairs, with no kernel call
         kannan, _ = _same_as_unpruned(reflection, unit_sample, DEFAULT)
         assert kannan.k == 1.0 and kannan.rate < 1e-15
-        assert ratio_blocks[:8] == [8] + [0] * 7
+        # per class: the estimate's one sweep, then the unpruned loop's eight
+        assert ratio_calls == ([(1.0, False)] + [(k, False) for k in DEFAULT]) * 2
+        assert ratio_blocks == [8] * 18
 
     @pytest.mark.parametrize("k_near", [2.0 + 2e-13, 2.0 - 2e-13, 2.0 - 1e-11, 2.0])
     @pytest.mark.parametrize("first", ["k = 0", "k near 2"])
@@ -739,18 +744,18 @@ class TestPrunedEstimate:
         for sample in (unit_sample, _descending(unit_sample)):
             kannan, _ = _same_as_unpruned(reflection, sample, grid)
             assert kannan.k == (k_near if k_near == 2.0 - 1e-11 else 0.0)
-        # per sample: the estimate's two sweeps, then the unpruned loop's two,
-        # for Kannan and then Bianchini. Every pair across the fixed point 1/2
-        # is at the sup, so each row's key reaches it and a full sweep takes
-        # all 8 blocks. A sup within the tie tolerance lies below the bound,
-        # so the second k sweeps every pair: its leading block and 8 more. At
+        # per sample: the estimate's sweeps, then the unpruned loop's two, for
+        # Kannan and then Bianchini. Every pair across the fixed point 1/2 is
+        # at the sup, so each row's key reaches it and a full sweep takes all
+        # 8 blocks. A sup within the tie tolerance lies below the bound, so
+        # the second k sweeps every pair: its leading block and 8 more. At
         # 2 - 1e-11 the probe puts k near 2 first, and k = 0, 5e-12 above it,
-        # stops once it reaches the bound: for Kannan on the probe pairs,
-        # before any block, since the grid pairs next to the fixed point are
-        # at the sup; for Bianchini, where those pairs are at half of it,
-        # after the leading block, which holds the fixed point's row, and one more
+        # reaches the bound: for Kannan on the probe pairs, with no kernel
+        # call, since the pivot, the fixed point's row, is at the sup with
+        # every row; for Bianchini, where those pairs are at half of it, after
+        # the leading block, which holds the fixed point's row, and one more
         if k_near == 2.0 - 1e-11:
-            assert ratio_blocks == [8, 0, 8, 8, 8, 2, 8, 8] * 2
+            assert ratio_blocks == [8, 8, 8, 8, 2, 8, 8] * 2
         else:
             assert ratio_blocks == [8, 9, 8, 8] * 4
 
@@ -807,25 +812,63 @@ class TestPrunedEstimate:
         for cert in _same_as_unpruned(t, pts, (1.0, 0.0, 3.0)):
             assert not cert.feasible and cert.witness is not None
 
-    def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_stopped):
-        # T(x, y) = (-x, y / 2). The first 65 rows lie on the x axis, where T
-        # reflects and k = 1 gives rate 0, so the probe puts k = 1 first; the
-        # grid below them makes k = 0 win. The walk stays exact; it only
-        # sweeps in full each k whose sup falls below the smallest so far
-        axis = np.stack([np.linspace(0.05, 1.0, 65), np.zeros(65)], axis=1)
-        grid = np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 12), np.linspace(-1.0, 1.0, 12)), axis=-1)
-        pts = np.concatenate([axis, grid.reshape(-1, 2) + [0.013, 0.007]])
-        sample = SampleSet(points=pts, description="65 pts on the x axis, then a grid")
-        mapping = AffineMap(matrix=np.diag([-1.0, 0.5]), offset=np.zeros(2))
+    def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_calls):
+        # an affine map on 120 random points of [-1, 1]^2 where the probe
+        # pairs rank a losing k first, 0.25 for Kannan and 0.5 for Bianchini,
+        # and k = 0 wins both. The walk stays exact; it only sweeps in full
+        # each k whose sup falls below the smallest so far
+        mapping = AffineMap(matrix=np.array([[-0.75, -1.0], [0.75, 0.0]]), offset=np.zeros(2))
+        sample = random_sample([(-1.0, 1.0)] * 2, 120, 1527)
         images = certify.evaluate_on(mapping, sample)
-        for mode in (MODE_KANNAN, MODE_BIANCHINI):
-            guesses = certify._probe(pts, images, DEFAULT, mode)
-            assert DEFAULT[int(np.argmin(guesses))] == 1.0
+        for mode, first in ((MODE_KANNAN, 0.25), (MODE_BIANCHINI, 0.5)):
+            guesses = [math.inf if bad else sup for sup, bad in certify._probe(sample.points, images, DEFAULT, mode)]
+            assert DEFAULT[int(np.argmin(guesses))] == first
         kannan, bianchini = _same_as_unpruned(mapping, sample, DEFAULT)
         assert kannan.k == bianchini.k == 0.0
-        # swept in probe order k = 1, 0.75, 0.5, 1.5, 0.25, 0, 2, 3: the sup
-        # falls at each of 1, 0.75, 0.5, 0.25 and 0, and 1.5, 2, 3 stop early
-        assert ratio_stopped[:8] == [False] * 3 + [True, False, False, True, True]
+        # Kannan sweeps 0.25 and 0 in full and settles the rest on the probe
+        # pairs; Bianchini sweeps 0.5, 0.25 and 0 in full, stops 0.75 in its
+        # sweep and settles the rest (the unpruned loop's calls between)
+        assert ratio_calls[:2] == [(0.25, False), (0.0, False)]
+        assert ratio_calls[10:14] == [(0.5, False), (0.25, False), (0.0, False), (0.75, True)]
+        assert len(ratio_calls) == 2 + 8 + 4 + 8
+
+    @pytest.mark.parametrize("seed, bianchini", [(3, [(0.0, False), (0.25, True)]), (5, [(0.0, False)])])
+    def test_the_probe_settles_the_losing_k_on_an_orbit_sample(self, ratio_calls, seed, bianchini):
+        # an SFP instance shaped like the benchmark's apps workload, at d = 8:
+        # A with a repeated smallest singular value, a box C and a ball Q. The
+        # orbit sample lists the newest iterate first; it is the pivot, and
+        # its pairs reach the bound for the losing k, so at most one of them
+        # reaches ratio_sup, to stop in its sweep
+        d = 8
+        rng = np.random.default_rng([seed, 3])
+        q = [np.linalg.qr(rng.standard_normal((d, d))) for _ in range(2)]
+        q = [o * np.sign(np.diag(r)) for o, r in q]
+        spectrum = np.concatenate([np.full(d // 2, 0.8), np.linspace(0.8, 1.9, d - d // 2)])
+        a = q[0] @ np.diag(spectrum) @ q[1].T
+        target, u = rng.uniform(-0.3, 0.3, d), rng.standard_normal(d)
+        box = convex.Box(lower=-np.ones(d), upper=np.ones(d))
+        op = apps.sfp_operator(
+            apps.SfpInstance(c_set=box, q_set=convex.Ball(center=a @ target, radius=0.2), matrix=a)
+        )
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=10**5, stop_rule=solve.STOP_STEP_NORM)
+        trace = solve.krasnoselskij(op, box.project(target + 2.5 * u / np.linalg.norm(u)), cfg)
+        sample = apps._orbit_sample(trace, seed)
+        assert sample.size > 300
+        kannan, _ = _same_as_unpruned(op, sample, DEFAULT)
+        assert kannan.k == 0.0
+        unpruned = [(k, False) for k in DEFAULT]
+        assert ratio_calls == [(0.0, False), *unpruned, *bianchini, *unpruned]
+
+    def test_the_probe_settles_the_losing_k_on_a_box_sample(self, ratio_calls):
+        # an affine map with eigenvalues -1 to -0.6 on the default 2000-point
+        # sample of [-1, 1]^5: k = 0.75 wins, and the probe settles every other k
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        mapping = AffineMap(matrix=q @ np.diag([-1.0, -0.9, -0.8, -0.7, -0.6]) @ q.T, offset=rng.uniform(-0.5, 0.5, 5))
+        sample = default_sample([(-1.0, 1.0)] * 5, seed=3)
+        for cert in _same_as_unpruned(mapping, sample, DEFAULT):
+            assert cert.k == 0.75 and cert.feasible
+        assert ratio_calls == ([(0.75, False)] + [(k, False) for k in DEFAULT]) * 2
 
     @given(
         d=st.integers(1, 12),

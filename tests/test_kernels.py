@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from enrichedfp import _kernels
+from enrichedfp import _kernels, certify
 from enrichedfp._kernels import (
     CHECK_GUARD_EPS,
     MODE_BANACH,
@@ -875,26 +875,29 @@ def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mod
     assert swept_blocks[2:] == [bounded] * 3 and full_blocks <= bounded <= full_blocks + 1
 
 
-def _probe_pairs(n):
-    """The ordered pairs a sweep with ``stop_at`` probes first: consecutive
-    rows among the first 65, each in both orientations."""
-    assert _kernels.PROBE_PAIRS == 64
-    return [p for i in range(min(n, 65) - 1) for p in ((i, i + 1), (i + 1, i))]
+def _probe_pairs(points, images):
+    """The ordered pairs ``certify._probe`` reads: consecutive rows among the
+    first 65, and the pivot, the first row of least displacement (NaN
+    last), against every other row; each pair in both orientations."""
+    assert certify.PROBE_PAIRS == 64
+    n = len(points)
+    disp, _, _ = _point_norms(points, images)
+    pivot = min(range(n), key=lambda i: (bool(np.isnan(disp[i])), np.nan_to_num(disp[i]), i))
+    pairs = [(i, i + 1) for i in range(min(n, 65) - 1)] + [(pivot, j) for j in range(n) if j != pivot]
+    return [p for i, j in pairs for p in ((i, j), (j, i))]
+
+
+def _probed(points, images, k, mode):
+    """The oracle's ``(sup, infeasible)`` over the probe pairs."""
+    with np.errstate(invalid="ignore", over="ignore"):  # the oracle's inf / inf
+        sup, _, infeasible, _ = brute_ratio(points, images, k, mode, _probe_pairs(points, images))
+    return float(sup), infeasible
 
 
 # Blocks swept per call at seed 22 by a sweep that stops at the full sup, one
-# ulp below it, half of it, the probe pairs' sup, 0 and -inf: 0 where the
-# probe pairs reach the bound, so the call returns before its first block
-STOP_BLOCKS = {
-    ("_random_case", MODE_KANNAN, 0.0): [2, 2, 0, 0, 0, 0],
-    ("_random_case", MODE_KANNAN, 1.0): [2, 2, 0, 0, 0, 0],
-    ("_random_case", MODE_BIANCHINI, 0.0): [2, 2, 0, 0, 0, 0],
-    ("_random_case", MODE_BIANCHINI, 1.0): [2, 2, 0, 0, 0, 0],
-    ("_tie_heavy_case", MODE_KANNAN, 0.0): [4, 4, 0, 0, 0, 0],
-    ("_tie_heavy_case", MODE_KANNAN, 1.0): [4, 4, 1, 0, 0, 0],
-    ("_tie_heavy_case", MODE_BIANCHINI, 0.0): [4, 4, 0, 0, 0, 0],
-    ("_tie_heavy_case", MODE_BIANCHINI, 1.0): [4, 4, 1, 0, 0, 0],
-}
+# ulp below it, half of it, the leading block's sup, 0 and -inf: 1 where the
+# leading block, of one row, reaches the bound
+STOP_BLOCKS = {"_random_case": [2, 2, 1, 1, 1, 1], "_tie_heavy_case": [4, 4, 1, 1, 1, 1]}
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
@@ -902,44 +905,53 @@ STOP_BLOCKS = {
 def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, swept_blocks, case, mode, k):
     pts, images = case(seed=22, n=N_MULTI_BLOCK, d=3)
     full = ratio_sup(pts, images, k, mode)
-    # with a bound no sweep can miss, the call ends on the probe pairs, before
-    # any block, with their oracle result; with their own sup as the bound,
-    # too (the test is >=, not >)
+    # with a bound no sweep can miss, the call ends after its leading block
     first = ratio_sup(pts, images, k, mode, stop_at=-math.inf)
-    assert len(swept_blocks) == 1
-    assert _bits(first) == _bits(brute_ratio(pts, images, k, mode, _probe_pairs(len(pts))))
+    assert swept_blocks[-1] == 1
     assert -math.inf < first[0] <= full[0]
     bounds = (full[0], math.nextafter(full[0], -math.inf), full[0] / 2, first[0], 0.0, -math.inf)
     counts = []
     for stop in bounds:
-        calls = len(swept_blocks)
         got = ratio_sup(pts, images, k, mode, stop_at=stop)
-        counts.append(swept_blocks[-1] if len(swept_blocks) > calls else 0)
+        counts.append(swept_blocks[-1])
         assert stop <= got[0] <= full[0]
-    assert counts == STOP_BLOCKS[case.__name__, mode, k]
+    assert counts == STOP_BLOCKS[case.__name__]
 
 
-@pytest.mark.parametrize("d", [1, 3, 12])
+@pytest.mark.parametrize("d", [1, 3, 12, 30])
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
-def test_a_stop_on_the_probe_pairs_is_their_oracle(swept_blocks, d, mode):
+def test_the_probe_is_the_oracle_over_the_probe_pairs(d, mode):
     # NaN and infinite images, fixed rows (some pairs of them with a
-    # numerator above ZERO_NUM_TOL) and duplicate rows among the probe rows:
-    # the result is the oracle's over the probe pairs alone, witness,
-    # NaN pair and zero pair included, and no block is swept
+    # numerator above ZERO_NUM_TOL) and duplicate rows among the probe rows,
+    # and at d = 30 sums long enough that a pairwise sum would move bits:
+    # each k's sup and verdict are the oracle's over the probe pairs alone,
+    # and the sup is a lower bound on the full one
     pts, images = _tie_heavy_case(seed=25, n=90, d=d)
     pts[10:14], images[10:14] = [0.0] * d, [0.0] * d
     pts[12:14, 0] += 1e-13
     images[12:14] = pts[12:14]
     for k in (0.0, 0.5, 2.0):
-        for rows, value in ((), np.nan), ((30,), np.nan), ((30, 47), np.inf):
+        for rows, value in ((), np.nan), ((30,), np.nan), ((30, 47), np.inf), ((75,), np.nan):
             bad = images.copy()
             bad[list(rows), 0] = value
-            with np.errstate(invalid="ignore"):  # the oracle's inf / inf
-                probed = brute_ratio(pts, bad, k, mode, _probe_pairs(len(pts)))
-            got = ratio_sup(pts, bad, k, mode, stop_at=-math.inf)
-            assert _bits(got) == _bits(probed)
-            assert got[0] <= ratio_sup(pts, bad, k, mode)[0]
-    assert swept_blocks == [1] * 9  # the full sweeps only, of one block each
+            got = certify._probe(pts, bad, [k], mode)
+            assert repr(got) == repr([_probed(pts, bad, k, mode)])
+            assert got[0][0] <= ratio_sup(pts, bad, k, mode)[0]
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+def test_the_probe_pivot_is_the_least_displacement(mode):
+    # random rows with one nearly fixed row, the pivot, past the consecutive
+    # pairs or among them; with a NaN displacement there, that row ranks
+    # last and another is the pivot
+    pts, images = _random_case(seed=26, n=120, d=4)
+    for pivot, nan_row in ((100, None), (3, None), (100, 100)):
+        moved = images.copy()
+        moved[pivot] = pts[pivot] + 1e-9
+        if nan_row is not None:
+            moved[nan_row, 0] = np.nan
+        for k in (0.0, 1.0):
+            assert repr(certify._probe(pts, moved, [k], mode)) == repr([_probed(pts, moved, k, mode)])
 
 
 def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
@@ -1032,10 +1044,10 @@ def test_a_stopped_sweep_is_the_oracle_over_the_pairs_it_covered(
 ):
     # random or coarse rows (ties, duplicates, signed zeros), a share fixed, and
     # NaN and infinite images at random rows. A sweep stopped at or below the
-    # full sup returns a sup at or above the bound and at most the full sup,
-    # the oracle's result over the pairs it covered: the probe pairs when it
-    # ends on them, else the triangle blocks it swept. Above the full sup it
-    # returns the full sweep's bits
+    # full sup (the probe's sup among the bounds) returns a sup at or above
+    # the bound and at most the full sup, the oracle's result over the
+    # triangle blocks it swept. Above the full sup it returns the full
+    # sweep's bits
     rng = np.random.default_rng(seed)
     if coarse:
         pts = rng.integers(-4, 5, size=(n, d)) / 4
@@ -1048,13 +1060,16 @@ def test_a_stopped_sweep_is_the_oracle_over_the_pairs_it_covered(
     for value in nonfinite:
         images[rng.integers(n), rng.integers(d)] = value
     full = ratio_sup(pts, images, k, mode)
-    probe = ratio_sup(pts, images, k, mode, stop_at=-math.inf)[0]
-    bound = STOPS[stop](full[0], probe)
+    # the estimators' probe: the oracle over its pairs, a lower bound on the full sup
+    probe = certify._probe(pts, images, [k], mode)[0]
+    assert repr(probe) == repr(_probed(pts, images, k, mode))
+    assert probe[0] <= full[0]
+    bound = STOPS[stop](full[0], probe[0])
     sweeps.clear()
     got = ratio_sup(pts, images, k, mode, stop_at=bound)
     if got[0] >= bound:
         assert got[0] <= full[0]
-        covered = _covered(*sweeps[0]) if sweeps else _probe_pairs(n)
+        covered = _covered(*sweeps[0])
         with np.errstate(invalid="ignore", over="ignore"):  # the oracle's inf / inf
             oracle = brute_ratio(pts, images, k, mode, covered)
         assert _bits(got) == _bits(oracle)
