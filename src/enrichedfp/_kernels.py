@@ -78,10 +78,12 @@ the sup is at least ``stop_at``: it returns after the first block at
 which its running sup reaches the bound (``_until``). That sweep starts
 with a short block, 1/16 of a buffer, so that a sweep that stops at once
 covers few pairs even when one buffer holds most of the triangle (a
-201-point sample's first full block holds 96% of its pairs). The
-estimators settle most such ``k`` before any kernel call, on probe pairs
-valued with the pair arithmetic above (``certify._probe``): consecutive
-rows, and the row of least displacement against every other row.
+201-point sample's first full block holds 96% of its pairs). A caller
+may pass ``lower``, a sup it has found on pairs of its own with the pair
+arithmetic above; if that reaches ``stop_at`` the call returns at once,
+before any row key, sort or block. The estimators pass the sup over their
+probe pairs (``certify._probe``): consecutive rows, and the row of least
+displacement against every other row, which settles most losing ``k``.
 
 The Kannan and Bianchini sweeps skip the pairs that cannot reach their
 extremum, with the bits of a full sweep. Each row gets a key that bounds
@@ -622,7 +624,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
         return best.result
 
 
-def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
+def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None):
     """Supremum of ``lhs / rhs_scale`` over pairs with a positive rhs scale.
 
     The rhs scale is ``PAIR_SCALE[mode]`` of the pair's two displacements,
@@ -642,11 +644,16 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None):
     a lower bound on the full sup that has reached ``stop_at``, and the
     witness pair, ``infeasible`` and ``(zi, zj)`` cover only the blocks
     swept, as the oracle over those pairs gives them. A call that never
-    reaches ``stop_at`` returns what it returns without it. Callers that
-    can show a ``k`` reaches the bound on a few pairs of their own do so
-    before calling (``certify._probe``). ``rank`` is ``_row_rank(points)``
-    when a caller already has it; by default it is computed here.
+    reaches ``stop_at`` returns what it returns without it. ``lower`` is a
+    sup the caller has already found over some of the pairs with this
+    arithmetic (``certify._probe``), so a lower bound on the full sup; if
+    it reaches ``stop_at`` the call returns ``(lower, (-1, -1), False,
+    (-1, -1))`` at once, before any row key, sort or block. ``rank`` is
+    ``_row_rank(points)`` when a caller already has it; by default it is
+    computed here.
     """
+    if stop_at is not None and lower is not None and lower >= stop_at:
+        return lower, (-1, -1), False, (-1, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, _, xt, tt, disp = _prepare(points, images)
         k = float(k)

@@ -135,15 +135,6 @@ class VipInstance:
             raise InvalidConstantError(f"gamma must be > 0, got {self.gamma}")
 
 
-def _project(convex_set: convex.ConvexSet, vector: np.ndarray) -> np.ndarray:
-    """``convex_set.project(vector)`` for a 1-D float64 ``vector`` of the set's
-    dimension, with the same bits: a finite one skips the point checks, and
-    any other gets ``project``'s typed error."""
-    if np.isfinite(vector).all():
-        return convex_set._project(vector)
-    return convex_set.project(vector)
-
-
 @dataclass(frozen=True, eq=False)
 class SfpOperator(Mapping):
     """T(x) = P_C(x - gamma A^T (Ax - P_Q(Ax))).
@@ -163,9 +154,9 @@ class SfpOperator(Mapping):
     def _apply(self, point):
         inst = self.instance
         image = inst.matrix @ point
-        residual = image - _project(inst.q_set, image)
+        residual = image - inst.q_set.project(image)
         gradient = inst.matrix.T @ residual
-        return _project(inst.c_set, point - self.gamma * gradient)
+        return inst.c_set.project(point - self.gamma * gradient)
 
     def _apply_many(self, points):
         # None where a projection's point check would reject a row
@@ -193,10 +184,8 @@ class VipOperator(Mapping):
         return self.instance.c_set.dim
 
     def _apply(self, point):
-        # the point is one ``apply`` has checked, and G acts on C's space
         inst = self.instance
-        inst.operator._check_domain(point)
-        return _project(inst.c_set, point - inst.gamma * inst.operator._apply(point))
+        return inst.c_set.project(point - inst.gamma * inst.operator.apply(point))
 
     def _apply_many(self, points):
         # None where the operator's or the projection's checks would reject a row

@@ -346,6 +346,10 @@ def _probe(points, images, k_values, mode):
     PROBE_PAIRS``, and the pivot row, the one of least displacement (the
     first of them, NaN displacements last), against every other row. On an
     orbit sample the pivot is the newest iterate, nearest the fixed point.
+    The consecutive pairs settle the odd ``k`` that the pivot's miss: one
+    of the 70 losing ``k`` of the benchmark's pass over the CLI catalog
+    inputs, on the ``vip_line`` orbit.
+
     A pair's value has the bits of the kernels' sweeps: the literal
     ``k * (x_i - x_j) + (t_i - t_j)``, squared and summed in index order
     from ``0.0`` (a square is never ``-0.0``, so the first coordinate's
@@ -456,9 +460,10 @@ def _estimate(mapping, sample, k_grid, mode):
     * Once some ``k`` has a feasible full sup, with ``s_ref`` the smallest
       so far, each later ``k`` is held to ``_prune_bound(s_ref, n)``,
       about ``s_ref + 2 n RATE_TIE_TOL`` for ``n = len(k_grid)``. A ``k``
-      whose probe sup reaches the bound is settled before any kernel
-      call: the probe value is a pair's value, so the full sup reaches
-      the bound too. Otherwise its sweep stops at the bound. A ``k``
+      whose probe sup reaches the bound is settled before any sweep:
+      ``ratio_sup`` gets the probe sup as ``lower`` and returns it at
+      once, since a pair's value is a lower bound on the full sup.
+      Otherwise its sweep stops at the bound. A ``k``
       whose sup reaches the bound, on the probe pairs or in its sweep, is
       pruned: ``_pick`` passes over it. Every other sweep covered every
       pair.
@@ -517,10 +522,9 @@ def _estimate(mapping, sample, k_grid, mode):
     s_ref = None  # the smallest full sup of a feasible k so far
     for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
         stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
-        if stop_at is not None and probes[i][0] >= stop_at:
-            continue  # settled on the probe pairs
         outcome = _kernels.ratio_sup(
-            sample.points, images, k_values[i], mode, stop_at=stop_at, rank=rank
+            sample.points, images, k_values[i], mode,
+            stop_at=stop_at, rank=rank, lower=probes[i][0],
         )
         sup, _, infeasible, _ = outcome
         if stop_at is not None and sup >= stop_at:

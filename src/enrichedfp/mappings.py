@@ -22,11 +22,17 @@ DOMAIN_ATOL = 1e-9
 
 
 def as_point(x) -> np.ndarray:
-    """Coerce scalars/sequences to a finite 1-D float64 array."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """Coerce scalars/sequences to a finite 1-D float64 array.
+
+    A 1-D float64 array comes back as it is, after one finiteness test: the
+    solvers' steps pass every projection such a vector.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        arr = np.atleast_1d(arr)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidConstantError(f"point has non-finite entries: {arr}")
     return arr
 

@@ -3,12 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from enrichedfp import _kernels, apps, catalog, certify, convex, solve
+from enrichedfp import _kernels, catalog, certify, convex, mappings, solve
 from enrichedfp.apps import (
     SfpInstance,
-    SfpOperator,
     VipInstance,
-    VipOperator,
     power_iteration,
     sfp_operator,
     solve_sfp,
@@ -18,6 +16,7 @@ from enrichedfp.apps import (
 )
 from enrichedfp.exceptions import (
     AutoLambdaError,
+    DimensionMismatchError,
     GammaRangeError,
     InvalidConstantError,
     OutOfDomainError,
@@ -210,19 +209,22 @@ class TestApplyMany:
         assert str(batch_error.value) == str(loop_error.value)
 
 
-def _sfp_step_checked(op, point):
-    """One SFP operator step through the public ``project``, point checks and all."""
-    inst = op.instance
-    image = inst.matrix @ point
-    residual = image - inst.q_set.project(image)
-    gradient = inst.matrix.T @ residual
-    return inst.c_set.project(point - op.gamma * gradient)
+def _as_point_checked(x):
+    """``mappings.as_point`` as it was before its fast path for 1-D float64 arrays."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if arr.ndim != 1 or arr.size < 1:
+        raise DimensionMismatchError(f"expected a 1-D point, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidConstantError(f"point has non-finite entries: {arr}")
+    return arr
 
 
-def _vip_step_checked(op, point):
-    """One VIP operator step through the public ``apply`` and ``project``."""
-    inst = op.instance
-    return inst.c_set.project(point - inst.gamma * inst.operator.apply(point))
+def _checked(monkeypatch, call, *args):
+    """``call(*args)`` with the earlier ``as_point`` in every module that uses it."""
+    with monkeypatch.context() as patch:
+        for module in (mappings, convex, solve):
+            patch.setattr(module, "as_point", _as_point_checked)
+        return call(*args)
 
 
 @pytest.fixture
@@ -240,33 +242,34 @@ def ball_sides(monkeypatch):
     return sides
 
 
-def _raised(step, op, point):
-    """The type and message of the error ``step(op, point)`` raises."""
+def _raised(call, *args):
+    """The type and message of the error ``call(*args)`` raises."""
     with np.errstate(over="ignore"):  # the matmul that overflows warns
         with pytest.raises(Exception) as error:
-            step(op, point)
+            call(*args)
     return type(error.value), str(error.value)
 
 
 class TestProjectionSteps:
-    """The operators project a point they know is finite without the point checks."""
+    """The operator steps keep their bits and errors with ``as_point``'s fast path."""
 
     @staticmethod
-    def _same_as_checked(op, step, rng, balls, ball_sides):
+    def _same_as_checked(monkeypatch, op, rng, balls, ball_sides):
         # rows near the origin and far from it: inside and outside every set,
         # with warnings as errors, since the steps may raise none
         points = rng.standard_normal((60, op.dim)) * np.repeat([0.2, 10.0], 30)[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for point in points:
-                assert op._apply(point).tobytes() == step(op, point).tobytes()
+                got = op._apply(point)
+                assert got.tobytes() == _checked(monkeypatch, op._apply, point).tobytes()
         for ball in balls:  # both of a ball's branches ran
             assert ball_sides[id(ball)] == {True, False}
 
     @pytest.mark.parametrize("q_kind", SET_KINDS)
     @pytest.mark.parametrize("c_kind", SET_KINDS)
     @pytest.mark.parametrize("d, m", [(1, 1), (2, 3), (8, 5), (30, 30)])
-    def test_sfp(self, ball_sides, c_kind, q_kind, d, m):
+    def test_sfp(self, monkeypatch, ball_sides, c_kind, q_kind, d, m):
         rng = np.random.default_rng(d * m + 7)
         a = rng.standard_normal((m, d)) / np.sqrt(d)
         # half the usual step, so that far points stay outside C after it
@@ -275,21 +278,21 @@ class TestProjectionSteps:
             gamma=0.5 / spectral_radius_ata(a),
         )
         balls = [s for s in (inst.c_set, inst.q_set) if isinstance(s, convex.Ball)]
-        self._same_as_checked(sfp_operator(inst), _sfp_step_checked, rng, balls, ball_sides)
+        self._same_as_checked(monkeypatch, sfp_operator(inst), rng, balls, ball_sides)
 
     @pytest.mark.parametrize("c_kind", SET_KINDS)
     @pytest.mark.parametrize("d", [1, 2, 8, 30])
-    def test_vip(self, ball_sides, c_kind, d):
+    def test_vip(self, monkeypatch, ball_sides, c_kind, d):
         rng = np.random.default_rng(d + 7)
         g = AffineMap(matrix=rng.standard_normal((d, d)) / np.sqrt(d), offset=rng.standard_normal(d))
         inst = VipInstance(c_set=_sets(d, rng)[c_kind], operator=g, gamma=0.2)
         balls = [inst.c_set] if c_kind == "ball" else []
-        self._same_as_checked(vip_operator(inst), _vip_step_checked, rng, balls, ball_sides)
+        self._same_as_checked(monkeypatch, vip_operator(inst), rng, balls, ball_sides)
 
     @pytest.mark.parametrize("case", ["image", "step"])
-    def test_an_sfp_intermediate_that_overflows(self, case):
+    def test_an_sfp_intermediate_that_overflows(self, monkeypatch, case):
         # A x overflows, or A^T (A x - P_Q(A x)) does: the same typed error
-        # and message as through the public projection
+        # and message as with the earlier point check
         a = np.array([[2.0, 0.0], [0.0, 2.0]]) if case == "image" else np.array([[1e75, 0.0], [0.0, 1.0]])
         inst = SfpInstance(
             c_set=convex.Box(lower=-np.ones(2), upper=np.ones(2)),
@@ -298,22 +301,22 @@ class TestProjectionSteps:
         )
         op = sfp_operator(inst)
         point = np.array([1e308, 0.0]) if case == "image" else np.array([1e160, 0.5])
-        got = _raised(SfpOperator._apply, op, point)
-        assert got == _raised(_sfp_step_checked, op, point)
+        got = _raised(op._apply, point)
+        assert got == _checked(monkeypatch, _raised, op._apply, point)
         assert got[0] is InvalidConstantError and "non-finite" in got[1]
 
-    def test_vip_errors_are_the_checked_ones(self):
+    def test_vip_errors_are_the_checked_ones(self, monkeypatch):
         # a step that overflows, and a point outside G's domain
         g = Scale1D(c=1e300, bounds=(-1e10, 1e10))
         op = vip_operator(VipInstance(c_set=convex.Box(lower=[-1.0], upper=[1.0]), operator=g, gamma=1.0))
         for point, error in ((1e9, InvalidConstantError), (1e11, OutOfDomainError)):
-            got = _raised(VipOperator._apply, op, np.array([point]))
-            assert got == _raised(_vip_step_checked, op, np.array([point]))
+            got = _raised(op._apply, np.array([point]))
+            assert got == _checked(monkeypatch, _raised, op._apply, np.array([point]))
             assert got[0] is error
 
     @pytest.mark.parametrize("kind", ["sfp", "vip"])
     def test_iterates_match_the_checked_steps(self, monkeypatch, kind):
-        # the solver's iterates at d = 8, with and without the point checks
+        # the solver's iterates at d = 8, with either point check
         rng = np.random.default_rng(12)
         d = 8
         sets = _sets(d, rng)
@@ -326,10 +329,36 @@ class TestProjectionSteps:
         cfg = solve.SolveConfig(lam=0.5, tol=1e-12, max_iter=300)
         start = 3.0 * rng.standard_normal(d)
         fast = solve.krasnoselskij(op, start, cfg)
-        monkeypatch.setattr(apps, "_project", lambda convex_set, vector: convex_set.project(vector))
-        checked = solve.krasnoselskij(op, start, cfg)
+        checked = _checked(monkeypatch, solve.krasnoselskij, op, start, cfg)
         assert fast.iterations == checked.iterations > 10
         assert np.stack(fast.iterates).tobytes() == np.stack(checked.iterates).tobytes()
+
+
+class TestAsPoint:
+    def test_a_finite_float64_vector_comes_back_as_it_is(self):
+        point = np.arange(4.0)
+        assert mappings.as_point(point) is point
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            2.5, [1, 2], (3.0,), np.float64(1.5), np.array(7.0), np.arange(3),
+            np.arange(3, dtype=np.float32), np.arange(3.0).astype(">f8"), np.arange(6.0)[::2],
+            [[1.0, 2.0]], np.zeros((2, 2)), [], np.array([1.0, np.nan]), [np.inf], -np.inf,
+        ],
+    )
+    def test_every_input_gets_the_earlier_result(self, value):
+        # the same dtype, shape and bits, or the same error and message
+        try:
+            want = _as_point_checked(value)
+        except Exception as error:
+            with pytest.raises(type(error)) as got:
+                mappings.as_point(value)
+            assert str(got.value) == str(error)
+            return
+        got = mappings.as_point(value)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSolveSfp:

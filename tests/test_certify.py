@@ -690,18 +690,39 @@ def check_blocks(monkeypatch):
 
 @pytest.fixture
 def ratio_calls(monkeypatch):
-    """Per ``ratio_sup`` call: ``(k, stopped)``, ``stopped`` whether its sup
-    reached its ``stop_at``, so that it may have stopped before its last block."""
+    """Per ``ratio_sup`` call: ``(k, how)``. ``how`` is "settled" when its
+    ``lower`` reached its ``stop_at``, so that it swept nothing; "stopped"
+    when its sweep did, so that it may have stopped before its last block;
+    else "full"."""
     calls = []
     kernel = _kernels.ratio_sup
 
-    def recorded(points, images, k, *args, stop_at=None, **kwargs):
-        result = kernel(points, images, k, *args, stop_at=stop_at, **kwargs)
-        calls.append((k, stop_at is not None and result[0] >= stop_at))
+    def recorded(points, images, k, *args, stop_at=None, lower=None, **kwargs):
+        result = kernel(points, images, k, *args, stop_at=stop_at, lower=lower, **kwargs)
+        if stop_at is None or result[0] < stop_at:
+            how = "full"
+        else:
+            how = "settled" if lower is not None and lower >= stop_at else "stopped"
+        calls.append((k, how))
         return result
 
     monkeypatch.setattr(_kernels, "ratio_sup", recorded)
     return calls
+
+
+def _swept(calls, grid):
+    """The calls that swept, of each estimate of a ``_same_as_unpruned``
+    pair (Kannan, then Bianchini), once every ``k`` of each estimate has
+    reached ``ratio_sup`` and every unpruned loop has swept in full."""
+    n = len(grid)
+    assert len(calls) == 4 * n
+    swept = []
+    for start in (0, 2 * n):
+        estimate, loop = calls[start : start + n], calls[start + n : start + 2 * n]
+        assert sorted(k for k, _ in estimate) == sorted(grid)
+        assert loop == [(k, "full") for k in grid]
+        swept.append([call for call in estimate if call[1] != "settled"])
+    return swept
 
 
 DEFAULT = certify.DEFAULT_K_GRID
@@ -728,12 +749,12 @@ class TestPrunedEstimate:
     def test_losing_sweeps_stop_early(self, small_blocks, ratio_blocks, ratio_calls, reflection, unit_sample):
         # the reflection's rate |1 - k| / 2 is about 0 at k = 1, which the probe
         # guesses too: k = 1 is swept first, in full, and every other k is
-        # settled on the probe pairs, with no kernel call
+        # settled on the probe pairs, before its first block
         kannan, _ = _same_as_unpruned(reflection, unit_sample, DEFAULT)
         assert kannan.k == 1.0 and kannan.rate < 1e-15
-        # per class: the estimate's one sweep, then the unpruned loop's eight
-        assert ratio_calls == ([(1.0, False)] + [(k, False) for k in DEFAULT]) * 2
-        assert ratio_blocks == [8] * 18
+        assert _swept(ratio_calls, DEFAULT) == [[(1.0, "full")]] * 2
+        # per class: the estimate's eight calls, then the unpruned loop's eight
+        assert ratio_blocks == ([8] + [0] * 7 + [8] * 8) * 2
 
     @pytest.mark.parametrize("k_near", [2.0 + 2e-13, 2.0 - 2e-13, 2.0 - 1e-11, 2.0])
     @pytest.mark.parametrize("first", ["k = 0", "k near 2"])
@@ -744,18 +765,18 @@ class TestPrunedEstimate:
         for sample in (unit_sample, _descending(unit_sample)):
             kannan, _ = _same_as_unpruned(reflection, sample, grid)
             assert kannan.k == (k_near if k_near == 2.0 - 1e-11 else 0.0)
-        # per sample: the estimate's sweeps, then the unpruned loop's two, for
-        # Kannan and then Bianchini. Every pair across the fixed point 1/2 is
-        # at the sup, so each row's key reaches it and a full sweep takes all
-        # 8 blocks. A sup within the tie tolerance lies below the bound, so
-        # the second k sweeps every pair: its leading block and 8 more. At
+        # per sample: the estimate's two calls, then the unpruned loop's two,
+        # for Kannan and then Bianchini. Every pair across the fixed point 1/2
+        # is at the sup, so each row's key reaches it and a full sweep takes
+        # all 8 blocks. A sup within the tie tolerance lies below the bound,
+        # so the second k sweeps every pair: its leading block and 8 more. At
         # 2 - 1e-11 the probe puts k near 2 first, and k = 0, 5e-12 above it,
-        # reaches the bound: for Kannan on the probe pairs, with no kernel
-        # call, since the pivot, the fixed point's row, is at the sup with
-        # every row; for Bianchini, where those pairs are at half of it, after
-        # the leading block, which holds the fixed point's row, and one more
+        # reaches the bound: for Kannan on the probe pairs, before any block,
+        # since the pivot, the fixed point's row, is at the sup with every
+        # row; for Bianchini, where those pairs are at half of it, after the
+        # leading block, which holds the fixed point's row, and one more
         if k_near == 2.0 - 1e-11:
-            assert ratio_blocks == [8, 8, 8, 8, 2, 8, 8] * 2
+            assert ratio_blocks == [8, 0, 8, 8, 8, 2, 8, 8] * 2
         else:
             assert ratio_blocks == [8, 9, 8, 8] * 4
 
@@ -827,18 +848,19 @@ class TestPrunedEstimate:
         assert kannan.k == bianchini.k == 0.0
         # Kannan sweeps 0.25 and 0 in full and settles the rest on the probe
         # pairs; Bianchini sweeps 0.5, 0.25 and 0 in full, stops 0.75 in its
-        # sweep and settles the rest (the unpruned loop's calls between)
-        assert ratio_calls[:2] == [(0.25, False), (0.0, False)]
-        assert ratio_calls[10:14] == [(0.5, False), (0.25, False), (0.0, False), (0.75, True)]
-        assert len(ratio_calls) == 2 + 8 + 4 + 8
+        # sweep and settles the rest
+        assert _swept(ratio_calls, DEFAULT) == [
+            [(0.25, "full"), (0.0, "full")],
+            [(0.5, "full"), (0.25, "full"), (0.0, "full"), (0.75, "stopped")],
+        ]
 
-    @pytest.mark.parametrize("seed, bianchini", [(3, [(0.0, False), (0.25, True)]), (5, [(0.0, False)])])
+    @pytest.mark.parametrize("seed, bianchini", [(3, [(0.0, "full"), (0.25, "stopped")]), (5, [(0.0, "full")])])
     def test_the_probe_settles_the_losing_k_on_an_orbit_sample(self, ratio_calls, seed, bianchini):
         # an SFP instance shaped like the benchmark's apps workload, at d = 8:
         # A with a repeated smallest singular value, a box C and a ball Q. The
         # orbit sample lists the newest iterate first; it is the pivot, and
         # its pairs reach the bound for the losing k, so at most one of them
-        # reaches ratio_sup, to stop in its sweep
+        # sweeps, to stop early
         d = 8
         rng = np.random.default_rng([seed, 3])
         q = [np.linalg.qr(rng.standard_normal((d, d))) for _ in range(2)]
@@ -856,8 +878,7 @@ class TestPrunedEstimate:
         assert sample.size > 300
         kannan, _ = _same_as_unpruned(op, sample, DEFAULT)
         assert kannan.k == 0.0
-        unpruned = [(k, False) for k in DEFAULT]
-        assert ratio_calls == [(0.0, False), *unpruned, *bianchini, *unpruned]
+        assert _swept(ratio_calls, DEFAULT) == [[(0.0, "full")], bianchini]
 
     def test_the_probe_settles_the_losing_k_on_a_box_sample(self, ratio_calls):
         # an affine map with eigenvalues -1 to -0.6 on the default 2000-point
@@ -868,7 +889,7 @@ class TestPrunedEstimate:
         sample = default_sample([(-1.0, 1.0)] * 5, seed=3)
         for cert in _same_as_unpruned(mapping, sample, DEFAULT):
             assert cert.k == 0.75 and cert.feasible
-        assert ratio_calls == ([(0.75, False)] + [(k, False) for k in DEFAULT]) * 2
+        assert _swept(ratio_calls, DEFAULT) == [[(0.75, "full")]] * 2
 
     @given(
         d=st.integers(1, 12),

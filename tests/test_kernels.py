@@ -918,6 +918,24 @@ def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, 
     assert counts == STOP_BLOCKS[case.__name__]
 
 
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+def test_a_lower_bound_at_the_stop_returns_it_before_any_block(eight_blocks, swept_blocks, mode):
+    # a lower at or above stop_at comes back at once, with no witness, no
+    # verdict and no block; one below it, or with no stop_at, changes no bit
+    pts, images = _random_case(seed=22, n=N_MULTI_BLOCK, d=3)
+    full = ratio_sup(pts, images, 1.0, mode)
+    blocks = len(swept_blocks)
+    for lower, stop in ((0.5, 0.5), (0.7, 0.5), (math.inf, 0.5)):
+        assert _bits(ratio_sup(pts, images, 1.0, mode, stop_at=stop, lower=lower)) == _bits(
+            (lower, (-1, -1), False, (-1, -1))
+        )
+    assert len(swept_blocks) == blocks
+    stop = full[0] * 2
+    assert _bits(ratio_sup(pts, images, 1.0, mode, stop_at=stop, lower=full[0])) == _bits(full)
+    assert _bits(ratio_sup(pts, images, 1.0, mode, lower=full[0])) == _bits(full)
+    assert len(swept_blocks) == blocks + 2
+
+
 @pytest.mark.parametrize("d", [1, 3, 12, 30])
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
 def test_the_probe_is_the_oracle_over_the_probe_pairs(d, mode):
