@@ -11,6 +11,13 @@ instance's fields inline (``_OPERATORS``). Matrices are row-major lists of
 lists. CSV trace exports print floats with 17 significant digits so values
 round-trip exactly; JSON files are written with sorted keys so identical
 runs produce byte-identical files.
+
+``write_trace_csv`` prints each float as ``FLOAT_FMT % v`` does. On a trace
+of ``_VECTOR_CELLS`` cells or more it does so in numpy (``_format``): a
+finite, normal value with 1e-11 <= |v| < 2**51 or so (decimal exponent in
+[-11, 16], binary exponent leaving a right shift of 1 to 63 bits) gets its
+17 digits from exact 128-bit integer arithmetic in uint64; zero,
+subnormals, inf, nan and every other value fall back to ``FLOAT_FMT % v``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from . import apps, convex, solve
+from . import _format, apps, convex, solve
+from ._format import FLOAT_FMT
 from .certify import ContractionCertificate
 from .exceptions import ConfigError, EnrichedFPError
 from .mappings import (
@@ -32,8 +40,6 @@ from .mappings import (
     Reflection1D,
     Scale1D,
 )
-
-FLOAT_FMT = "%.17g"
 
 
 def _listify(arr) -> Any:
@@ -280,30 +286,51 @@ def trace_summary(trace: solve.IterationTrace) -> dict:
     }
 
 
+# rows of cells per block of arrays is _CHUNK_CELLS // (cells per row); a
+# trace below _VECTOR_CELLS cells is printed by one %-template a row
+_CHUNK_CELLS = 4096
+_VECTOR_CELLS = 1024
+
+
 def write_trace_csv(trace: solve.IterationTrace, path) -> None:
     """Write one row per iterate: iter, components, step_norm, ratio, bounds.
 
     Rows end in "\r\n" as in the csv module's default dialect; no cell ever
-    needs quoting. Each row is one %-template, so a missing value (the first
-    row, a ratio of None, bounds without a rate) is an empty cell.
+    needs quoting. A missing value (the first row, a ratio of None, bounds
+    without a rate) is an empty cell. Every number is printed as
+    ``FLOAT_FMT % v`` prints it (the iteration count as a float, which is
+    the same text as ``%d``). A trace of ``_VECTOR_CELLS`` cells or more is
+    formatted in blocks of about ``_CHUNK_CELLS`` cells by exact integer
+    arithmetic in numpy for finite, normal values with 1e-11 <= |v| < 2**51
+    or so, and by ``FLOAT_FMT`` itself for zero, subnormals, inf, nan and
+    any other magnitude; a shorter one by one %-template a row.
     """
-    blank = [None] * len(trace.iterates)
-    rows = zip(
-        trace.iterates,
-        [None, *trace.step_norms],
-        [None, *trace.ratios],
-        [None, *trace.apriori] if trace.apriori else blank,
-        [None, *trace.aposteriori] if trace.aposteriori else blank,
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,components,step_norm,ratio,apriori,aposteriori\r\n")
-        for n, (point, *cells) in enumerate(rows):
-            values = point.tolist()
-            template = ",".join(
-                ["%d", ";".join([FLOAT_FMT] * len(values))]
-                + ["" if c is None else FLOAT_FMT for c in cells]
-            )
-            fh.write((template + "\r\n") % (n, *values, *[c for c in cells if c is not None]))
+    with open(path, "wb") as fh:
+        fh.write(b"iter,components,step_norm,ratio,apriori,aposteriori\r\n")
+        rows = len(trace.iterates)
+        if not rows:
+            return
+        d = len(trace.iterates[0])
+        seps = [","] + [";"] * (d - 1) + [","] * 4 + ["\r\n"]
+        fmt = _format.format_rows if rows * len(seps) >= _VECTOR_CELLS else _format.template_rows
+        columns = (trace.step_norms, trace.ratios, trace.apriori, trace.aposteriori)
+        step = max(1, _CHUNK_CELLS // len(seps))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            values = np.zeros((stop - start, len(seps)))
+            blank = np.zeros(values.shape, dtype=bool)
+            values[:, 0] = np.arange(start, stop)
+            values[:, 1 : d + 1] = trace.iterates[start:stop]
+            for j, column in enumerate(columns, d + 1):
+                if not column:
+                    blank[:, j] = True
+                    continue
+                cells = column[max(start - 1, 0) : stop - 1]
+                if start == 0:
+                    cells = [None, *cells]
+                blank[:, j] = [c is None for c in cells]
+                values[:, j] = cells
+            fh.write(fmt(values, blank, seps))
 
 
 def write_json(path, payload: dict) -> None:

@@ -7,6 +7,7 @@ images are BLAS matvecs, so its file holds where the matvec rounds as
 OpenBLAS does on x86-64.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +37,13 @@ RUNS = {
 # the solves whose trace.csv is pinned too, every iterate's bits
 TRACES = {"standard_sfp": "standard_sfp_trace.csv", "vip_line": "vip_line_trace.csv"}
 
+# a 5-D map of two rotations and a -0.5 scaling, solved at lambda 0.5 to an
+# a posteriori bound of 1e-13: 2891 rows, several blocks of the vectorised
+# trace writer, with zeros and bounds below 1e-11 that FLOAT_FMT prints.
+# Its trace.csv is pinned by its sha256, as CI's console-script step checks it.
+LONG_SOLVE = "rotation5_solve.json"
+LONG_TRACE_SHA256 = "a69b501d508689e7f274c782b3a5ac0139a9ba345232ac0170f445d627381c8e"
+
 
 def _run(tmp_path, capsys, name):
     """The directory ``RUNS[name]`` writes to."""
@@ -57,6 +65,13 @@ def test_certify_writes_the_pinned_certificate(tmp_path, capsys, name):
 def test_a_solve_writes_the_pinned_trace(tmp_path, capsys, name):
     out = _run(tmp_path, capsys, name)
     assert (out / "trace.csv").read_bytes() == (DATA / TRACES[name]).read_bytes()
+
+
+def test_a_long_solve_writes_the_pinned_trace(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(DATA / LONG_SOLVE), "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == LONG_TRACE_SHA256
 
 
 def test_the_sfp_input_is_the_catalog_instance():

@@ -1,11 +1,14 @@
 import copy
 import csv
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enrichedfp import apps, catalog, certify, serialize, solve
+from enrichedfp import _format, apps, catalog, certify, serialize, solve
 from enrichedfp.apps import SfpOperator, VipOperator
 from enrichedfp.convex import Ball, Box, Halfspace, Hyperplane
 from enrichedfp.exceptions import ConfigError
@@ -361,6 +364,25 @@ class TestTraceCsv:
                 lambda: solve.IterationTrace(iterates=[np.array([0.5])], apriori=[], aposteriori=[], rate=0.5),
                 id="x0_only_with_rate",
             ),
+            pytest.param(solve.IterationTrace, id="no_iterates"),
+            # block boundaries of the vectorised writer (d = 3: 8 cells a row)
+            pytest.param(lambda: _rotation_rows(_CHUNK_ROWS - 1), id="chunk_minus_1"),
+            pytest.param(lambda: _rotation_rows(_CHUNK_ROWS), id="chunk"),
+            pytest.param(lambda: _rotation_rows(_CHUNK_ROWS + 1), id="chunk_plus_1"),
+            pytest.param(lambda: _rotation_rows(3 * _CHUNK_ROWS + 17), id="several_chunks"),
+            # either side of the size at which the vectorised writer takes over (d = 1)
+            pytest.param(lambda: _scale_rows(-(-serialize._VECTOR_CELLS // 6) - 1), id="below_vector_cells"),
+            pytest.param(lambda: _scale_rows(-(-serialize._VECTOR_CELLS // 6)), id="at_vector_cells"),
+            # cells FLOAT_FMT prints inside vectorised blocks: a priori bounds
+            # (rate 0.5) through 1e-300, subnormals and 0, then a NaN, an inf or a
+            # step above 1e17 in the last row of several blocks
+            pytest.param(lambda: _run(_Blowup(bad=np.nan, dim=3, growth=1.001), [1.0, -2.0, 0.5], rate=0.5,
+                                      max_iter=5000), id="nan_after_chunks"),
+            pytest.param(lambda: _run(_Blowup(bad=-np.inf, dim=3, growth=1.001), [1.0, -2.0, 0.5], rate=0.5,
+                                      max_iter=5000), id="inf_after_chunks"),
+            pytest.param(lambda: _run(_Blowup(bad=1e18, dim=3, growth=1.001), [1.0, -2.0, 0.5], rate=0.5,
+                                      max_iter=5000), id="step_above_1e17"),
+            pytest.param(lambda: _negative_zeros(_rotation_rows(_CHUNK_ROWS + 1)), id="negative_zero_chunks"),
         ],
     )
     def test_bytes_match_csv_module_writer(self, tmp_path, build):
@@ -407,18 +429,106 @@ def _run(mapping, x0, lam=1.0, rate=None, tol=1e-10, max_iter=200):
 
 @dataclass(frozen=True, eq=False)
 class _Blowup(Mapping):
-    """x -> 3x on R^1 until |x| passes 10, then ``bad``."""
+    """x -> growth * x on R^dim until |x_0| passes 10, then ``bad`` everywhere."""
 
     bad: float
-
-    @property
-    def dim(self):
-        return 1
+    dim: int = 1
+    growth: float = 3.0
 
     def _apply(self, point):
-        return np.array([self.bad]) if abs(point[0]) > 10.0 else 3.0 * point
+        return np.full(self.dim, self.bad) if abs(point[0]) > 10.0 else self.growth * point
 
 
 def _rotation(d):
     q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
     return AffineMap(matrix=q, offset=np.linspace(-1.0, 1.0, d))
+
+
+_CHUNK_ROWS = serialize._CHUNK_CELLS // 8
+
+
+def _rotation_rows(rows):
+    """A 3-D rotation solve of exactly ``rows`` rows."""
+    trace = _run(_rotation(3), np.zeros(3), lam=0.5, rate=0.99, tol=1e-300, max_iter=rows - 1)
+    assert len(trace.iterates) == rows
+    return trace
+
+
+def _scale_rows(rows):
+    """A 1-D solve of exactly ``rows`` rows, its values falling below 1e-11."""
+    trace = _run(Scale1D(c=0.5), [1.0], lam=0.5, rate=0.75, tol=1e-300, max_iter=rows - 1)
+    assert len(trace.iterates) == rows
+    return trace
+
+
+def _negative_zeros(trace):
+    """``trace`` with -0.0 as the first component of every other iterate."""
+    for point in trace.iterates[::2]:
+        point[0] = -0.0
+    return trace
+
+
+def _formatted(values):
+    """``values`` as ``_format.format_rows`` prints them, one a line."""
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
+    out = _format.format_rows(values, np.zeros(values.shape, dtype=bool), ["\n"])
+    return out.tobytes().decode().split("\n")[:-1]
+
+
+def _ties():
+    """Dyadic values exactly halfway between two 17-digit decimals: an odd
+    m / 2**(17 - x) in [10**x, 10**(x + 1)) has 18 digits, the last a 5."""
+    rng = np.random.default_rng(17)
+    ties = []
+    for x in range(-4, 14):
+        k = 17 - x
+        lo, hi = int(10.0**x * 2**k) + 1, int(10.0 ** (x + 1) * 2**k)
+        ties += [(2 * int(m) + 1) / 2.0**k for m in rng.integers(lo // 2, hi // 2, 8)]
+    return ties
+
+
+def _edges():
+    values = []
+    for e in range(-20, 21):
+        ten = float(f"1e{e}")
+        below = float(f"9.9999999999999995e{e - 1}")  # the double nearest ten's 17-digit tie
+        values += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, np.inf), below, np.nextafter(below, 0.0)]
+    values += [
+        1.0000000000000001e-05, 1e-05, 9.9999999999999991e-06, 1e-4, np.nextafter(1e-4, 0.0),  # x = -5 / -4
+        1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, 0.0),  # x = 16 / 17
+        2.0**51, 2.0**52, 2.0**53, 1e-11, np.nextafter(1e-11, 0.0),  # ends of the integer path
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -1e-100, 1.5e200, 1.7976931348623157e308,  # three-digit exponents
+    ]
+    return values + [-v for v in values] + _ties()
+
+
+@pytest.mark.filterwarnings("error")
+class TestCellFormat:
+    """The vectorised cells of trace.csv against ``FLOAT_FMT % v``, value by value."""
+
+    def test_ties_cover_both_directions(self):
+        digits = [Decimal(v).as_tuple().digits for v in _ties()]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        # an even 17th digit stays, an odd one rounds up
+        assert {d[-2] % 2 for d in digits} == {0, 1}
+
+    def test_edges(self):
+        values = _edges()
+        assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20191)
+        for _ in range(16):
+            values = rng.integers(0, 2**64, size=2**16, dtype=np.uint64).view(np.float64)
+            assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values.tolist()]
+
+    def test_values_of_the_integer_path(self):
+        rng = np.random.default_rng(5)
+        values = rng.choice([-1.0, 1.0], 2**16) * 10.0 ** rng.uniform(-12.0, 17.0, 2**16)
+        assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+    def test_hypothesis_floats(self, values):
+        assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values]
