@@ -2,17 +2,16 @@
 
 ``format_rows`` prints a 2-D block of floats, each cell followed by its
 column's separator, with the bytes ``FLOAT_FMT % v`` gives each value but
-without a call per value. ``template_rows`` prints the same bytes by one
-%-template a row, which is faster on blocks of a few hundred cells or
-fewer, where numpy's cost per call dominates.
+without a call per value.
 
 Write a finite, normal v as m * 2**e2 (m the 53-bit significand) and let
-x = floor(log10 |v|), p = 16 - x and s = -(e2 + p). When 0 <= p <= 27
-(x in [-11, 16]) and 1 <= s <= 63, its 17 digits are d = m * 5**p / 2**s
+x = floor(log10 |v|), p = 16 - x and s = -(e2 + p). When 1 <= p <= 27
+(x in [-11, 15]) and 1 <= s <= 63, its 17 digits are d = m * 5**p / 2**s
 rounded half to even: 5**p fits in 64 bits, so the product is exact in two
 uint64 words built from 32-bit limbs, and the quotient and the remainder
-are shifts of them. That covers every normal v with 1e-11 <= |v| < 2**51
-or so. Any other value (zero, a subnormal, inf, nan, a larger or smaller
+are shifts of them. That covers exactly the v with 1e-11 <= |v| < 2**51:
+s >= 1 asks e2 <= -2 at x = 15, and s stays below 63 at x = -11. Any
+other value (zero, a subnormal, inf, nan, a larger or smaller
 magnitude) is printed by ``FLOAT_FMT % v`` and spliced in.
 
 A cell is _W bytes. Its text is a subsequence of them, picked by the row
@@ -21,7 +20,7 @@ of the keep table for (x, trailing zeros of d, sign):
     0 '-' | 1 '0' | 3..19 the 17 digits (copy A) | 20 '.' | 24..26 '000' |
     27..43 the 17 digits again (copy B) | 44..47 'e-XX' | 48..49 separator
 
-Fixed notation (-4 <= x <= 16) is A up to digit x, then '.' and B from
+Fixed notation (x >= -4 here) is A up to digit x, then '.' and B from
 digit x + 1 (for x < 0: '0', '.', -x - 1 zeros and all of B); exponent
 notation (x < -4 here) is A's first digit, '.', B from digit 1, 'e-XX'.
 Copies A and B keep each group of four digits on a 4-byte boundary, so one
@@ -33,10 +32,10 @@ import functools
 
 import numpy as np
 
-FLOAT_FMT = "%.17g"
+from .serialize import FLOAT_FMT
 
 _W = 52
-_X_MIN, _X_MAX = -11, 16
+_X_MIN, _X_MAX = -11, 15
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
 _POW5 = 5 ** np.arange(16 - _X_MIN, 16 - _X_MAX - 1, -1, dtype=np.uint64)  # 5**p by x - _X_MIN
@@ -104,7 +103,7 @@ def _digits(mant, e2, x):
     q = (hi << up_shift) | (lo >> s)
     # the dropped bits, at the top of a word, against one half (ties to even)
     d = q + (lo << up_shift > _U64(1 << 63) - (q & _U64(1)))
-    # 17 digits before and after rounding: no double with x in [-11, 16]
+    # 17 digits before and after rounding: no double with x in [-11, 15]
     # rounds up to 10**17 (1e-14 is the nearest that does), but one that did
     # would fall back to FLOAT_FMT
     ok &= (q >= _E16) & (d < _E17)
@@ -165,12 +164,3 @@ def format_rows(values: np.ndarray, blank: np.ndarray, seps) -> np.ndarray:
         buf[spliced, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
         keep[spliced, :24] = np.arange(24) < np.array([len(t) for t in texts])[:, None]
     return buf.reshape(-1)[keep.reshape(-1)]
-
-
-def template_rows(values: np.ndarray, blank: np.ndarray, seps) -> bytes:
-    """The bytes ``format_rows`` returns, by one %-template a row."""
-    out = []
-    for row, gaps in zip(values.tolist(), blank.tolist()):
-        template = "".join([sep if gap else FLOAT_FMT + sep for gap, sep in zip(gaps, seps)])
-        out.append(template % tuple([v for v, gap in zip(row, gaps) if not gap]))
-    return "".join(out).encode()

@@ -12,12 +12,12 @@ lists. CSV trace exports print floats with 17 significant digits so values
 round-trip exactly; JSON files are written with sorted keys so identical
 runs produce byte-identical files.
 
-``write_trace_csv`` prints each float as ``FLOAT_FMT % v`` does. On a trace
-of ``_VECTOR_CELLS`` cells or more it does so in numpy (``_format``): a
-finite, normal value with 1e-11 <= |v| < 2**51 or so (decimal exponent in
-[-11, 16], binary exponent leaving a right shift of 1 to 63 bits) gets its
-17 digits from exact 128-bit integer arithmetic in uint64; zero,
-subnormals, inf, nan and every other value fall back to ``FLOAT_FMT % v``.
+``write_trace_csv`` prints each float as ``FLOAT_FMT % v`` does, in numpy
+(``_format``): a finite, normal value with 1e-11 <= |v| < 2**51 (decimal
+exponent in [-11, 15], binary exponent leaving a right shift of 1 to 63
+bits) gets its 17 digits from exact 128-bit integer arithmetic in uint64;
+zero, subnormals, inf, nan and every other value fall back to
+``FLOAT_FMT % v``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _format, apps, convex, solve
-from ._format import FLOAT_FMT
+from . import apps, convex, solve
 from .certify import ContractionCertificate
 from .exceptions import ConfigError, EnrichedFPError
 from .mappings import (
@@ -40,6 +39,9 @@ from .mappings import (
     Reflection1D,
     Scale1D,
 )
+
+
+FLOAT_FMT = "%.17g"
 
 
 def _listify(arr) -> Any:
@@ -286,10 +288,8 @@ def trace_summary(trace: solve.IterationTrace) -> dict:
     }
 
 
-# rows of cells per block of arrays is _CHUNK_CELLS // (cells per row); a
-# trace below _VECTOR_CELLS cells is printed by one %-template a row
+# rows of cells per block of arrays is _CHUNK_CELLS // (cells per row)
 _CHUNK_CELLS = 4096
-_VECTOR_CELLS = 1024
 
 
 def write_trace_csv(trace: solve.IterationTrace, path) -> None:
@@ -299,12 +299,13 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
     needs quoting. A missing value (the first row, a ratio of None, bounds
     without a rate) is an empty cell. Every number is printed as
     ``FLOAT_FMT % v`` prints it (the iteration count as a float, which is
-    the same text as ``%d``). A trace of ``_VECTOR_CELLS`` cells or more is
-    formatted in blocks of about ``_CHUNK_CELLS`` cells by exact integer
-    arithmetic in numpy for finite, normal values with 1e-11 <= |v| < 2**51
-    or so, and by ``FLOAT_FMT`` itself for zero, subnormals, inf, nan and
-    any other magnitude; a shorter one by one %-template a row.
+    the same text as ``%d``). Rows are formatted in blocks of about
+    ``_CHUNK_CELLS`` cells by exact integer arithmetic in numpy for finite,
+    normal values with 1e-11 <= |v| < 2**51, and by ``FLOAT_FMT`` itself for
+    zero, subnormals, inf, nan and any other magnitude.
     """
+    from ._format import format_rows  # loaded by the first trace written
+
     with open(path, "wb") as fh:
         fh.write(b"iter,components,step_norm,ratio,apriori,aposteriori\r\n")
         rows = len(trace.iterates)
@@ -312,7 +313,6 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
             return
         d = len(trace.iterates[0])
         seps = [","] + [";"] * (d - 1) + [","] * 4 + ["\r\n"]
-        fmt = _format.format_rows if rows * len(seps) >= _VECTOR_CELLS else _format.template_rows
         columns = (trace.step_norms, trace.ratios, trace.apriori, trace.aposteriori)
         step = max(1, _CHUNK_CELLS // len(seps))
         for start in range(0, rows, step):
@@ -330,7 +330,7 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
                     cells = [None, *cells]
                 blank[:, j] = [c is None for c in cells]
                 values[:, j] = cells
-            fh.write(fmt(values, blank, seps))
+            fh.write(format_rows(values, blank, seps))
 
 
 def write_json(path, payload: dict) -> None:

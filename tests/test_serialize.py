@@ -365,15 +365,12 @@ class TestTraceCsv:
                 id="x0_only_with_rate",
             ),
             pytest.param(solve.IterationTrace, id="no_iterates"),
-            # block boundaries of the vectorised writer (d = 3: 8 cells a row)
+            # block boundaries of the writer (d = 3: 8 cells a row)
             pytest.param(lambda: _rotation_rows(_CHUNK_ROWS - 1), id="chunk_minus_1"),
             pytest.param(lambda: _rotation_rows(_CHUNK_ROWS), id="chunk"),
             pytest.param(lambda: _rotation_rows(_CHUNK_ROWS + 1), id="chunk_plus_1"),
             pytest.param(lambda: _rotation_rows(3 * _CHUNK_ROWS + 17), id="several_chunks"),
-            # either side of the size at which the vectorised writer takes over (d = 1)
-            pytest.param(lambda: _scale_rows(-(-serialize._VECTOR_CELLS // 6) - 1), id="below_vector_cells"),
-            pytest.param(lambda: _scale_rows(-(-serialize._VECTOR_CELLS // 6)), id="at_vector_cells"),
-            # cells FLOAT_FMT prints inside vectorised blocks: a priori bounds
+            # cells FLOAT_FMT prints inside blocks: a priori bounds
             # (rate 0.5) through 1e-300, subnormals and 0, then a NaN, an inf or a
             # step above 1e17 in the last row of several blocks
             pytest.param(lambda: _run(_Blowup(bad=np.nan, dim=3, growth=1.001), [1.0, -2.0, 0.5], rate=0.5,
@@ -454,13 +451,6 @@ def _rotation_rows(rows):
     return trace
 
 
-def _scale_rows(rows):
-    """A 1-D solve of exactly ``rows`` rows, its values falling below 1e-11."""
-    trace = _run(Scale1D(c=0.5), [1.0], lam=0.5, rate=0.75, tol=1e-300, max_iter=rows - 1)
-    assert len(trace.iterates) == rows
-    return trace
-
-
 def _negative_zeros(trace):
     """``trace`` with -0.0 as the first component of every other iterate."""
     for point in trace.iterates[::2]:
@@ -505,7 +495,7 @@ def _edges():
 
 @pytest.mark.filterwarnings("error")
 class TestCellFormat:
-    """The vectorised cells of trace.csv against ``FLOAT_FMT % v``, value by value."""
+    """The cells of trace.csv as ``format_rows`` prints them, against ``FLOAT_FMT % v``."""
 
     def test_ties_cover_both_directions(self):
         digits = [Decimal(v).as_tuple().digits for v in _ties()]
