@@ -18,6 +18,7 @@ solution instead of refusing to run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,7 @@ from .exceptions import (
     GammaRangeError,
     InvalidConstantError,
 )
-from .mappings import Mapping, as_point, as_seed, stacked_matvec
+from .mappings import Mapping, as_point, as_seed, frozen_copy, stacked_matvec
 
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
@@ -53,18 +54,21 @@ def power_iteration(matrix: np.ndarray, rel_tol: float = POWER_REL_TOL, max_iter
     x = np.ones(n) / np.sqrt(n)
     lam = 0.0
     stall = 0
+    # each product is one BLAS call (.dot), each norm math.sqrt(v.dot(v)):
+    # the bits of @ on a C- or F-ordered matrix, and of np.linalg.norm
     for it in range(1, max_iter + 1):
-        y = b @ x
-        norm_y = float(np.linalg.norm(y))
+        y = b.dot(x)
+        norm_y = math.sqrt(y.dot(y))
         if norm_y == 0.0:
             x = np.zeros(n)
             x[stall % n] = 1.0
             stall += 1
             continue
         x = y / norm_y
-        bx = b @ x
-        lam = float(x @ bx) / float(x @ x)
-        residual = float(np.linalg.norm(bx - lam * x))
+        bx = b.dot(x)
+        lam = float(x.dot(bx) / x.dot(x))
+        r = bx - lam * x
+        residual = math.sqrt(r.dot(r))
         if residual <= rel_tol * abs(lam):
             return lam, x, True, it
     return lam, x, False, max_iter
@@ -98,7 +102,7 @@ class SfpInstance:
     gamma: float | str = solve.AUTO
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=np.float64)
+        a = frozen_copy(self.matrix)
         if a.ndim != 2:
             raise DimensionMismatchError(f"matrix must be 2-D, got {a.shape}")
         if a.shape[1] != self.c_set.dim or a.shape[0] != self.q_set.dim:
@@ -108,7 +112,6 @@ class SfpInstance:
             )
         if not np.all(np.isfinite(a)):
             raise InvalidConstantError("matrix entries must be finite")
-        a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         if isinstance(self.gamma, str):
             if self.gamma != solve.AUTO:
@@ -153,9 +156,9 @@ class SfpOperator(Mapping):
 
     def _apply(self, point):
         inst = self.instance
-        image = inst.matrix @ point
+        image = inst.matrix.dot(point)
         residual = image - inst.q_set.project(image)
-        gradient = inst.matrix.T @ residual
+        gradient = inst.matrix.T.dot(residual)
         return inst.c_set.project(point - self.gamma * gradient)
 
     def _apply_many(self, points):

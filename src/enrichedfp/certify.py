@@ -74,6 +74,11 @@ class SampleSet:
     rows that share a rank are duplicates, and every sweep of the sample
     breaks its ties by it. ``distinct_sample`` hands over the rank it has
     already computed as ``_rank``.
+
+    The sample keeps a copy of ``points``, so that no later write to the
+    caller's array can change it or make two of its rows equal. The grid,
+    random and distinct samples hand over new arrays that no caller holds,
+    as ``_fresh``, and these are kept as they are.
     """
 
     points: np.ndarray
@@ -81,8 +86,9 @@ class SampleSet:
     seed: int | None = None
     rank: np.ndarray = field(init=False, repr=False)
     _rank: InitVar[np.ndarray | None] = None
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _rank):
+    def __post_init__(self, _rank, _fresh):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -92,10 +98,10 @@ class SampleSet:
             )
         if not np.all(np.isfinite(pts)):
             raise InvalidConstantError("sample contains non-finite points")
+        pts = np.ascontiguousarray(pts) if _fresh else np.array(pts, order="C")
         rank = _kernels._row_rank(pts) if _rank is None else np.asarray(_rank)
         if rank.max() + 1 != pts.shape[0]:
             raise InvalidConstantError("sample contains duplicate points")
-        pts = np.ascontiguousarray(pts)
         for array, name in ((pts, "points"), (rank, "rank")):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -127,7 +133,7 @@ def distinct_sample(points, description: str, seed: int | None) -> SampleSet | N
     keep[first] = True
     if np.count_nonzero(keep) < 2:
         return None
-    return SampleSet(points=pts[keep], description=description, seed=seed, _rank=rank[keep])
+    return SampleSet(points=pts[keep], description=description, seed=seed, _rank=rank[keep], _fresh=True)
 
 
 def _as_bounds(bounds) -> list[tuple[float, float]]:
@@ -154,6 +160,7 @@ def grid_sample(bounds, points_per_axis: int) -> SampleSet:
         points=pts,
         description=f"grid {points_per_axis} pts/axis on {bounds}",
         seed=None,
+        _fresh=True,
     )
 
 
@@ -170,6 +177,7 @@ def random_sample(bounds, n: int, seed: int) -> SampleSet:
         points=pts,
         description=f"uniform random {n} pts on {bounds} (seed {seed})",
         seed=seed,
+        _fresh=True,
     )
 
 

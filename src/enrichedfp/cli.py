@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -535,12 +536,17 @@ def cmd_bench(settings: _Settings) -> int:
 
 
 def _iterations_to_tol(mapping, x0, lam, reference, tol, max_iter):
+    def error(x):
+        # np.linalg.norm of the new, contiguous difference, bit for bit
+        diff = x - reference
+        return math.sqrt(diff.dot(diff))
+
     x = np.asarray(x0, dtype=np.float64)
-    if float(np.linalg.norm(x - reference)) <= tol:
+    if error(x) <= tol:
         return 0, True
     for n in range(1, max_iter + 1):
         x = (1.0 - lam) * x + lam * mapping.apply(x)
-        if float(np.linalg.norm(x - reference)) <= tol:
+        if error(x) <= tol:
             return n, True
     return max_iter, False
 
@@ -565,7 +571,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=None) -> _Parser:
+    """The parser of every command; only the commands named in ``argv`` (all
+    of them when it is None) get their flags, since a run parses one."""
     parser = _Parser(
         prog="enrichedfp",
         description="fixed-point toolkit: certify contraction constants, run "
@@ -574,16 +582,20 @@ def _build_parser() -> _Parser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = _COMMANDS.keys() if argv is None else set(argv)
     for name, (_, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, allow_abbrev=False)
-        for flag in flags:
-            cmd.add_argument(flag, **_FLAGS[flag])
+        if name in named:
+            for flag in flags:
+                cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         return _COMMANDS[args.command][0](_Settings(args))
     except AutoLambdaError as exc:
         print(str(exc), file=sys.stderr)

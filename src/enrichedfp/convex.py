@@ -9,12 +9,13 @@ nonexpansiveness, and the variational characterization
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidConstantError
-from .mappings import as_point, as_seed, stacked_dot
+from .mappings import as_point, as_seed, frozen_copy, stacked_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +44,9 @@ class ConvexSet:
 
 
 def _finite_vector(value, name) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    arr = frozen_copy(np.atleast_1d(value))
     if arr.ndim != 1 or not np.all(np.isfinite(arr)):
         raise InvalidConstantError(f"{name} must be a finite vector")
-    arr.setflags(write=False)
     return arr
 
 
@@ -72,9 +72,14 @@ class Box(ConvexSet):
         return self.lower.shape[0]
 
     def _project(self, point):
-        return np.clip(point, self.lower, self.upper)
+        # np.clip(point, lower, upper), signed zeros included, in two plain
+        # ufunc calls
+        return np.minimum(np.maximum(point, self.lower), self.upper)
 
-    _project_many = _project
+    def _project_many(self, points):
+        # np.clip row by row, in one array of the points' size
+        out = np.maximum(points, self.lower)
+        return np.minimum(out, self.upper, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +100,13 @@ class Ball(ConvexSet):
         return self.center.shape[0]
 
     def _project(self, point):
+        # np.linalg.norm(offset) is math.sqrt(offset.dot(offset)), bit for bit
         with np.errstate(over="ignore"):
             offset = point - self.center
-            dist = float(np.linalg.norm(offset))
+            dist = math.sqrt(offset.dot(offset))
         if dist <= self.radius:
             return point.copy()
-        if dist == np.inf:
+        if dist == math.inf:
             return self._project_many(point[None, :])[0]
         return self.center + (self.radius / dist) * offset
 
@@ -126,16 +132,17 @@ class Ball(ConvexSet):
 class _Plane(ConvexSet):
     """The shared part of ``Halfspace`` and ``Hyperplane``: a finite normal
     whose squared norm, the divisor of the projection, is neither 0 nor inf,
-    and a finite offset."""
+    and a finite offset. The squared norm is kept as ``_sq_norm``."""
 
     normal: np.ndarray
     offset: float
+    _sq_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         kind = type(self).__name__.lower()
         a = _finite_vector(self.normal, "normal")
         with np.errstate(over="ignore"):
-            sq_norm = float(a @ a)
+            sq_norm = float(a.dot(a))
         if not 0.0 < sq_norm < np.inf:
             raise InvalidConstantError(
                 f"{kind} normal must have a squared norm in (0, inf), got {sq_norm} for {a.tolist()}"
@@ -143,6 +150,7 @@ class _Plane(ConvexSet):
         if not np.isfinite(self.offset):
             raise InvalidConstantError(f"{kind} offset must be finite")
         object.__setattr__(self, "normal", a)
+        object.__setattr__(self, "_sq_norm", sq_norm)
 
     @property
     def dim(self):
@@ -153,17 +161,16 @@ class Halfspace(_Plane):
     """Halfspace {x : <normal, x> <= offset}."""
 
     def _project(self, point):
-        excess = float(self.normal @ point) - self.offset
+        excess = self.normal.dot(point) - self.offset
         if excess <= 0.0:
             return point.copy()
-        return point - (excess / float(self.normal @ self.normal)) * self.normal
+        return point - (excess / self._sq_norm) * self.normal
 
     def _project_many(self, points):
-        sq_norm = float(self.normal @ self.normal)
         excess = stacked_dot(self.normal, points) - self.offset
         far = ~(excess <= 0.0)
         out = points.copy()
-        out[far] -= (excess[far] / sq_norm)[:, None] * self.normal
+        out[far] -= (excess[far] / self._sq_norm)[:, None] * self.normal
         return out
 
 
@@ -171,14 +178,11 @@ class Hyperplane(_Plane):
     """Hyperplane {x : <normal, x> = offset}."""
 
     def _project(self, point):
-        shift = (float(self.normal @ point) - self.offset) / float(
-            self.normal @ self.normal
-        )
+        shift = (self.normal.dot(point) - self.offset) / self._sq_norm
         return point - shift * self.normal
 
     def _project_many(self, points):
-        sq_norm = float(self.normal @ self.normal)
-        shift = (stacked_dot(self.normal, points) - self.offset) / sq_norm
+        shift = (stacked_dot(self.normal, points) - self.offset) / self._sq_norm
         return points - shift[:, None] * self.normal
 
 
@@ -214,7 +218,7 @@ def _sampling_window(convex_set: ConvexSet):
     if isinstance(convex_set, Ball):
         return convex_set.center - convex_set.radius, convex_set.center + convex_set.radius
     a = convex_set.normal
-    anchor = (convex_set.offset / float(a @ a)) * a
+    anchor = (convex_set.offset / convex_set._sq_norm) * a
     if isinstance(convex_set, Halfspace):
         anchor = anchor - a / float(np.linalg.norm(a))
     return anchor - 2.0, anchor + 2.0

@@ -11,6 +11,7 @@ claimed on the declared domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,22 @@ def as_point(x) -> np.ndarray:
         arr = np.atleast_1d(arr)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise InvalidConstantError(f"point has non-finite entries: {arr}")
+    return arr
+
+
+def frozen_copy(value) -> np.ndarray:
+    """A read-only float64 copy of ``value``, C- or F-ordered as given, any
+    other layout made C-contiguous.
+
+    The value objects keep such copies: a later write to the caller's array
+    cannot change them, the caller's array stays writable, and ``.dot`` hands
+    a stored matrix to BLAS as it is.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    arr = arr.copy(order="K" if arr.flags.f_contiguous else "C")
+    arr.setflags(write=False)
     return arr
 
 
@@ -55,26 +70,29 @@ def norm_dist(x, y) -> float:
     return float(np.linalg.norm(xa - ya))
 
 
-# Batched twins of per-point products. A stacked matmul runs, item by item,
-# the BLAS call that the per-point product makes (gemv for ``M @ p``, ddot
-# for ``a @ p`` and for the squared norm inside ``np.linalg.norm``), so each
-# row gets the per-point bits. ``P @ M.T`` (gemm), ``einsum`` and
-# ``norm(axis=1)`` sum in other orders and move last bits.
+# Batched twins of per-point products. A per-point product is one ``.dot``
+# on BLAS-ready arrays (``frozen_copy``): gemv for ``M.dot(p)``, ddot for
+# ``a.dot(p)`` and for a squared norm ``v.dot(v)``, which is what
+# ``np.linalg.norm`` squares. A stacked matmul runs, item by item, that same
+# BLAS call, so each row gets the per-point bits. ``P @ M.T`` (gemm),
+# ``einsum`` and ``norm(axis=1)`` sum in other orders and move last bits.
 
 
 def stacked_matvec(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``matrix @ p`` for each row p of ``points``, bit for bit."""
+    """``matrix.dot(p)`` for each row p of ``points``, bit for bit, on a C- or
+    F-ordered ``matrix``."""
     return np.matmul(matrix, points[:, :, None])[:, :, 0]
 
 
 def stacked_dot(a: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``a @ p`` for each row p of ``points``, bit for bit; ``a`` is one vector or one per row."""
+    """``a.dot(p)`` for each row p of ``points``, bit for bit; ``a`` is one vector or one per row."""
     return np.matmul(a[..., None, :], points[:, :, None])[:, 0, 0]
 
 
 def _inside(points, lo, hi) -> bool:
-    """Every entry of ``points`` within ``[lo, hi]`` widened by ``DOMAIN_ATOL``."""
-    return not (np.any(points < lo - DOMAIN_ATOL) or np.any(points > hi + DOMAIN_ATOL))
+    """Every entry of ``points`` within ``[lo, hi]``, a box already widened
+    by ``DOMAIN_ATOL`` (``Mapping._widened_domain``)."""
+    return not (np.any(points < lo) or np.any(points > hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +128,7 @@ class Mapping:
 
     def _batched(self, points: np.ndarray) -> np.ndarray | None:
         """``_apply_many(points)`` if every row passes ``apply``'s checks, else None."""
-        box = self.domain
+        box = self._widened_domain
         if (
             points.ndim != 2
             or points.shape[1] != self.dim
@@ -129,12 +147,21 @@ class Mapping:
         """``(lower, upper)`` box bounds, or ``None`` when unrestricted."""
         return None
 
-    def _check_domain(self, point: np.ndarray) -> None:
+    @cached_property
+    def _widened_domain(self):
+        """``domain`` widened by ``DOMAIN_ATOL``, computed once; None when unrestricted."""
         box = self.domain
         if box is None:
-            return
+            return None
         lo, hi = box
-        if not _inside(point, lo, hi):
+        return lo - DOMAIN_ATOL, hi + DOMAIN_ATOL
+
+    def _check_domain(self, point: np.ndarray) -> None:
+        box = self._widened_domain
+        if box is None:
+            return
+        if not _inside(point, *box):
+            lo, hi = self.domain
             raise OutOfDomainError(
                 f"{type(self).__name__}: point {point} outside domain box "
                 f"[{lo}, {hi}]"
@@ -207,8 +234,8 @@ class AffineMap(Mapping):
     offset: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        b = np.asarray(self.offset, dtype=np.float64)
+        m = frozen_copy(self.matrix)
+        b = frozen_copy(self.offset)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
         if b.shape != (m.shape[0],):
@@ -217,8 +244,6 @@ class AffineMap(Mapping):
             )
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise InvalidConstantError("affine map entries must be finite")
-        m.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
 
@@ -227,7 +252,7 @@ class AffineMap(Mapping):
         return self.matrix.shape[0]
 
     def _apply(self, point):
-        return self.matrix @ point + self.offset
+        return self.matrix.dot(point) + self.offset
 
     def _apply_many(self, points):
         images = stacked_matvec(self.matrix, points)
@@ -290,9 +315,9 @@ class PiecewiseTable(Mapping):
     intercepts: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=np.float64)
-        s = np.asarray(self.slopes, dtype=np.float64)
-        c = np.asarray(self.intercepts, dtype=np.float64)
+        b = frozen_copy(self.breakpoints)
+        s = frozen_copy(self.slopes)
+        c = frozen_copy(self.intercepts)
         if b.ndim != 1 or b.size < 2:
             raise InvalidConstantError("need at least two breakpoints")
         if np.any(np.diff(b) <= 0):
@@ -308,7 +333,6 @@ class PiecewiseTable(Mapping):
                 "piece images must stay inside the breakpoint span"
             )
         for name, arr in (("breakpoints", b), ("slopes", s), ("intercepts", c)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

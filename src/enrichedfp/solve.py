@@ -301,7 +301,7 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
                 f"{type(mapping).__name__} maps R^{x.shape[0]} to shape {xn.shape}"
             )
         dx = xn - x
-        step = math.sqrt(dx @ dx)
+        step = math.sqrt(dx.dot(dx))
 
         prev = trace.step_norms[-1] if trace.step_norms else None
         trace.iterates.append(xn)

@@ -485,6 +485,53 @@ class TestFlagsAndValues:
         assert taken == COMMAND_FLAGS
         assert sum(len(flags) for flags in taken.values()) == 49
 
+    def test_a_named_command_alone_gets_its_flags(self):
+        (subparsers,) = [
+            action for action in cli._build_parser(["sfp", "--gamma", "1"])._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        taken = {
+            name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert taken == {name: COMMAND_FLAGS["sfp"] if name == "sfp" else set() for name in COMMAND_FLAGS}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in COMMAND_FLAGS),
+            [],
+            ["nosuch"],
+            ["solve", "--nosuch", "1"],
+            ["certify", "--gamma", "1"],
+            ["solve", "--tol"],
+            ["--", "solve", "--tol", "1e-3"],
+            ["solve", "--", "--tol", "1e-3"],
+        ],
+    )
+    def test_the_parser_of_the_named_commands_answers_as_the_full_one(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # stdout, stderr and the exit code, byte for byte; no command runs
+        # far enough to write output, since none has an input
+        monkeypatch.chdir(tmp_path)
+
+        def outcome():
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        lazy = outcome()
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv=None: build())
+        assert outcome() == lazy
+        assert lazy[0] in (("exit", 0), cli.EXIT_CONFIG_ERROR)
+        assert "Traceback" not in lazy[2]
+
     @pytest.mark.parametrize(
         "command, flags, config, named",
         [
