@@ -75,15 +75,12 @@ with those floating-point warnings off.
 
 ``ratio_sup`` can stop early, for a caller that only needs to know that
 the sup is at least ``stop_at``: it returns after the first block at
-which its running sup reaches the bound (``_until``). That sweep starts
-with a short block, 1/16 of a buffer, so that a sweep that stops at once
-covers few pairs even when one buffer holds most of the triangle (a
-201-point sample's first full block holds 96% of its pairs). A caller
-may pass ``lower``, a sup it has found on pairs of its own with the pair
+which its running sup reaches the bound (``_until``). A caller may pass
+``lower``, a sup it has found on pairs of its own with the pair
 arithmetic above; if that reaches ``stop_at`` the call returns at once,
 before any row key, sort or block. The estimators pass the sup over their
-probe pairs (``certify._probe``): consecutive rows, and the row of least
-displacement against every other row, which settles most losing ``k``.
+probe pairs (``certify._probe``), the row of least displacement against
+every other row, which settles most losing ``k``.
 
 The Kannan and Bianchini sweeps skip the pairs that cannot reach their
 extremum, with the bits of a full sweep. Each row gets a key that bounds
@@ -193,9 +190,6 @@ HAVE_NUMBA = False
 _BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
 _LINE_BYTES = 64  # the block buffers start on a cache line
 
-# The first block of a sweep that may stop early holds 1/_LEAD_SHARE of a buffer.
-_LEAD_SHARE = 16
-
 # numpy's ufunc buffer, in elements, during a block loop: small enough that
 # the broadcast operands of a block's outer operations are not copied
 # through it (every size from 16 to 512 runs at the same speed).
@@ -246,27 +240,23 @@ def _row_rank(x):
     return rank
 
 
-def _blocks(n, lead=False):
+def _blocks(n):
     """Row ranges ``(lo, hi)`` of the triangle blocks, rows ``lo:hi`` against columns ``lo:n``.
 
     Each block holds at most one buffer of entries (one row if a row alone
     is wider), so the blocks grow taller as the columns right of the
-    diagonal run out. A block is never taller than it is wide. With
-    ``lead`` the first block holds at most ``1 / _LEAD_SHARE`` of a buffer
-    (or one row), so a sweep that stops after it has covered few pairs even
-    when one buffer holds most of the triangle.
+    diagonal run out. A block is never taller than it is wide.
     """
-    return list(_block_rows(n, lead, _BLOCK_BYTES))
+    return list(_block_rows(n, _BLOCK_BYTES))
 
 
 @lru_cache(maxsize=64)
-def _block_rows(n, lead, block_bytes):
+def _block_rows(n, block_bytes):
     """``_blocks`` at ``block_bytes``, cached: each sweep of a sample asks for the same."""
     entries = block_bytes // 8
     blocks, lo = [], 0
     while lo < n:
-        size = entries // _LEAD_SHARE if lead and not blocks else entries
-        hi = min(n, lo + max(1, size // (n - lo)))
+        hi = min(n, lo + max(1, entries // (n - lo)))
         blocks.append((lo, hi))
         lo = hi
     return tuple(blocks)
@@ -564,7 +554,7 @@ def _sweep(x, rank, key, cols, stop_at=None, largest=True):
             c[...] = np.take(c, order, axis=-1)
     best = _Extremum(rank, largest, order)
     n = x.shape[0]
-    blocks = _until(_blocks(n, lead=stop_at is not None), key, best, stop_at)
+    blocks = _until(_blocks(n), key, best, stop_at)
     return _Triangle(n, blocks), best
 
 
@@ -644,11 +634,12 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None):
     a lower bound on the full sup that has reached ``stop_at``, and the
     witness pair, ``infeasible`` and ``(zi, zj)`` cover only the blocks
     swept, as the oracle over those pairs gives them. A call that never
-    reaches ``stop_at`` returns what it returns without it. ``lower`` is a
-    sup the caller has already found over some of the pairs with this
-    arithmetic (``certify._probe``), so a lower bound on the full sup; if
-    it reaches ``stop_at`` the call returns ``(lower, (-1, -1), False,
-    (-1, -1))`` at once, before any row key, sort or block. ``rank`` is
+    reaches ``stop_at`` returns what it returns without it, over the same
+    blocks. ``lower`` is a sup the caller has already found over some of
+    the pairs with this arithmetic (the estimators' pivot-row pairs,
+    ``certify._probe``), so a lower bound on the full sup; if it reaches
+    ``stop_at`` the call returns ``(lower, (-1, -1), False, (-1, -1))`` at
+    once, before any row key, sort or block. ``rank`` is
     ``_row_rank(points)`` when a caller already has it; by default it is
     computed here.
     """

@@ -186,6 +186,10 @@ class VipOperator(Mapping):
     def dim(self):
         return self.instance.c_set.dim
 
+    @property
+    def domain(self):
+        return self.instance.operator.domain
+
     def _apply(self, point):
         inst = self.instance
         return inst.c_set.project(point - inst.gamma * inst.operator.apply(point))
@@ -253,8 +257,10 @@ class VipResult:
     certificate_note: str
 
 
-def _orbit_sample(trace: solve.IterationTrace, seed: int) -> SampleSet | None:
+def _orbit_sample(trace: solve.IterationTrace, seed: int, domain) -> SampleSet | None:
     """Orbit iterates, newest first, plus 100 seeded random points in an inflated orbit box.
+
+    The box is cut to the operator's ``domain`` box, if it has one.
 
     The row order decides no bit of a certificate: each pair's value holds
     for both orientations, and ties and witnesses go by lexicographic row
@@ -268,6 +274,8 @@ def _orbit_sample(trace: solve.IterationTrace, seed: int) -> SampleSet | None:
     hi = orbit.max(axis=0)
     margin = np.maximum(0.5 * (hi - lo), 0.5)
     lo, hi = lo - margin, hi + margin
+    if domain is not None:
+        lo, hi = np.maximum(lo, domain[0]), np.minimum(hi, domain[1])
     rng = np.random.default_rng(seed)
     extra = lo + rng.uniform(size=(100, orbit.shape[1])) * (hi - lo)
     return certify.distinct_sample(
@@ -278,7 +286,7 @@ def _orbit_sample(trace: solve.IterationTrace, seed: int) -> SampleSet | None:
 
 
 def _attempt_certificate(operator, trace, seed, k_grid, estimator):
-    sample = _orbit_sample(trace, seed)
+    sample = _orbit_sample(trace, seed, operator.domain)
     if sample is None:
         return None, "certification skipped: orbit collapses to fewer than 2 points"
     try:
@@ -294,7 +302,8 @@ def _solve(operator, c_set, cfg, start, seed, k_grid, estimators):
 
     Auto lambda without a certificate takes the first feasible estimate in
     ``estimators`` order over 200 seeded points in C. After the run, the
-    orbit certificate attempt uses ``estimators[0]``.
+    orbit certificate attempt uses ``estimators[0]``; a diverged run has
+    no orbit to certify, and skips it.
     """
     if cfg.lam == solve.AUTO and cfg.certificate is None:
         sample = certify.distinct_sample(
@@ -304,6 +313,8 @@ def _solve(operator, c_set, cfg, start, seed, k_grid, estimators):
             raise AutoLambdaError("auto lambda refused: C collapses to a single point")
         cfg = replace(cfg, certificate=solve.certify_for_auto(operator, sample, k_grid, estimators))
     trace = solve.krasnoselskij(operator, start, cfg)
+    if trace.status == solve.STATUS_DIVERGED:
+        return trace, None, "certification skipped: the iteration diverged"
     return (trace, *_attempt_certificate(operator, trace, seed, k_grid, estimators[0]))
 
 
@@ -371,9 +382,11 @@ def solve_vip(
         (certify.estimate_bianchini_constants, certify.estimate_kannan_constants),
     )
     point = trace.final
-    g_at_point = instance.operator.apply(point)
     samples = convex.sample_points(instance.c_set, n_samples, seed)
-    vi_residual = float(np.min((samples - point) @ g_at_point))
+    # G may overflow at the point a diverged run ends on; the residual is then inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_at_point = instance.operator.apply(point)
+        vi_residual = float(np.min((samples - point) @ g_at_point))
     vi_ok = vi_residual >= -vi_tol
 
     mono_sample = certify.distinct_sample(

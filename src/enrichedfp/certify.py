@@ -58,10 +58,6 @@ RATE_TIE_TOL = 1e-12
 
 DEFAULT_K_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
-# The probe pairs (``_probe``) hold the consecutive rows among the first
-# PROBE_PAIRS + 1.
-PROBE_PAIRS = 64
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -350,13 +346,11 @@ def check_monotone(operator: Mapping, sample: SampleSet) -> ContractionCertifica
 def _probe(points, images, k_values, mode):
     """Each ``k``'s ``(sup, infeasible)`` over the probe pairs.
 
-    The probe pairs are the consecutive rows ``(i, i + 1)`` for ``i <
-    PROBE_PAIRS``, and the pivot row, the one of least displacement (the
-    first of them, NaN displacements last), against every other row. On an
-    orbit sample the pivot is the newest iterate, nearest the fixed point.
-    The consecutive pairs settle the odd ``k`` that the pivot's miss: one
-    of the 70 losing ``k`` of the benchmark's pass over the CLI catalog
-    inputs, on the ``vip_line`` orbit.
+    The probe pairs are the pivot row, the first of least displacement (NaN
+    displacements last), against every other row. On an orbit sample the
+    pivot is the newest iterate, nearest the fixed point. Its pairs settle
+    97 of the 98 losing ``k`` of a pass over the benchmark's three
+    certifying workloads (``_estimate``).
 
     A pair's value has the bits of the kernels' sweeps: the literal
     ``k * (x_i - x_j) + (t_i - t_j)``, squared and summed in index order
@@ -369,30 +363,18 @@ def _probe(points, images, k_values, mode):
     ratio, or a pair of two fixed rows whose numerator is NaN or exceeds
     ``_kernels.ZERO_NUM_TOL``; NaN ratios count nowhere in ``sup``.
 
-    The pair arrays are laid out ``(d, pairs)``, so that the sum over the
-    coordinates adds whole rows; there are four, of O(N d), made once a
-    call.
+    The pairs are laid out ``(d, n)``, one column each, so that the sum
+    over the coordinates adds whole rows; the pivot's own column is no
+    pair and counts nowhere. There are three such arrays, made once a call.
     """
-    n, d = points.shape
-    lead = min(n - 1, PROBE_PAIRS)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disp = _kernels._displacements(points, images)
         pivot = int(np.argmax(disp == np.fmin.reduce(disp)))  # fmin passes over NaN
-        ends = (
-            (slice(0, lead), slice(1, lead + 1)),
-            (slice(pivot, pivot + 1), slice(0, pivot)),
-            (slice(pivot, pivot + 1), slice(pivot + 1, n)),
-        )
-        dx, dt = np.empty((d, lead + n - 1)), np.empty((d, lead + n - 1))
-        scale = np.empty(lead + n - 1)
-        start = 0
-        for i, j in ends:  # the pairs (i, j), column by column
-            cols = slice(start, start + j.stop - j.start)
-            np.subtract(points[i].T, points[j].T, out=dx[:, cols])
-            np.subtract(images[i].T, images[j].T, out=dt[:, cols])
-            _kernels.PAIR_SCALE[mode](disp[i], disp[j], out=scale[cols])
-            start = cols.stop
+        dx = np.subtract(points[pivot, :, None], points.T, order="C")
+        dt = np.subtract(images[pivot, :, None], images.T, order="C")
+        scale = _kernels.PAIR_SCALE[mode](disp[pivot], disp)
         zero = np.flatnonzero(scale == 0.0)  # both rows fixed
+        zero = zero[zero != pivot]
         sq, ratio = np.empty_like(dx), np.empty_like(scale)
         probes = []
         for k in k_values:
@@ -408,6 +390,7 @@ def _probe(points, images, k_values, mode):
             # numerator is at most ZERO_NUM_TOL
             infeasible = not np.all(num[zero] <= _kernels.ZERO_NUM_TOL)
             ratio[zero] = -np.inf
+            ratio[pivot] = -np.inf
             sup = ratio.max()
             if math.isnan(sup):  # a NaN ratio: the sup of the others
                 infeasible = True
@@ -462,19 +445,23 @@ def _estimate(mapping, sample, k_grid, mode):
     grid order. Each ``k`` is swept at most once, in another order, and
     most sweeps stop early or are never made:
 
-    * The ``k`` are swept in ascending ``_probe`` sup, ``+inf`` for a
-      ``k`` that the probe pairs show infeasible, ties by grid index, so
-      that the winner tends to come first.
+    * The ``k`` are swept in ascending ``_probe`` sup, over the pivot
+      row's pairs, ``+inf`` for a ``k`` that those pairs show infeasible,
+      ties by grid index, so that the winner tends to come first.
     * Once some ``k`` has a feasible full sup, with ``s_ref`` the smallest
       so far, each later ``k`` is held to ``_prune_bound(s_ref, n)``,
       about ``s_ref + 2 n RATE_TIE_TOL`` for ``n = len(k_grid)``. A ``k``
       whose probe sup reaches the bound is settled before any sweep:
       ``ratio_sup`` gets the probe sup as ``lower`` and returns it at
       once, since a pair's value is a lower bound on the full sup.
-      Otherwise its sweep stops at the bound. A ``k``
-      whose sup reaches the bound, on the probe pairs or in its sweep, is
-      pruned: ``_pick`` passes over it. Every other sweep covered every
-      pair.
+      Otherwise its sweep stops after the first block at which its running
+      sup reaches the bound. A ``k`` whose sup reaches the bound, on the
+      probe pairs or in its sweep, is pruned: ``_pick`` passes over it.
+      Every other sweep covered every pair.
+
+    The proof below needs only that a pruned ``k``'s full sup reaches its
+    bound, which the value of any one pair shows; so which pairs the probe
+    reads sets the order and the work, not the certificate.
 
     Pruning never changes the pick. Let ``T = RATE_TIE_TOL``, ``m`` the
     smallest full sup of a feasible ``k`` and ``θ = m + 2nT``; each bound

@@ -320,6 +320,8 @@ class PiecewiseTable(Mapping):
         c = frozen_copy(self.intercepts)
         if b.ndim != 1 or b.size < 2:
             raise InvalidConstantError("need at least two breakpoints")
+        if not all(np.all(np.isfinite(arr)) for arr in (b, s, c)):
+            raise InvalidConstantError("piecewise table entries must be finite")
         if np.any(np.diff(b) <= 0):
             raise InvalidConstantError("breakpoints must be strictly increasing")
         if s.shape != c.shape or s.shape != (b.size - 1,):

@@ -286,44 +286,47 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
         complement = 1.0 - rate
         aposteriori_scale = rate / complement
 
-    for n in range(1, cfg.max_iter + 1):
-        try:
-            mapping._check_domain(x)
-        except OutOfDomainError as exc:
-            raise DomainEscapeError(
-                f"iterate {n - 1} escaped the mapping domain: {exc}",
-                point=x.copy(),
-                iteration=n - 1,
-            ) from exc
-        xn = (1.0 - lam) * x + lam * mapping._apply(x)
-        if xn.shape != x.shape:
-            raise DimensionMismatchError(
-                f"{type(mapping).__name__} maps R^{x.shape[0]} to shape {xn.shape}"
-            )
-        dx = xn - x
-        step = math.sqrt(dx.dot(dx))
+    # one np.errstate for the whole loop (about 1.5 us an entry): an iterate
+    # that overflows ends the run as diverged, below, and warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cfg.max_iter + 1):
+            try:
+                mapping._check_domain(x)
+            except OutOfDomainError as exc:
+                raise DomainEscapeError(
+                    f"iterate {n - 1} escaped the mapping domain: {exc}",
+                    point=x.copy(),
+                    iteration=n - 1,
+                ) from exc
+            xn = (1.0 - lam) * x + lam * mapping._apply(x)
+            if xn.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"{type(mapping).__name__} maps R^{x.shape[0]} to shape {xn.shape}"
+                )
+            dx = xn - x
+            step = math.sqrt(dx.dot(dx))
 
-        prev = trace.step_norms[-1] if trace.step_norms else None
-        trace.iterates.append(xn)
-        trace.step_norms.append(step)
-        if prev is None or prev < RATIO_MIN_STEP:
-            trace.ratios.append(None)
-        else:
-            trace.ratios.append(step / prev)
-        if rate is not None:
-            trace.apriori.append(rate**n / complement * trace.step_norms[0])
-            trace.aposteriori.append(aposteriori_scale * step)
+            prev = trace.step_norms[-1] if trace.step_norms else None
+            trace.iterates.append(xn)
+            trace.step_norms.append(step)
+            if prev is None or prev < RATIO_MIN_STEP:
+                trace.ratios.append(None)
+            else:
+                trace.ratios.append(step / prev)
+            if rate is not None:
+                trace.apriori.append(rate**n / complement * trace.step_norms[0])
+                trace.aposteriori.append(aposteriori_scale * step)
 
-        # a NaN or inf component makes the norm NaN or inf
-        if not step <= DIVERGENCE_LIMIT:
-            trace.status = STATUS_DIVERGED
-            return trace
+            # a NaN or inf component makes the norm NaN or inf
+            if not step <= DIVERGENCE_LIMIT:
+                trace.status = STATUS_DIVERGED
+                return trace
 
-        criterion = trace.aposteriori[-1] if stop_rule == STOP_APOSTERIORI else step
-        x = xn
-        if criterion <= cfg.tol:
-            trace.status = STATUS_CONVERGED
-            return trace
+            criterion = trace.aposteriori[-1] if stop_rule == STOP_APOSTERIORI else step
+            x = xn
+            if criterion <= cfg.tol:
+                trace.status = STATUS_CONVERGED
+                return trace
 
     trace.status = STATUS_MAX_ITER
     return trace

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enrichedfp import _kernels, catalog, certify, convex, mappings, solve
+from enrichedfp import _kernels, apps, catalog, certify, convex, mappings, solve
 from enrichedfp.apps import (
     SfpInstance,
     VipInstance,
@@ -17,6 +17,7 @@ from enrichedfp.apps import (
 from enrichedfp.exceptions import (
     AutoLambdaError,
     DimensionMismatchError,
+    DomainEscapeError,
     GammaRangeError,
     InvalidConstantError,
     OutOfDomainError,
@@ -491,6 +492,34 @@ class TestSolveVip:
         zs = convex.sample_points(inst.c_set, 100, seed=0)
         g_bad = inst.operator.apply(bad)
         assert float(np.min((zs - bad) @ g_bad)) < -1e-3
+
+    @pytest.mark.parametrize("name", ["reflection", "scale_third", "scale_quarter", "kannan_jump", "averaged_reflection"])
+    def test_the_orbit_sample_lies_in_g_s_domain(self, name):
+        # C = [0, 1], G a catalog map on [0, 1]: the operator takes G's
+        # domain, and the orbit sample's random points, drawn in the orbit
+        # box widened by at least 1/2, are cut to it
+        g = catalog.catalog_entry(name).mapping
+        inst = VipInstance(c_set=convex.Box(lower=np.zeros(1), upper=np.ones(1)), operator=g, gamma=0.5)
+        op = vip_operator(inst)
+        lo, hi = g.domain
+        assert np.array_equal(op.domain[0], lo) and np.array_equal(op.domain[1], hi)
+        cfg = solve.SolveConfig(lam=1.0, tol=1e-10, max_iter=200)
+        result = solve_vip(inst, cfg, [0.25])
+        assert result.certificate is not None
+        sample = apps._orbit_sample(result.trace, 0, op.domain)
+        assert sample.size > 100
+        assert np.all(sample.points >= lo) and np.all(sample.points <= hi)
+
+    def test_an_iterate_outside_g_s_domain_is_a_domain_escape(self):
+        # G(x) = -x on [-1, 1] over C = [-2, 2]: the step x -> 1.5 x leaves
+        # G's domain at the first iterate
+        g = Scale1D(c=-1.0, bounds=(-1.0, 1.0))
+        inst = VipInstance(c_set=convex.Box(lower=[-2.0], upper=[2.0]), operator=g, gamma=0.5)
+        cfg = solve.SolveConfig(lam=1.0, tol=1e-10, max_iter=50)
+        with pytest.raises(DomainEscapeError) as err:
+            solve_vip(inst, cfg, [0.9])
+        assert err.value.iteration == 1 and err.value.point[0] == 0.9 * 1.5
+        assert type(err.value.__cause__) is OutOfDomainError
 
     def test_certificate_attempt_reported_honestly(self):
         # the line instance's operator is a plain geometric contraction that

@@ -769,16 +769,16 @@ class TestPrunedEstimate:
         # for Kannan and then Bianchini. Every pair across the fixed point 1/2
         # is at the sup, so each row's key reaches it and a full sweep takes
         # all 8 blocks. A sup within the tie tolerance lies below the bound,
-        # so the second k sweeps every pair: its leading block and 8 more. At
-        # 2 - 1e-11 the probe puts k near 2 first, and k = 0, 5e-12 above it,
-        # reaches the bound: for Kannan on the probe pairs, before any block,
-        # since the pivot, the fixed point's row, is at the sup with every
-        # row; for Bianchini, where those pairs are at half of it, after the
-        # leading block, which holds the fixed point's row, and one more
+        # so the second k sweeps every pair, all 8 blocks too. At 2 - 1e-11
+        # the probe puts k near 2 first, and k = 0, 5e-12 above it, reaches
+        # the bound: for Kannan on the probe pairs, before any block, since
+        # the pivot, the fixed point's row, is at the sup with every row; for
+        # Bianchini, where those pairs are at half of it, in its first block,
+        # which holds the fixed point's row
         if k_near == 2.0 - 1e-11:
-            assert ratio_blocks == [8, 0, 8, 8, 8, 2, 8, 8] * 2
+            assert ratio_blocks == [8, 0, 8, 8, 8, 1, 8, 8] * 2
         else:
-            assert ratio_blocks == [8, 9, 8, 8] * 4
+            assert ratio_blocks == [8, 8, 8, 8] * 4
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_the_check_at_the_chosen_k_skips_blocks(self, small_blocks, check_blocks, seed):
@@ -835,23 +835,24 @@ class TestPrunedEstimate:
 
     def test_a_probe_that_favours_a_losing_k(self, small_blocks, ratio_calls):
         # an affine map on 120 random points of [-1, 1]^2 where the probe
-        # pairs rank a losing k first, 0.25 for Kannan and 0.5 for Bianchini,
-        # and k = 0 wins both. The walk stays exact; it only sweeps in full
-        # each k whose sup falls below the smallest so far
+        # pairs rank a losing k first, 0.25 for both classes, and k = 0 wins
+        # both. The walk stays exact; it only sweeps in full each k whose sup
+        # falls below the smallest so far
         mapping = AffineMap(matrix=np.array([[-0.75, -1.0], [0.75, 0.0]]), offset=np.zeros(2))
         sample = random_sample([(-1.0, 1.0)] * 2, 120, 1527)
         images = certify.evaluate_on(mapping, sample)
-        for mode, first in ((MODE_KANNAN, 0.25), (MODE_BIANCHINI, 0.5)):
+        for mode, first in ((MODE_KANNAN, 0.25), (MODE_BIANCHINI, 0.25)):
             guesses = [math.inf if bad else sup for sup, bad in certify._probe(sample.points, images, DEFAULT, mode)]
             assert DEFAULT[int(np.argmin(guesses))] == first
         kannan, bianchini = _same_as_unpruned(mapping, sample, DEFAULT)
         assert kannan.k == bianchini.k == 0.0
         # Kannan sweeps 0.25 and 0 in full and settles the rest on the probe
-        # pairs; Bianchini sweeps 0.5, 0.25 and 0 in full, stops 0.75 in its
-        # sweep and settles the rest
+        # pairs; Bianchini, whose probe sups lie further below the full ones,
+        # sweeps 0.25 and 0 in full, stops 0.5 to 1.5 in their sweeps and
+        # settles 2 and 3
         assert _swept(ratio_calls, DEFAULT) == [
             [(0.25, "full"), (0.0, "full")],
-            [(0.5, "full"), (0.25, "full"), (0.0, "full"), (0.75, "stopped")],
+            [(0.25, "full"), (0.0, "full"), (0.5, "stopped"), (0.75, "stopped"), (1.0, "stopped"), (1.5, "stopped")],
         ]
 
     @pytest.mark.parametrize("seed, bianchini", [(3, [(0.0, "full"), (0.25, "stopped")]), (5, [(0.0, "full")])])
@@ -874,7 +875,7 @@ class TestPrunedEstimate:
         )
         cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=10**5, stop_rule=solve.STOP_STEP_NORM)
         trace = solve.krasnoselskij(op, box.project(target + 2.5 * u / np.linalg.norm(u)), cfg)
-        sample = apps._orbit_sample(trace, seed)
+        sample = apps._orbit_sample(trace, seed, op.domain)
         assert sample.size > 300
         kannan, _ = _same_as_unpruned(op, sample, DEFAULT)
         assert kannan.k == 0.0

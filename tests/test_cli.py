@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from enrichedfp import apps, cli, solve
+from enrichedfp import apps, catalog, cli, convex, serialize, solve
 
 RUN = [sys.executable, "-m", "enrichedfp.cli"]
 
@@ -248,6 +248,47 @@ class TestSfpVip:
         assert summary["vi_ok"] is True
         assert summary["monotone_satisfied"] is True
 
+    @pytest.mark.parametrize("name", ["reflection", "scale_third", "scale_quarter", "kannan_jump", "averaged_reflection"])
+    def test_vip_on_a_g_with_a_bounded_domain(self, tmp_path, capsys, name):
+        # C = [0, 1] and G a catalog map on [0, 1]: the orbit certificate
+        # samples inside G's domain, so the run writes its outputs and exits 0
+        instance = apps.VipInstance(
+            c_set=convex.Box(lower=np.zeros(1), upper=np.ones(1)),
+            operator=catalog.catalog_entry(name).mapping,
+            gamma=0.5,
+        )
+        path = tmp_path / "vip.json"
+        serialize.write_json(path, serialize.instance_to_dict(instance))
+        out = tmp_path / "o"
+        assert cli.main(["vip", "--input", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert "error" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged"
+        assert summary["certificate_note"] in ("certified", "certification infeasible on sample")
+        assert (out / "certificate.json").exists()
+
+    def test_vip_that_overflows_exits_diverged_with_its_outputs(self, tmp_path):
+        # G(x) = -1e200 x over the halfspace x <= 1 from x0 = -1: the first
+        # step's norm overflows. The run ends diverged, skips the orbit
+        # certificate, writes summary.json and trace.csv, and warns of nothing
+        instance = write_json(
+            tmp_path / "vip.json",
+            {
+                "type": "vip",
+                "C": {"variant": "halfspace", "normal": [1.0], "offset": 1.0},
+                "G": {"variant": "affine", "matrix": [[-1e200]], "offset": [0.0]},
+                "gamma": 1.0,
+            },
+        )
+        out = tmp_path / "o"
+        result = run_cli("vip", "--input", instance, "--out", str(out), "--lambda", "1", "--x0=-1")
+        assert result.returncode == cli.EXIT_DIVERGED
+        assert result.stderr == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "diverged"
+        assert summary["certificate_note"] == "certification skipped: the iteration diverged"
+        assert (out / "trace.csv").read_text().splitlines()[-1].startswith("1,")
+
 
 class TestErrors:
     def test_ragged_matrix_rows_field_message(self, tmp_path):
@@ -323,6 +364,21 @@ class TestErrors:
         result = run_cli(command, "--input", data, "--out", str(tmp_path / "o"))
         assert result.returncode == cli.EXIT_CONFIG_ERROR
         assert f"{named}: expected numbers, got {value!r}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "field, value", [("breakpoints", [0, float("nan"), 1]), ("slopes", [float("nan"), 0.5])]
+    )
+    def test_a_piecewise_table_with_a_nan_entry_exits_1(self, tmp_path, field, value):
+        # json writes and reads NaN; the table refuses it as AffineMap refuses
+        # a non-finite entry
+        payload = {"variant": "piecewise_table", "breakpoints": [0, 0.5, 1], "slopes": [0.5, 0.5],
+                   "intercepts": [0, 0]}
+        payload[field] = value
+        mapping = write_json(tmp_path / "table.json", payload)
+        result = run_cli("certify", "--input", mapping, "--out", str(tmp_path / "o"))
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert "piecewise table entries must be finite" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_sample_bounds_without_an_axis_exit_1(self, tmp_path, reflection_json):

@@ -400,8 +400,7 @@ def eight_blocks(monkeypatch):
     """Blocks of 3000 entries, so that N_MULTI_BLOCK rows take 8 triangle blocks."""
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", BLOCK_BYTES_8_BLOCKS)
     assert len(_kernels._blocks(N_MULTI_BLOCK)) == 8
-    assert _kernels._blocks(N_MULTI_BLOCK, lead=True)[:2] == [(0, 1), (1, 16)]
-    assert len(_kernels._blocks(N_MULTI_BLOCK, lead=True)) == 9
+    assert _kernels._blocks(N_MULTI_BLOCK)[:2] == [(0, 15), (15, 31)]
 
 
 @pytest.fixture
@@ -654,20 +653,19 @@ def test_caller_bufsize_changes_no_kernel_bit(case):
 @pytest.mark.parametrize("n, entries", [(1, 300), (2, 300), (60, 300), (200, 3000), (2000, 1 << 15), (500, 300)])
 def test_blocks_are_contiguous_views_of_one_buffer(monkeypatch, n, entries):
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * entries)
-    for lead in (False, True):
-        blocks = _kernels._blocks(n, lead)
-        if lead:  # the leading block holds 1/16 of a buffer, or one row
-            assert blocks[0][1] * n <= max(entries // 16, n)
-        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-        assert blocks[-1][1] == n
-        tri = _kernels._Triangle(n, blocks)
-        for (lo, hi), views in zip(blocks, tri):
-            assert len(views) == 3
-            for view in views:
-                assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
-            # never taller than wide, and one buffer's worth unless one row is wider
-            assert hi - lo <= n - lo
-            assert (hi - lo) * (n - lo) <= max(entries, n - lo)
+    blocks = _kernels._blocks(n)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == n
+    tri = _kernels._Triangle(n, blocks)
+    for (lo, hi), views in zip(blocks, tri):
+        assert len(views) == 3
+        for view in views:
+            assert view.shape == (hi - lo, n - lo) and view.flags.c_contiguous
+        # never taller than wide, and one buffer's worth unless one row is wider
+        assert hi - lo <= n - lo
+        assert (hi - lo) * (n - lo) <= max(entries, n - lo)
+        # as tall as a buffer allows: one row more would overfill it
+        assert hi == n or (hi - lo + 1) * (n - lo) > entries
 
 
 @pytest.mark.parametrize("n", [1, 7, 201, 2000])
@@ -868,23 +866,23 @@ def test_stop_above_the_sup_changes_no_bit(eight_blocks, swept_blocks, case, mod
     for stop in (None, math.nextafter(full[0], math.inf), full[0] + 1.0, math.inf):
         assert repr(ratio_sup(pts, images, k, mode, stop_at=stop)) == repr(full)
     # the sorted sweep stops at the first block whose leading key is below
-    # its sup, with or without a bound above the sup; a sweep with a bound
-    # has a leading block, so it may take one block more
-    full_blocks, bounded = swept_blocks[0], swept_blocks[2]
-    assert swept_blocks[:2] == [full_blocks] * 2 and full_blocks < 8
-    assert swept_blocks[2:] == [bounded] * 3 and full_blocks <= bounded <= full_blocks + 1
+    # its sup, with or without a bound above the sup: every sweep has one
+    # block schedule, so the bound adds no block
+    full_blocks = swept_blocks[0]
+    assert swept_blocks == [full_blocks] * 5 and full_blocks < 8
+
+
+def _probe_pivot(points, images):
+    """The pivot of ``certify._probe``: the first row of least displacement, NaN last."""
+    disp, _, _ = _point_norms(points, images)
+    return min(range(len(points)), key=lambda i: (bool(np.isnan(disp[i])), np.nan_to_num(disp[i]), i))
 
 
 def _probe_pairs(points, images):
-    """The ordered pairs ``certify._probe`` reads: consecutive rows among the
-    first 65, and the pivot, the first row of least displacement (NaN
-    last), against every other row; each pair in both orientations."""
-    assert certify.PROBE_PAIRS == 64
-    n = len(points)
-    disp, _, _ = _point_norms(points, images)
-    pivot = min(range(n), key=lambda i: (bool(np.isnan(disp[i])), np.nan_to_num(disp[i]), i))
-    pairs = [(i, i + 1) for i in range(min(n, 65) - 1)] + [(pivot, j) for j in range(n) if j != pivot]
-    return [p for i, j in pairs for p in ((i, j), (j, i))]
+    """The ordered pairs ``certify._probe`` reads: the pivot against every
+    other row, each pair in both orientations."""
+    pivot = _probe_pivot(points, images)
+    return [p for j in range(len(points)) if j != pivot for p in ((pivot, j), (j, pivot))]
 
 
 def _probed(points, images, k, mode):
@@ -895,9 +893,9 @@ def _probed(points, images, k, mode):
 
 
 # Blocks swept per call at seed 22 by a sweep that stops at the full sup, one
-# ulp below it, half of it, the leading block's sup, 0 and -inf: 1 where the
-# leading block, of one row, reaches the bound
-STOP_BLOCKS = {"_random_case": [2, 2, 1, 1, 1, 1], "_tie_heavy_case": [4, 4, 1, 1, 1, 1]}
+# ulp below it, half of it, the first block's sup, 0 and -inf: 1 where the
+# first block, of 15 rows, reaches the bound
+STOP_BLOCKS = {"_random_case": [1, 1, 1, 1, 1, 1], "_tie_heavy_case": [3, 3, 1, 1, 1, 1]}
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])
@@ -905,7 +903,7 @@ STOP_BLOCKS = {"_random_case": [2, 2, 1, 1, 1, 1], "_tie_heavy_case": [4, 4, 1, 
 def test_stop_at_or_below_the_sup_returns_a_bound_that_reached_it(eight_blocks, swept_blocks, case, mode, k):
     pts, images = case(seed=22, n=N_MULTI_BLOCK, d=3)
     full = ratio_sup(pts, images, k, mode)
-    # with a bound no sweep can miss, the call ends after its leading block
+    # with a bound no sweep can miss, the call ends after its first block
     first = ratio_sup(pts, images, k, mode, stop_at=-math.inf)
     assert swept_blocks[-1] == 1
     assert -math.inf < first[0] <= full[0]
@@ -939,29 +937,37 @@ def test_a_lower_bound_at_the_stop_returns_it_before_any_block(eight_blocks, swe
 @pytest.mark.parametrize("d", [1, 3, 12, 30])
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
 def test_the_probe_is_the_oracle_over_the_probe_pairs(d, mode):
-    # NaN and infinite images, fixed rows (some pairs of them with a
-    # numerator above ZERO_NUM_TOL) and duplicate rows among the probe rows,
-    # and at d = 30 sums long enough that a pairwise sum would move bits:
-    # each k's sup and verdict are the oracle's over the probe pairs alone,
-    # and the sup is a lower bound on the full one
+    # NaN and infinite images, fixed rows (the pivot, 0, among them, with a
+    # duplicate, 1, and two rows, 2 and 3, whose pairs with it have a
+    # numerator above ZERO_NUM_TOL), and at d = 30 sums long enough that a
+    # pairwise sum would move bits: each k's sup and verdict are the
+    # oracle's over the pivot's pairs alone, and the sup is a lower bound on
+    # the full one
     pts, images = _tie_heavy_case(seed=25, n=90, d=d)
-    pts[10:14], images[10:14] = [0.0] * d, [0.0] * d
-    pts[12:14, 0] += 1e-13
-    images[12:14] = pts[12:14]
+    pts[:4], images[:4] = [0.0] * d, [0.0] * d
+    pts[2:4, 0] += 1e-13
+    images[2:4] = pts[2:4]
     for k in (0.0, 0.5, 2.0):
+        # the zero pair (0, 2) rules k out; (0, 1) does not
+        assert brute_ratio(pts, images, k, mode, [(0, 1), (1, 0)])[2:] == (False, (-1, -1))
+        assert brute_ratio(pts, images, k, mode, [(0, 2)])[2:] == (True, (0, 2))
         for rows, value in ((), np.nan), ((30,), np.nan), ((30, 47), np.inf), ((75,), np.nan):
             bad = images.copy()
             bad[list(rows), 0] = value
+            assert _probe_pivot(pts, bad) == 0
+            if value is np.nan and rows:  # a NaN pair among the pivot's
+                assert brute_ratio(pts, bad, k, mode, [(0, rows[0])])[2:] == (True, (0, rows[0]))
             got = certify._probe(pts, bad, [k], mode)
             assert repr(got) == repr([_probed(pts, bad, k, mode)])
+            assert got[0][1]
             assert got[0][0] <= ratio_sup(pts, bad, k, mode)[0]
 
 
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
 def test_the_probe_pivot_is_the_least_displacement(mode):
-    # random rows with one nearly fixed row, the pivot, past the consecutive
-    # pairs or among them; with a NaN displacement there, that row ranks
-    # last and another is the pivot
+    # random rows with one nearly fixed row, the pivot, late or early in the
+    # sample; with a NaN displacement there, that row ranks last and another
+    # is the pivot
     pts, images = _random_case(seed=26, n=120, d=4)
     for pivot, nan_row in ((100, None), (3, None), (100, 100)):
         moved = images.copy()
@@ -975,7 +981,7 @@ def test_the_probe_pivot_is_the_least_displacement(mode):
 def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_blocks):
     # with the rows in the sample's order, the winning pair is moved to the
     # last two rows, so only the last block holds a pair at the sup and a
-    # stop at the sup must sweep all 8 blocks
+    # stop at the sup must sweep all 8 blocks, as the full sweep does
     n = N_MULTI_BLOCK
     pts, images = _random_case(seed=23, n=n, d=3)
     order = _moved(n, brute_ratio(pts, images, 0.5, MODE_KANNAN)[1], (n - 2, n - 1))
@@ -984,7 +990,7 @@ def test_stop_sweeps_on_until_a_block_reaches_the_bound(eight_blocks, swept_bloc
     assert full[1] == (n - 2, n - 1) or full[1] == (n - 1, n - 2)
     stopped = _unsorted(lambda: ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=full[0]))
     assert repr(stopped) == repr(full)
-    assert swept_blocks == [8, 9]
+    assert swept_blocks == [8, 8]
 
 
 @pytest.mark.parametrize("case", [_random_case, _tie_heavy_case])

@@ -192,6 +192,15 @@ class TestPiecewiseTable:
                 intercepts=np.array([0.0, 0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "breakpoints, slopes",
+        [([0.0, np.nan, 1.0], [0.5, 0.5]), ([0.0, 0.5, 1.0], [np.nan, 0.5]), ([0.0, 0.5, np.inf], [0.5, 0.5])],
+        ids=["nan_breakpoint", "nan_slope", "inf_breakpoint"],
+    )
+    def test_entries_must_be_finite(self, breakpoints, slopes):
+        with pytest.raises(InvalidConstantError, match="piecewise table entries must be finite"):
+            PiecewiseTable(breakpoints=np.array(breakpoints), slopes=np.array(slopes), intercepts=np.zeros(2))
+
     def test_pieces_must_map_into_span(self):
         with pytest.raises(InvalidConstantError):
             PiecewiseTable(

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -555,12 +556,15 @@ class TestLeanLoopMatchesOracle:
         assert_same_trace(trace, reference_krasnoselskij(mapping, [1.0, -1.0, 0.5], cfg))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("c, d", [(2.0, 1), (1.5, 5), (1e300, 2)])
+    @pytest.mark.parametrize("c, d", [(2.0, 1), (1.5, 5), (1e200, 1), (1e300, 2)])
     def test_large_step_diverges(self, c, d):
-        # 1e300 overflows the squared norm: the step is inf on the first step
+        # 1e200 and 1e300 overflow the squared norm: the step is inf on the
+        # first step. The solver warns of nothing; the reference loop does
         mapping = AffineMap(matrix=c * np.eye(d), offset=np.zeros(d))
         cfg = SolveConfig(lam=1.0, tol=1e-12, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
-        trace = krasnoselskij(mapping, np.ones(d), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = krasnoselskij(mapping, np.ones(d), cfg)
         assert trace.status == solve.STATUS_DIVERGED
         assert trace.step_norms[-1] > solve.DIVERGENCE_LIMIT
         assert_same_trace(trace, reference_krasnoselskij(mapping, np.ones(d), cfg))
