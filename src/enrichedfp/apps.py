@@ -269,7 +269,7 @@ def _orbit_sample(trace: solve.IterationTrace, seed: int, domain) -> SampleSet |
     so with those first each sweep meets the sup in its first block; losing
     ``k`` stop there, and the violation check can skip the later blocks.
     """
-    orbit = np.stack(trace.iterates[::-1])
+    orbit = trace.iterates[::-1]
     lo = orbit.min(axis=0)
     hi = orbit.max(axis=0)
     margin = np.maximum(0.5 * (hi - lo), 0.5)
@@ -371,8 +371,9 @@ def solve_vip(
     """Run the averaged iteration on the variational-inequality operator.
 
     The inequality is verified a posteriori: over ``n_samples`` seeded
-    points z in C, min <G(x*), z - x*> must not drop below ``-vi_tol``. A
-    monotonicity certificate for G over the same region and a
+    points z in C, min <G(x*), z - x*> must not drop below ``-vi_tol``;
+    ``vi_ok`` is False too when the residual is not finite or the run
+    diverged. A monotonicity certificate for G over the same region and a
     max-displacement certification attempt for the operator are attached.
     Auto lambda without a certificate certifies on C, max-displacement first.
     """
@@ -387,7 +388,8 @@ def solve_vip(
     with np.errstate(over="ignore", invalid="ignore"):
         g_at_point = instance.operator.apply(point)
         vi_residual = float(np.min((samples - point) @ g_at_point))
-    vi_ok = vi_residual >= -vi_tol
+    # an infinite residual (G overflowing at a diverged point) proves nothing
+    vi_ok = trace.status != solve.STATUS_DIVERGED and -vi_tol <= vi_residual < math.inf
 
     mono_sample = certify.distinct_sample(
         samples, f"{n_samples} seeded pts in C (seed {seed})", seed

@@ -271,16 +271,20 @@ def _finite_or_none(value):
     return float(value)
 
 
+def _final(column):
+    """A column's last entry as a finite float, else None (no column, no steps)."""
+    return _finite_or_none(column[-1]) if column is not None and len(column) else None
+
+
 def trace_summary(trace: solve.IterationTrace) -> dict:
-    last = trace.iterations - 1
     return {
         "status": trace.status,
         "iterations": trace.iterations,
         "final_point": _listify(trace.final),
-        "final_step_norm": _finite_or_none(trace.step_norms[last]) if last >= 0 else None,
-        "final_ratio": _finite_or_none(trace.ratios[last]) if last >= 0 else None,
-        "final_apriori": _finite_or_none(trace.apriori[last]) if trace.apriori else None,
-        "final_aposteriori": _finite_or_none(trace.aposteriori[last]) if trace.aposteriori else None,
+        "final_step_norm": _final(trace.step_norms),
+        "final_ratio": _final(trace.ratios),
+        "final_apriori": _final(trace.apriori),
+        "final_aposteriori": _final(trace.aposteriori),
         "lambda": trace.lam,
         "rate": trace.rate,
         "stop_rule": trace.stop_rule,
@@ -296,41 +300,48 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
     """Write one row per iterate: iter, components, step_norm, ratio, bounds.
 
     Rows end in "\r\n" as in the csv module's default dialect; no cell ever
-    needs quoting. A missing value (the first row, a ratio of None, bounds
-    without a rate) is an empty cell. Every number is printed as
-    ``FLOAT_FMT % v`` prints it (the iteration count as a float, which is
-    the same text as ``%d``). Rows are formatted in blocks of about
-    ``_CHUNK_CELLS`` cells by exact integer arithmetic in numpy for finite,
-    normal values with 1e-11 <= |v| < 2**51, and by ``FLOAT_FMT`` itself for
-    zero, subnormals, inf, nan and any other magnitude.
+    needs quoting. A missing value is an empty cell: the first row's four
+    columns, the bounds of a trace without a rate, and a ratio by the
+    solver's rule (the first step, or a previous step below
+    ``solve.RATIO_MIN_STEP``); any other NaN prints as ``nan``. Every number
+    is printed as ``FLOAT_FMT % v`` prints it (the iteration count as a
+    float, which is the same text as ``%d``). Rows are formatted in blocks
+    of about ``_CHUNK_CELLS`` cells, sliced from the trace's arrays into one
+    block buffer, by exact integer arithmetic in numpy for finite, normal
+    values with 1e-11 <= |v| < 2**51, and by ``FLOAT_FMT`` itself for zero,
+    subnormals, inf, nan and any other magnitude.
     """
     from ._format import format_rows  # loaded by the first trace written
 
     with open(path, "wb") as fh:
         fh.write(b"iter,components,step_norm,ratio,apriori,aposteriori\r\n")
-        rows = len(trace.iterates)
+        rows, d = trace.iterates.shape
         if not rows:
             return
-        d = len(trace.iterates[0])
         seps = [","] + [";"] * (d - 1) + [","] * 4 + ["\r\n"]
+        norm, ratio = d + 1, d + 2
         columns = (trace.step_norms, trace.ratios, trace.apriori, trace.aposteriori)
         step = max(1, _CHUNK_CELLS // len(seps))
+        block = np.zeros((min(step, rows), len(seps)))
+        blank = np.zeros(block.shape, dtype=bool)
         for start in range(0, rows, step):
             stop = min(start + step, rows)
-            values = np.zeros((stop - start, len(seps)))
-            blank = np.zeros(values.shape, dtype=bool)
+            values, empty = block[: stop - start], blank[: stop - start]
             values[:, 0] = np.arange(start, stop)
-            values[:, 1 : d + 1] = trace.iterates[start:stop]
-            for j, column in enumerate(columns, d + 1):
-                if not column:
-                    blank[:, j] = True
-                    continue
-                cells = column[max(start - 1, 0) : stop - 1]
-                if start == 0:
-                    cells = [None, *cells]
-                blank[:, j] = [c is None for c in cells]
-                values[:, j] = cells
-            fh.write(format_rows(values, blank, seps))
+            values[:, 1:norm] = trace.iterates[start:stop]
+            # row r > 0 holds step r, at index r - 1 of the columns; row 0 none
+            first = max(start, 1)
+            for j, column in enumerate(columns, norm):
+                empty[:, j] = column is None
+                if column is not None:
+                    values[first - start :, j] = column[first - 1 : stop - 1]
+            empty[: first - start, norm:] = True
+            # row r's ratio is blank when r < 2 or step r - 1 is below RATIO_MIN_STEP
+            after = max(start, 2)
+            empty[: after - start, ratio] = True
+            if stop > after:
+                empty[after - start :, ratio] = trace.step_norms[after - 2 : stop - 2] < solve.RATIO_MIN_STEP
+            fh.write(format_rows(values, empty, seps))
 
 
 def write_json(path, payload: dict) -> None:

@@ -41,8 +41,10 @@ AUTO = "auto"
 
 # A step norm beyond this, or any non-finite component, counts as divergence.
 DIVERGENCE_LIMIT = 1e12
-# Ratios are omitted (not zeroed) when the previous step is below this.
+# Ratios are omitted (NaN, not zero) when the previous step is below this.
 RATIO_MIN_STEP = 1e-15
+# Rows of a trace's first iterate buffer; it doubles whenever it fills.
+_FIRST_ROWS = 256
 
 
 def auto_lambda(k: float) -> float:
@@ -169,19 +171,22 @@ class SolveConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-step record of an averaged-iteration run.
+    """Per-step record of an averaged-iteration run, one float64 array a column.
 
-    ``step_norms[i]`` is ||x_{i+1} - x_i||; ``ratios[i]`` is the quotient of
-    consecutive step norms (None for the first step or when the previous
-    step is below ``RATIO_MIN_STEP``). The bound lists are populated only
-    when a rate is known and then align with ``step_norms``.
+    ``iterates`` is a ``(rows, d)`` array whose row n is x_n, x_0 included;
+    the columns have one entry per step (``rows - 1``). ``step_norms[i]`` is
+    ||x_{i+1} - x_i|| and ``ratios[i]`` the quotient of consecutive step
+    norms, NaN for the first step or when the previous step is below
+    ``RATIO_MIN_STEP`` (a step that is itself NaN gives a NaN ratio too).
+    The bound columns are arrays only when a rate is known, else None.
+    Every array is writable.
     """
 
-    iterates: list[np.ndarray] = field(default_factory=list)
-    step_norms: list[float] = field(default_factory=list)
-    ratios: list[float | None] = field(default_factory=list)
-    apriori: list[float] | None = None
-    aposteriori: list[float] | None = None
+    iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    step_norms: np.ndarray = field(default_factory=lambda: np.empty(0))
+    ratios: np.ndarray = field(default_factory=lambda: np.empty(0))
+    apriori: np.ndarray | None = None
+    aposteriori: np.ndarray | None = None
     status: str = STATUS_MAX_ITER
     lam: float = 1.0
     rate: float | None = None
@@ -254,6 +259,13 @@ def _resolve(mapping: Mapping, cfg: SolveConfig):
     return lam, rate, stop_rule
 
 
+def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
+    """``buffer`` copied into the first rows of a new ``rows``-row buffer."""
+    grown = np.empty((rows, *buffer.shape[1:]))
+    grown[: len(buffer)] = buffer
+    return grown
+
+
 def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     """Run the averaged iteration x_{n+1} = (1 - lam) x_n + lam T(x_n).
 
@@ -261,72 +273,105 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     criterion drops to ``cfg.tol`` (status "converged"), on non-finite or
     exploding iterates (status "diverged"), or at ``cfg.max_iter``. A point
     leaving the mapping's domain mid-run raises ``DomainEscapeError`` with
-    the offending iterate.
+    the offending iterate; an image of another shape than the point raises
+    ``DimensionMismatchError``.
+
+    Each iterate is written into its row of a buffer that doubles when it
+    fills, and each step norm into an array; the ratios and bounds are
+    computed from the step norms after the loop, with the bits of the
+    per-step expressions.
     """
     lam, rate, stop_rule = _resolve(mapping, cfg)
     x = as_point(x0)
-    if x.shape[0] != mapping.dim:
+    d = x.shape[0]
+    if d != mapping.dim:
         raise DimensionMismatchError(
-            f"{type(mapping).__name__} acts on R^{mapping.dim}, got dim {x.shape[0]}"
+            f"{type(mapping).__name__} acts on R^{mapping.dim}, got dim {d}"
         )
-    trace = IterationTrace(
-        iterates=[x.copy()],
-        apriori=[] if rate is not None else None,
-        aposteriori=[] if rate is not None else None,
-        lam=lam,
-        rate=rate,
-        stop_rule=stop_rule,
-        tol=cfg.tol,
-    )
-    # x0 is checked once above and a non-finite iterate ends the run, so the
-    # loop skips Mapping.apply's point checks and calls the parts it needs.
+    capacity = min(cfg.max_iter + 1, _FIRST_ROWS)
+    iterates = np.empty((capacity, d))
+    norms = np.empty(capacity)  # norms[n - 1] is step n's
+    iterates[0] = x
+    x = iterates[0]
+    # 0-d arrays: a ufunc takes them faster than Python floats, with the
+    # same float64 products as (1 - lam) * x + lam * T(x)
+    keep, weight = np.array(1.0 - lam), np.array(lam)
+    image_part = np.empty(d)
     if rate is not None:
         # the same expressions as apriori_bound and aposteriori_bound; rate
         # was validated by _resolve
         complement = 1.0 - rate
         aposteriori_scale = rate / complement
+    aposteriori_stop = stop_rule == STOP_APOSTERIORI
+    status = STATUS_MAX_ITER
 
-    # one np.errstate for the whole loop (about 1.5 us an entry): an iterate
+    # x0 is checked once above and a non-finite iterate ends the run, so the
+    # loop skips Mapping.apply's point checks and calls the parts it needs,
+    # bound once, as are the ufuncs (their third argument is the output).
+    # One np.errstate for the whole loop (about 1.5 us an entry): an iterate
     # that overflows ends the run as diverged, below, and warns of nothing
+    check_domain, apply = mapping._check_domain, mapping._apply
+    multiply, add, subtract, sqrt = np.multiply, np.add, np.subtract, math.sqrt
+    shape, tol = x.shape, cfg.tol
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cfg.max_iter + 1):
             try:
-                mapping._check_domain(x)
+                check_domain(x)
             except OutOfDomainError as exc:
                 raise DomainEscapeError(
                     f"iterate {n - 1} escaped the mapping domain: {exc}",
                     point=x.copy(),
                     iteration=n - 1,
                 ) from exc
-            xn = (1.0 - lam) * x + lam * mapping._apply(x)
-            if xn.shape != x.shape:
+            image = apply(x)
+            # checked before the arithmetic, which would broadcast it
+            if image.shape != shape:
                 raise DimensionMismatchError(
-                    f"{type(mapping).__name__} maps R^{x.shape[0]} to shape {xn.shape}"
+                    f"{type(mapping).__name__} maps R^{d} to shape {image.shape}"
                 )
-            dx = xn - x
-            step = math.sqrt(dx.dot(dx))
-
-            prev = trace.step_norms[-1] if trace.step_norms else None
-            trace.iterates.append(xn)
-            trace.step_norms.append(step)
-            if prev is None or prev < RATIO_MIN_STEP:
-                trace.ratios.append(None)
-            else:
-                trace.ratios.append(step / prev)
-            if rate is not None:
-                trace.apriori.append(rate**n / complement * trace.step_norms[0])
-                trace.aposteriori.append(aposteriori_scale * step)
+            if n == capacity:
+                capacity = min(2 * capacity, cfg.max_iter + 1)
+                iterates, norms = _grown(iterates, capacity), _grown(norms, capacity)
+                x = iterates[n - 1]
+            row = iterates[n]
+            multiply(x, keep, row)
+            multiply(image, weight, image_part)
+            add(row, image_part, row)
+            dx = subtract(row, x, image_part)
+            step = sqrt(dx.dot(dx))
+            norms[n - 1] = step
 
             # a NaN or inf component makes the norm NaN or inf
             if not step <= DIVERGENCE_LIMIT:
-                trace.status = STATUS_DIVERGED
-                return trace
+                status = STATUS_DIVERGED
+                break
+            criterion = aposteriori_scale * step if aposteriori_stop else step
+            x = row
+            if criterion <= tol:
+                status = STATUS_CONVERGED
+                break
 
-            criterion = trace.aposteriori[-1] if stop_rule == STOP_APOSTERIORI else step
-            x = xn
-            if criterion <= cfg.tol:
-                trace.status = STATUS_CONVERGED
-                return trace
+        norms = norms[:n]
+        ratios = np.full(n, np.nan)
+        # a NaN step ends the run, so every previous step is a number
+        np.divide(norms[1:], norms[:-1], out=ratios[1:], where=norms[:-1] >= RATIO_MIN_STEP)
+        apriori = aposteriori = None
+        if rate is not None:
+            # Python's rate**n: np.power rounds some powers differently
+            apriori = np.fromiter(map(rate.__pow__, range(1, n + 1)), np.float64, n)
+            apriori /= complement
+            apriori *= norms[0]
+            aposteriori = aposteriori_scale * norms
 
-    trace.status = STATUS_MAX_ITER
-    return trace
+    return IterationTrace(
+        iterates=iterates[: n + 1],
+        step_norms=norms,
+        ratios=ratios,
+        apriori=apriori,
+        aposteriori=aposteriori,
+        status=status,
+        lam=lam,
+        rate=rate,
+        stop_rule=stop_rule,
+        tol=cfg.tol,
+    )

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -287,6 +288,9 @@ class TestSfpVip:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "diverged"
         assert summary["certificate_note"] == "certification skipped: the iteration diverged"
+        # G overflows at the point the run ends on: an infinite residual holds nothing
+        assert summary["vi_residual"] == math.inf and summary["vi_ok"] is False
+        assert "vi_ok=False" in result.stdout
         assert (out / "trace.csv").read_text().splitlines()[-1].startswith("1,")
 
 

@@ -359,9 +359,11 @@ class TestTraceCsv:
             pytest.param(lambda: _run(AffineMap(matrix=2.0 * np.eye(1), offset=np.zeros(1)), [1.0], max_iter=100),
                          id="step_limit"),
             pytest.param(lambda: _run(_rotation(20), np.zeros(20), lam=0.5, rate=0.99, max_iter=300), id="d20"),
-            pytest.param(lambda: solve.IterationTrace(iterates=[np.array([0.25, -0.0])]), id="x0_only"),
+            pytest.param(lambda: solve.IterationTrace(iterates=np.array([[0.25, -0.0]])), id="x0_only"),
             pytest.param(
-                lambda: solve.IterationTrace(iterates=[np.array([0.5])], apriori=[], aposteriori=[], rate=0.5),
+                lambda: solve.IterationTrace(
+                    iterates=np.array([[0.5]]), apriori=np.empty(0), aposteriori=np.empty(0), rate=0.5
+                ),
                 id="x0_only_with_rate",
             ),
             pytest.param(solve.IterationTrace, id="no_iterates"),
@@ -390,12 +392,22 @@ class TestTraceCsv:
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(trace.iterates) + 1
 
+    def test_a_nan_ratio_prints_and_a_missing_one_is_blank(self, tmp_path):
+        # the ratio of a step that diverges to NaN is NaN and prints; the
+        # first step's ratio is missing and blank, though NaN in the trace too
+        serialize.write_trace_csv(_run(_Blowup(bad=np.nan), [1.0], rate=0.5), tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes().split(b"\r\n")[1:] == [
+            b"0,1,,,,", b"1,3,2,,2,2", b"2,9,6,3,1,6", b"3,27,18,3,0.5,18", b"4,nan,nan,nan,0.25,nan", b"",
+        ]
+
 
 def reference_write_trace_csv(trace, path):
-    """The trace writer as it was when it used ``csv.writer``."""
+    """The trace writer as it was when it used ``csv.writer``, over the
+    trace's arrays: a ratio cell is blank by the solver's rule (row 1, or a
+    previous step below ``RATIO_MIN_STEP``), never for being NaN."""
 
     def cell(value):
-        return "" if value is None else serialize.FLOAT_FMT % value
+        return serialize.FLOAT_FMT % value
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -406,14 +418,15 @@ def reference_write_trace_csv(trace, path):
                 writer.writerow([0, components, "", "", "", ""])
                 continue
             i = n - 1
+            no_ratio = n == 1 or trace.step_norms[i - 1] < solve.RATIO_MIN_STEP
             writer.writerow(
                 [
                     n,
                     components,
                     cell(trace.step_norms[i]),
-                    cell(trace.ratios[i]),
-                    cell(trace.apriori[i]) if trace.apriori else "",
-                    cell(trace.aposteriori[i]) if trace.aposteriori else "",
+                    "" if no_ratio else cell(trace.ratios[i]),
+                    "" if trace.apriori is None else cell(trace.apriori[i]),
+                    "" if trace.aposteriori is None else cell(trace.aposteriori[i]),
                 ]
             )
 

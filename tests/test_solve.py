@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestKrasnoselskij:
         # geometric step decay at factor 1/3 while steps are well above the
         # iterate quantization floor
         for i, ratio in enumerate(trace.ratios):
-            if ratio is not None and trace.step_norms[i - 1] >= 1e-7:
+            if not np.isnan(ratio) and trace.step_norms[i - 1] >= 1e-7:
                 assert abs(ratio - 1.0 / 3.0) <= 1e-9
 
     def test_reflection_picard_period_two(self):
@@ -194,7 +195,7 @@ class TestKrasnoselskij:
         cfg = SolveConfig(lam=1.0, tol=1e-15, max_iter=5, stop_rule=solve.STOP_STEP_NORM)
         trace = krasnoselskij(const, [0.9], cfg)
         assert trace.converged
-        assert trace.ratios[0] is None
+        assert np.isnan(trace.ratios[0])
 
     def test_trace_lengths_consistent(self):
         cfg = SolveConfig(lam=2.0 / 3.0, tol=1e-10, max_iter=100, rate=1.0 / 3.0)
@@ -388,14 +389,18 @@ class TestContractionInvariants:
 
 def reference_krasnoselskij(mapping, x0, cfg):
     """The solver loop as it was before it called ``_apply`` directly: every
-    step goes through ``Mapping.apply`` and the checked bound helpers.
+    step goes through ``Mapping.apply`` and the checked bound helpers, and
+    appends to one list a column (None for a missing ratio).
     """
     lam, rate, stop_rule = solve._resolve(mapping, cfg)
     x = as_point(x0)
-    trace = solve.IterationTrace(
+    trace = SimpleNamespace(
         iterates=[x.copy()],
+        step_norms=[],
+        ratios=[],
         apriori=[] if rate is not None else None,
         aposteriori=[] if rate is not None else None,
+        status=solve.STATUS_MAX_ITER,
         lam=lam,
         rate=rate,
         stop_rule=stop_rule,
@@ -439,18 +444,27 @@ def reference_krasnoselskij(mapping, x0, cfg):
     return trace
 
 
+COLUMNS = ("step_norms", "ratios", "apriori", "aposteriori")
+
+
 def _bits(values):
+    """A column's float64 bits, a None entry read as NaN; None for no column."""
     if values is None:
         return None
-    return [None if v is None else (type(v), np.float64(v).tobytes()) for v in values]
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64).tobytes()
 
 
 def assert_same_trace(got, want):
-    assert [(x.dtype, x.shape, x.tobytes()) for x in got.iterates] == [
-        (x.dtype, x.shape, x.tobytes()) for x in want.iterates
-    ]
-    for name in ("step_norms", "ratios", "apriori", "aposteriori"):
-        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    """``got``, a solver trace, holds ``want``'s lists bit for bit as float64 arrays."""
+    want_iterates = np.stack(want.iterates)
+    assert isinstance(got.iterates, np.ndarray)
+    assert (got.iterates.dtype, got.iterates.shape) == (np.float64, want_iterates.shape)
+    assert got.iterates.tobytes() == want_iterates.tobytes()
+    for name in COLUMNS:
+        column = getattr(got, name)
+        if column is not None:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64, name
+        assert _bits(column) == _bits(getattr(want, name)), name
     assert (got.status, got.lam, got.rate, got.stop_rule, got.tol) == (
         want.status, want.lam, want.rate, want.stop_rule, want.tol
     )
@@ -602,3 +616,98 @@ class TestLeanLoopMatchesOracle:
         trace = krasnoselskij(mapping, x0, cfg)
         x0[:] = 99.0
         assert_same_trace(trace, want)
+
+    def test_an_image_of_another_shape_raises(self):
+        # checked before the image is combined with the point, which would
+        # broadcast a (1,) image over R^3 and run on
+        mapping = _Collapse()
+        cfg = SolveConfig(lam=0.5, tol=1e-10, max_iter=50, stop_rule=solve.STOP_STEP_NORM)
+        with pytest.raises(DimensionMismatchError, match=r"^_Collapse maps R\^3 to shape \(1,\)$"):
+            krasnoselskij(mapping, [1.0, 2.0, 3.0], cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class _Collapse(Mapping):
+    """R^3 to shape (1,): half the sum of the components."""
+
+    @property
+    def dim(self):
+        return 3
+
+    def _apply(self, point):
+        return np.array([0.5 * point.sum()])
+
+
+@dataclass(frozen=True, eq=False)
+class _Counter(Mapping):
+    """x -> x + (1, 1/2): from 0, step n ends on x_0 = n; NaN from ``last``."""
+
+    last: float
+
+    @property
+    def dim(self):
+        return 2
+
+    def _apply(self, point):
+        if point[0] >= self.last:
+            return np.full(2, np.nan)
+        return point + np.array([1.0, 0.5])
+
+
+def _counted_rows(rows, rate=0.5):
+    """A run of exactly ``rows`` rows under a cap of 10**6 steps: it
+    diverges on step ``rows - 1``."""
+    cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=10**6, stop_rule=solve.STOP_STEP_NORM, rate=rate)
+    return _Counter(last=rows - 2.0), np.zeros(2), cfg
+
+
+class TestColumnarTrace:
+    """The trace's buffers: growth, views and the caller's start point."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [cap + off for cap in (solve._FIRST_ROWS, 2 * solve._FIRST_ROWS, 4 * solve._FIRST_ROWS) for off in (-1, 0, 1)],
+    )
+    def test_lengths_around_each_capacity_doubling(self, rows):
+        mapping, x0, cfg = _counted_rows(rows)
+        trace = krasnoselskij(mapping, x0, cfg)
+        assert trace.status == solve.STATUS_DIVERGED
+        assert trace.iterates.shape == (rows, 2)
+        # the buffer doubles as it fills: it never holds max_iter + 1 rows
+        assert len(trace.iterates.base) < 2 * rows
+        assert [len(getattr(trace, name)) for name in COLUMNS] == [rows - 1] * 4
+        assert_same_trace(trace, reference_krasnoselskij(mapping, x0, cfg))
+
+    def test_a_run_at_its_step_cap_fills_its_buffer_exactly(self):
+        mapping, x0, _ = _counted_rows(10**6)
+        for steps in (solve._FIRST_ROWS - 1, solve._FIRST_ROWS, solve._FIRST_ROWS + 1):
+            cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=steps, stop_rule=solve.STOP_STEP_NORM)
+            trace = krasnoselskij(mapping, x0, cfg)
+            assert (trace.status, trace.iterates.shape) == (solve.STATUS_MAX_ITER, (steps + 1, 2))
+            assert_same_trace(trace, reference_krasnoselskij(mapping, x0, cfg))
+
+    def test_a_read_only_start_is_accepted_and_left_unchanged(self):
+        mapping = _contraction(5, 5)
+        cfg = SolveConfig(lam=0.5, tol=1e-12, max_iter=400, stop_rule=solve.STOP_STEP_NORM)
+        x0 = np.linspace(-1.0, 1.0, 5)
+        x0.flags.writeable = False
+        kept = x0.copy()
+        trace = krasnoselskij(mapping, x0, cfg)
+        assert x0.tobytes() == kept.tobytes()
+        assert not np.shares_memory(trace.iterates, x0)
+        assert_same_trace(trace, reference_krasnoselskij(mapping, kept, cfg))
+
+    def test_the_arrays_are_writable(self):
+        mapping, x0, cfg = _counted_rows(solve._FIRST_ROWS + 1)
+        trace = krasnoselskij(mapping, x0, cfg)
+        for name in ("iterates", *COLUMNS):
+            assert getattr(trace, name).flags.writeable, name
+        trace.iterates[-1] = trace.iterates[0]
+        trace.iterates[::2, 0] = -0.0
+        assert trace.final.tolist() == [-0.0, 0.0]
+
+    def test_a_missing_ratio_is_nan_and_a_nan_step_gives_a_nan_ratio(self):
+        mapping, x0, cfg = _counted_rows(5)
+        trace = krasnoselskij(mapping, x0, cfg)
+        assert np.isnan(trace.ratios[0]) and np.isnan(trace.ratios[-1]) and np.isnan(trace.step_norms[-1])
+        assert trace.ratios[1:-1].tolist() == [1.0, 1.0]
