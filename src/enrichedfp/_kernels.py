@@ -83,15 +83,19 @@ probe pairs (``certify._probe``), the row of least displacement against
 every other row, which settles most losing ``k``.
 
 The Kannan and Bianchini sweeps skip the pairs that cannot reach their
-extremum, with the bits of a full sweep. Each row gets a key that bounds
-every pair it forms with a row of smaller key; the rows are swept by
-descending key, and the sweep stops at the first block whose leading key
-is strictly below the running extremum (``_until``). Every pair of the
-blocks left out is then below the extremum: not a tie with it, and not
-NaN. The rows are mapped back to the sample's rows (``_Smallest``), so
-the witness, the tie-break and every zero or NaN pair are those of the
-full sweep. ``violation_max`` keys each row by ``2 (H_i - w rate d_i)``,
-``w`` 1 (Kannan) or 1/2 (Bianchini), at a finite ``rate >= 0``;
+extremum, with the bits of a full sweep. Each row gets a key, and every
+pair of two rows is bounded by the larger of their two keys. The sweep
+stops at the first block from whose leading row ``lo`` on every key is
+strictly below the running extremum (``_until``). The blocks swept so far
+hold every pair with a row before ``lo``, so each pair left out has both
+rows from ``lo`` on, and is below the extremum: not a tie with it, and
+not NaN. This holds for any row order. A sweep of its own orders the rows
+by descending key, so that the largest key from ``lo`` on is ``key[lo]``.
+The rows are mapped back to the sample's rows (``_Smallest``), so the
+witness, the tie-break and every zero or NaN pair are those of the full
+sweep, whatever the order. ``violation_max`` keys each row by
+``2 (H_i - w rate d_i)``, ``w`` 1 (Kannan) or 1/2 (Bianchini), at a
+finite ``rate >= 0``;
 ``ratio_sup`` by ``H_i / d_i`` (Kannan) or twice it (Bianchini). Here
 ``d_i`` is the displacement the sweep uses and ``H_i`` is
 ``_pair_bound``'s, below.
@@ -145,8 +149,22 @@ such rows has a finite ``num`` and scale, so no NaN value either (an
 ``rhs`` that overflows makes the excess ``-inf``). The other rows have
 key +inf, NaN keys included: a row too large or not finite
 (``H = +inf``), and in ``ratio_sup`` a fixed row (``H / 0``), whose pairs
-with other fixed rows are zero pairs. These rows lead the order, so every
-pair they form is swept. (The excess bound holds at ``d_i = 0`` too.)
+with other fixed rows are zero pairs. No sweep stops before it has swept
+these rows (a sorted one sweeps them first), so every pair they form is
+swept. (The excess bound holds at ``d_i = 0`` too.)
+
+*The hand-off.* The estimators check the chosen ``(k, rate)`` right
+after the ratio sweep at that ``k`` (``certify._estimate``), and both
+sweeps compute the same numerator ``||k (x_i - x_j) + (t_i - t_j)||`` on
+each pair. So ``ratio_sup`` fills a ``SweepRecord``: its row order, its
+arrays and ``_pair_bound``'s H in that order, and the numerators of its
+first ``_RECORD_BLOCKS`` blocks, written into the record's own buffer as
+the sweep's numerator blocks. ``violation_max`` sweeps the rows in that
+order, keys them from the stored H (no second ``_pair_bound`` or sort),
+and reads each stored block in place of computing it: the same
+arithmetic on the same arrays, so the same bits. The keys are not sorted
+in that order, which the stop rule above allows; the blocks are those of
+the one schedule ``_blocks`` every sweep uses.
 
 A sweep of at most two blocks is not sorted (``_worth_sorting``): it
 could skip at most its second block, and the keys and the sort cost about
@@ -188,6 +206,9 @@ PAIR_SCALE = {MODE_KANNAN: np.add, MODE_BIANCHINI: np.maximum}
 HAVE_NUMBA = False
 
 _BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
+# the leading blocks whose numerators a ratio sweep keeps for the check
+# (``SweepRecord``): 2 MB at 256 KB a block
+_RECORD_BLOCKS = 8
 _LINE_BYTES = 64  # the block buffers start on a cache line
 
 # numpy's ufunc buffer, in elements, during a block loop: small enough that
@@ -276,6 +297,19 @@ def _small_ufunc_buffer():
         np.setbufsize(old)
 
 
+def _aligned(rows, cols):
+    """An uninitialised float64 ``(rows, cols)`` array that starts on a cache line.
+
+    malloc aligns to 16 bytes only, and 16 bytes off a 32-byte boundary
+    the sweeps at (2000, 5) ran about 15% slower (numpy 2.4 on an AVX-512
+    Xeon).
+    """
+    size = rows * cols
+    raw = np.empty(size + _LINE_BYTES // 8)
+    start = -raw.ctypes.data % _LINE_BYTES // 8
+    return raw[start : start + size].reshape(rows, cols)
+
+
 class _Triangle:
     """Triangle blocks of the pair matrix over three reusable flat buffers.
 
@@ -291,15 +325,10 @@ class _Triangle:
         # One allocation, of one size for every sweep of more than about 180
         # points, so the chunk a call frees serves the next call. Separate
         # buffers went back to the system after each call and came back as
-        # fresh pages: about 190 page faults a call at N = 201. It starts on
-        # a cache line: malloc aligns to 16 bytes only, and 16 bytes off a
-        # 32-byte boundary the sweeps at (2000, 5) ran about 15% slower
-        # (numpy 2.4 on an AVX-512 Xeon). Made here, after ``_x_term`` has
-        # dropped the x rows, it does not add to the peak memory.
-        size = 3 * min(self.n * self.n, max(_BLOCK_BYTES // 8, self.n))
-        raw = np.empty(size + _LINE_BYTES // 8)
-        start = -raw.ctypes.data % _LINE_BYTES // 8
-        self._flat = raw[start : start + size].reshape(3, -1)
+        # fresh pages: about 190 page faults a call at N = 201. Made here,
+        # after ``_x_term`` has dropped the x rows, it does not add to the
+        # peak memory.
+        self._flat = _aligned(3, min(self.n * self.n, max(_BLOCK_BYTES // 8, self.n)))
         for lo, hi in self.blocks:
             self.lo, self.hi = lo, hi
             shape = (hi - lo, self.n - lo)
@@ -492,19 +521,24 @@ def _down(v):
     return np.nextafter(v, -np.inf)
 
 
-def _row_keys(xt, tt, disp, k, mode, rate=None):
+def _row_keys(xt, tt, disp, k, mode, rate=None, record=None):
     """Per row a bound on its pairs: every pair of two rows has a ratio
     (``rate`` None) or a guarded excess at ``rate`` at most the larger key
     of the two, +inf for a row with no bound. None where no sweep can stop
     early: Banach mode, a ``rate`` that is negative or not finite, or too
-    few blocks.
+    few blocks. A ``record`` keeps ``_pair_bound``'s H.
     """
     if mode not in PAIR_SCALE or not _worth_sorting(len(disp)):
         return None
-    if rate is not None and not 0.0 <= rate < np.inf:
-        return None
     pair_bound = _pair_bound(xt, tt, disp, k)
-    if pair_bound is None:
+    if record is not None:
+        record.bound = pair_bound
+    return _keys(pair_bound, disp, mode, rate)
+
+
+def _keys(pair_bound, disp, mode, rate=None):
+    """``_row_keys`` from ``_pair_bound``'s H, row for row with ``disp``."""
+    if pair_bound is None or (rate is not None and not 0.0 <= rate < np.inf):
         return None
     if rate is None:  # ratio <= max(key_i, key_j) (Kannan), <= key_i + key_j (Bianchini)
         key = pair_bound / disp * (1.0 + 2.0 * EPS)
@@ -519,13 +553,18 @@ def _row_keys(xt, tt, disp, k, mode, rate=None):
 
 
 def _until(blocks, key, best, stop_at=None):
-    """``blocks`` up to the first whose leading row's ``key`` is below
-    ``best``'s running value, or to the first that takes it to ``stop_at``.
+    """``blocks`` up to the first from whose row ``lo`` on every ``key`` is
+    below ``best``'s running value, or to the first that takes it to
+    ``stop_at``.
 
-    Rows come by descending key, and a key bounds every pair of its row
-    with a later one, so no pair of a block left out reaches the extremum
-    or ties with it. With no key and no ``stop_at``, every block.
+    ``key`` is in sweep order. Each pair of a block left out has both rows
+    from ``lo`` on, and is bounded by the larger of their keys, so it does
+    not reach the extremum or tie with it. With the keys descending, the
+    largest from ``lo`` on is ``key[lo]``. With no key and no ``stop_at``,
+    every block.
     """
+    if key is not None:
+        key = np.maximum.accumulate(key[::-1])[::-1]  # the largest key from each row on
     for lo, hi in blocks:
         if key is not None and key[lo] < best.value:
             return
@@ -534,19 +573,20 @@ def _until(blocks, key, best, stop_at=None):
             return
 
 
-def _sweep(x, rank, key, cols, stop_at=None, largest=True):
+def _sweep(x, rank, key, cols, stop_at=None, largest=True, order=None):
     """The set-up every kernel shares: ``(tri, best)``.
 
-    ``rank`` is ``_row_rank(x)`` when None. With a row ``key``, the rows go
-    by descending key: each of ``cols``, the kernel's own arrays whose last
-    axis runs over the rows, is permuted in place. ``best`` is the running
-    ``_Extremum`` over the sample's rows, ``tri`` the triangle over the
-    blocks that ``_until`` lets through.
+    ``rank`` is ``_row_rank(x)`` when None. With a row ``key`` and no
+    ``order``, the rows go by descending key: each of ``cols``, the
+    kernel's own arrays whose last axis runs over the rows, is permuted in
+    place. With an ``order``, a record's (``SweepRecord``), the key and the
+    arrays the kernel sweeps are in that order already. ``best`` is the
+    running ``_Extremum`` over the sample's rows, ``tri`` the triangle over
+    the blocks that ``_until`` lets through.
     """
     if rank is None:
         rank = _row_rank(x)
-    order = None
-    if key is not None:
+    if key is not None and order is None:
         order = np.argsort(key, kind="stable")[::-1]
         key = key[order]
         for c in cols:  # in place: one spare copy at a time, for the peak memory
@@ -564,7 +604,54 @@ def _worth_sorting(n):
     return len(_blocks(n)) > 2
 
 
-def violation_max(points, images, k, rate, mode, *, rank=None):
+class SweepRecord:
+    """What a ``ratio_sup`` sweep at ``k`` leaves for the check at that ``k``.
+
+    ``ratio_sup(..., record=r)`` fills it: ``of``, the sweep's ``(k, mode,
+    n)``; ``order``, its row order (None: the sample's); ``xt`` (after
+    ``_x_term``), ``tt`` and ``disp`` in that order; ``bound``,
+    ``_pair_bound``'s H in that order (None: the sweep had no row key);
+    and ``held``, by block start, the square-rooted numerators of the first
+    ``_RECORD_BLOCKS`` blocks it swept. Each of those is a slot of the
+    record's own buffer that served as the sweep's numerator block, so
+    nothing is copied; a block wider than a slot (a one-row block of more
+    than ``_BLOCK_BYTES / 8`` entries) is not held. A call that ``lower``
+    settled fills in ``of`` alone.
+
+    ``violation_max(..., record=r)`` sweeps the rows in the record's order
+    and reads each held block in place of its own numerators, overwriting
+    it, so a record serves one check.
+    """
+
+    def __init__(self):
+        self._begin(None, None, None)
+
+    def _begin(self, k, mode, n):
+        self.of = (k, mode, n)
+        self.order = self.xt = self.tt = self.disp = self.bound = None
+        self.held = {}
+        self._slots = None
+
+    def _num(self, lo, hi, spare):
+        """The sweep's numerator block for rows ``lo:hi``: the record's next
+        slot, held for the check, or ``spare`` when no slot is left or fits."""
+        n = self.of[2]
+        if self._slots is None:
+            self._slots = _aligned(min(_RECORD_BLOCKS, len(_blocks(n))), min(_BLOCK_BYTES // 8, n * n))
+        shape = (hi - lo, n - lo)
+        if len(self.held) == len(self._slots) or shape[0] * shape[1] > self._slots.shape[1]:
+            return spare
+        num = self._slots[len(self.held), : shape[0] * shape[1]].reshape(shape)
+        self.held[lo] = num
+        return num
+
+
+def _norms(rows):
+    """Each row's norm, an ``np.sum`` reduction."""
+    return np.sqrt(np.sum(rows**2, axis=-1))
+
+
+def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
     Returns ``(max_violation, (i, j))`` where the index pair is the
@@ -573,22 +660,41 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
     caller already has it; by default it is computed here.
 
     The Kannan and Bianchini modes at a finite ``rate >= 0`` sweep sorted
-    rows and stop below the running maximum (module docstring).
+    rows and stop below the running maximum (module docstring). A
+    ``record`` that a ``ratio_sup`` sweep of the same points and images
+    filled (``SweepRecord``) gives the check that sweep's row order, row
+    bounds and leading numerators, with the same bits; one of another
+    ``(k, mode, n)`` raises ``ValueError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, t, xt, tt, disp = _prepare(points, images)
-        pnorm = np.sqrt(np.sum(x**2, axis=-1))
-        tnorm = np.sqrt(np.sum(t**2, axis=-1))
         k, rate = float(k), float(rate)
-        key = _row_keys(xt, tt, disp, k, mode, rate)
-        tri, best = _sweep(x, rank, key, (xt, tt, disp, pnorm, tnorm))
+        of = (k, mode, len(points))
+        if record is not None and record.of != of:
+            raise ValueError(f"a record of (k, mode, n) = {record.of} for a check at {of}")
+        if record is None or record.disp is None:
+            x, t, xt, tt, disp = _prepare(points, images)
+            pnorm, tnorm = _norms(x), _norms(t)
+            key = _row_keys(xt, tt, disp, k, mode, rate)
+            tri, best = _sweep(x, rank, key, (xt, tt, disp, pnorm, tnorm))
+            x_rows = xt if mode not in PAIR_SCALE else None  # Banach's rhs: ||x_i - x_j||
+            xt, held = _x_term(xt, k), {}
+        else:
+            x = np.ascontiguousarray(points, dtype=np.float64)
+            pnorm, tnorm = _norms(x), _norms(np.ascontiguousarray(images, dtype=np.float64))
+            if record.order is not None:
+                pnorm, tnorm = pnorm[record.order], tnorm[record.order]
+            x_rows, xt, tt, disp = None, record.xt, record.tt, record.disp
+            key = _keys(record.bound, disp, mode, rate)
+            tri, best = _sweep(x, rank, key, (), order=record.order)
+            held, record.held = record.held, {}
         scale = PAIR_SCALE.get(mode)
-        x_rows = xt if scale is None else None  # Banach's rhs: ||x_i - x_j||
-        xt = _x_term(xt, k)
         with _small_ufunc_buffer():
-            for num, rhs, back in tri:
-                tri.enriched_sq(xt, tt, k, num, rhs, back)
-                np.sqrt(num, out=num)
+            for spare, rhs, back in tri:
+                num = held.get(tri.lo)  # both sweeps go by the one block schedule
+                if num is None:
+                    num = spare
+                    tri.enriched_sq(xt, tt, k, num, rhs, back)
+                    np.sqrt(num, out=num)
                 if scale is None:
                     tri.sq_dist(x_rows, rhs, back)
                     np.sqrt(rhs, out=rhs)
@@ -614,7 +720,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None):
         return best.result
 
 
-def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None):
+def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None, record=None):
     """Supremum of ``lhs / rhs_scale`` over pairs with a positive rhs scale.
 
     The rhs scale is ``PAIR_SCALE[mode]`` of the pair's two displacements,
@@ -641,21 +747,29 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None):
     ``stop_at`` the call returns ``(lower, (-1, -1), False, (-1, -1))`` at
     once, before any row key, sort or block. ``rank`` is
     ``_row_rank(points)`` when a caller already has it; by default it is
-    computed here.
+    computed here. A ``record`` (``SweepRecord``) is filled for the
+    violation check at this ``k``.
     """
+    if record is not None:
+        record._begin(float(k), mode, len(points))
     if stop_at is not None and lower is not None and lower >= stop_at:
         return lower, (-1, -1), False, (-1, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, _, xt, tt, disp = _prepare(points, images)
         k = float(k)
-        key = _row_keys(xt, tt, disp, k, mode)
-        tri, best = _sweep(x, rank, key, (xt, tt, disp), stop_at)
+        key = _row_keys(xt, tt, disp, k, mode, record=record)
+        cols = (xt, tt, disp) if record is None or record.bound is None else (xt, tt, disp, record.bound)
+        tri, best = _sweep(x, rank, key, cols, stop_at)
         zero = _Smallest(best.rank, best.order)
         xt = _x_term(xt, k)
+        if record is not None:
+            record.order, record.xt, record.tt, record.disp = best.order, xt, tt, disp
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
         with _small_ufunc_buffer():
             for num, scale, tmp in tri:
+                if record is not None:
+                    num = record._num(tri.lo, tri.hi, num)
                 tri.enriched_sq(xt, tt, k, num, scale, tmp)
                 np.sqrt(num, out=num)
                 tri.outer(PAIR_SCALE[mode], disp, scale)

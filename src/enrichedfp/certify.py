@@ -489,7 +489,10 @@ def _estimate(mapping, sample, k_grid, mode):
     ``s_ref`` ties with nothing, so every infinite sup must be kept).
 
     The rate and witness of the chosen ``k`` come from its full sweep, and
-    the violation check at the chosen ``(k, rate)`` covers every pair.
+    the violation check at the chosen ``(k, rate)`` covers every pair. The
+    check reuses that sweep (``_kernels.SweepRecord``): its row order, its
+    row bounds and the numerators of its leading blocks, which it reads in
+    place of computing them again, with the same bits.
     The fallback witness, read only when no ``k`` is feasible, comes from
     the first infeasible ``k`` in grid order.
 
@@ -514,17 +517,19 @@ def _estimate(mapping, sample, k_grid, mode):
     probes = _probe(sample.points, images, k_values, mode)
     guesses = [math.inf if infeasible else sup for sup, infeasible in probes]
     outcomes = [None] * len(k_values)
+    records = [None] * len(k_values)  # each unpruned sweep's, for the check
     s_ref = None  # the smallest full sup of a feasible k so far
     for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
         stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
+        record = _kernels.SweepRecord()
         outcome = _kernels.ratio_sup(
             sample.points, images, k_values[i], mode,
-            stop_at=stop_at, rank=rank, lower=probes[i][0],
+            stop_at=stop_at, rank=rank, lower=probes[i][0], record=record,
         )
         sup, _, infeasible, _ = outcome
         if stop_at is not None and sup >= stop_at:
             continue
-        outcomes[i] = outcome
+        outcomes[i], records[i] = outcome, record
         if not infeasible and sup > -math.inf and (s_ref is None or sup < s_ref):
             s_ref = sup
 
@@ -542,7 +547,7 @@ def _estimate(mapping, sample, k_grid, mode):
         )
 
     k, rate, pair = k_values[best], outcomes[best][0], outcomes[best][1]
-    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank)
+    viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank, record=records[best])
     return ContractionCertificate(
         class_tag=plain if k == 0.0 else enriched,
         k=k,

@@ -572,8 +572,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(argv=None) -> _Parser:
-    """The parser of every command; only the commands named in ``argv`` (all
-    of them when it is None) get their flags, since a run parses one."""
+    """The parser of the command ``argv`` starts with, since a run parses one.
+
+    When ``argv`` starts with no command (help, an unknown command) every
+    command is added, so that help and the error list all six, and only
+    the commands named in ``argv`` get their flags; with ``argv`` None,
+    every command gets them.
+    """
     parser = _Parser(
         prog="enrichedfp",
         description="fixed-point toolkit: certify contraction constants, run "
@@ -583,10 +588,10 @@ def _build_parser(argv=None) -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = _COMMANDS.keys() if argv is None else set(argv)
-    for name, (_, flags) in _COMMANDS.items():
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
         cmd = sub.add_parser(name, allow_abbrev=False)
         if name in named:
-            for flag in flags:
+            for flag in _COMMANDS[name][1]:
                 cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from enrichedfp import (
     check_enriched_bianchini,
     check_enriched_kannan,
     check_monotone,
+    cli,
     convex,
     estimate_bianchini_constants,
     estimate_kannan_constants,
@@ -929,6 +931,67 @@ class TestPrunedEstimate:
             except DegenerateSampleError:
                 with pytest.raises(DegenerateSampleError):
                     _unpruned_estimate(mapping, sample, grid, *ESTIMATORS[0][1])
+
+
+# --- the check at the chosen k reads the numerators its ratio sweep computed ----
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def check_numerators(monkeypatch):
+    """The number of triangle blocks whose numerators each ``violation_max``
+    call computes, one entry a call."""
+    counts, checking = [], []
+    kernel, enriched_sq = _kernels.violation_max, _kernels._Triangle.enriched_sq
+
+    def counted_sq(self, *args):
+        if checking:
+            counts[-1] += 1
+        return enriched_sq(self, *args)
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        checking.append(True)
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(_kernels._Triangle, "enriched_sq", counted_sq)
+    monkeypatch.setattr(_kernels, "violation_max", counted)
+    return counts
+
+
+class TestTheCheckReusesTheWinningSweep:
+    def test_the_5d_certificate(self, tmp_path, capsys, check_blocks, check_numerators):
+        # the 5-D affine map on the default 2000-point sample (64 blocks):
+        # each estimate's check sweeps the 6 blocks its ratio sweep held, in
+        # that sweep's row order, and computes none of their numerators
+        argv = ["certify", "--input", str(DATA / "affine5.json"), "--config", str(DATA / "box5.json")]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert check_blocks == [6, 6]
+        assert check_numerators == [0, 0]
+
+    def test_a_vip_orbit_sample(self, check_blocks, check_numerators):
+        # a VIP instance shaped like the benchmark's apps workload, at d = 30:
+        # its orbit sample of about 311 rows takes 3 blocks, and the check
+        # sweeps all 3 without computing a numerator
+        d = 30
+        rng = np.random.default_rng([3, 7])
+        b = rng.standard_normal((d, d)) / math.sqrt(d)
+        vip = apps.VipInstance(
+            c_set=convex.Box(lower=-np.ones(d), upper=np.ones(d)),
+            operator=AffineMap(matrix=np.eye(d) + 0.3 * (b - b.T), offset=rng.uniform(-1.5, 1.5, d)),
+            gamma=0.2,
+        )
+        cfg = solve.SolveConfig(lam=0.5, tol=1e-10, max_iter=10**5, stop_rule=solve.STOP_STEP_NORM)
+        result = apps.solve_vip(vip, cfg, np.zeros(d), seed=3)
+        n = result.certificate.sample.size
+        assert 300 < n < 330 and len(_kernels._blocks(n)) == 3
+        assert check_blocks == [3]
+        assert check_numerators == [0]
 
 
 # --- row order: a certificate does not depend on the order of the sample rows --

@@ -545,16 +545,27 @@ class TestFlagsAndValues:
         assert taken == COMMAND_FLAGS
         assert sum(len(flags) for flags in taken.values()) == 49
 
-    def test_a_named_command_alone_gets_its_flags(self):
+    @pytest.mark.parametrize(
+        "argv, commands",
+        [
+            (["sfp", "--gamma", "1"], {"sfp": COMMAND_FLAGS["sfp"]}),
+            (["sfp", "solve"], {"sfp": COMMAND_FLAGS["sfp"]}),
+            # no command first: every command, with flags for those named
+            (["--help"], {name: set() for name in COMMAND_FLAGS}),
+            (["bogus", "solve"], {name: COMMAND_FLAGS["solve"] if name == "solve" else set() for name in COMMAND_FLAGS}),
+        ],
+    )
+    def test_the_first_command_alone_gets_a_parser(self, argv, commands):
         (subparsers,) = [
-            action for action in cli._build_parser(["sfp", "--gamma", "1"])._actions
+            action for action in cli._build_parser(argv)._actions
             if isinstance(action, argparse._SubParsersAction)
         ]
         taken = {
             name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
             for name, sub in subparsers.choices.items()
         }
-        assert taken == {name: COMMAND_FLAGS["sfp"] if name == "sfp" else set() for name in COMMAND_FLAGS}
+        assert taken == commands
+        assert list(taken) == [name for name in cli._COMMANDS if name in commands]
 
     @pytest.mark.parametrize(
         "argv",
@@ -563,6 +574,7 @@ class TestFlagsAndValues:
             *([command, "--help"] for command in COMMAND_FLAGS),
             [],
             ["nosuch"],
+            ["bogus", "solve"],
             ["solve", "--nosuch", "1"],
             ["certify", "--gamma", "1"],
             ["solve", "--tol"],
@@ -759,6 +771,17 @@ class TestFlagsAndValues:
         result = run_cli("sfp", "--help")
         assert result.returncode == cli.EXIT_OK
         assert "--gamma" in result.stdout
+
+    def test_help_and_an_unknown_command_list_every_command(self):
+        # the parser then adds all six commands, in their order, as the full one does
+        listed = "{" + ",".join(cli._COMMANDS) + "}"
+        result = run_cli("--help")
+        assert result.returncode == cli.EXIT_OK and listed in result.stdout
+        result = run_cli("bogus", "solve")
+        assert result.returncode == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.startswith("configuration error: argument command: invalid choice: 'bogus'")
+        assert all(f"'{name}'" in result.stderr for name in cli._COMMANDS)
+        assert "Traceback" not in result.stderr
 
     def test_bad_value_returns_1_in_process(self, tmp_path, sfp_json, capsys):
         argv = ["sfp", "--input", sfp_json, "--out", str(tmp_path / "o"), "--lambda", "abc"]

@@ -1496,3 +1496,155 @@ def test_k0_sweeps_without_a_pair(n):
     x = np.zeros((n, 3))
     assert ratio_sup(x, x, 0.0, MODE_KANNAN) == (-math.inf, (-1, -1), False, (-1, -1))
     assert violation_max(x, x, 0.0, 0.2, MODE_BIANCHINI) == (-math.inf, (-1, -1))
+
+
+# --- the hand-off: the check at a ratio sweep's k reads that sweep's record ----------
+
+
+@pytest.fixture
+def block_work(monkeypatch):
+    """Over every kernel call: ``swept``, the start row of each triangle block
+    swept, and ``computed``, of each block whose numerators were computed."""
+    work = SimpleNamespace(swept=[], computed=[])
+    iterate, enriched_sq = _kernels._Triangle.__iter__, _kernels._Triangle.enriched_sq
+
+    def counting(self):
+        for views in iterate(self):
+            work.swept.append(self.lo)
+            yield views
+
+    def counted(self, *args):
+        work.computed.append(self.lo)
+        return enriched_sq(self, *args)
+
+    monkeypatch.setattr(_kernels._Triangle, "__iter__", counting)
+    monkeypatch.setattr(_kernels._Triangle, "enriched_sq", counted)
+    return work
+
+
+def _handed_off(pts, images, k, mode, rate, work, stop_at=None, lower=None):
+    """The check at ``(k, rate)`` with the record of a ``ratio_sup`` sweep at
+    ``k``, pinned to the check without one and to the oracle; every block of
+    the record that the check reaches is read, and no other. Returns the
+    start rows of the blocks the record held and of those the check computed."""
+    record = _kernels.SweepRecord()
+    ratio_sup(pts, images, k, mode, stop_at=stop_at, lower=lower, record=record)
+    held = set(record.held)
+    work.swept.clear(), work.computed.clear()
+    got = violation_max(pts, images, k, rate, mode, record=record)
+    computed = list(work.computed)
+    assert computed == [lo for lo in work.swept if lo not in held]
+    assert record.held == {}  # a record serves one check
+    assert _bits(got) == _bits(violation_max(pts, images, k, rate, mode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(got) == _bits(brute_violation(pts, images, k, rate, mode))
+    return held, computed
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.sampled_from([2, 3, 40, 65, N_PROPERTY]),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    fixed=st.sampled_from([0.0, 0.0, 0.2, 1.0]),
+    nonfinite=st.sampled_from([(), (), (np.nan,), (np.inf,), (np.nan, np.inf, np.inf)]),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from(certify.DEFAULT_K_GRID),
+    stop=st.sampled_from(["none", "none", "half", "first"]),
+    above=st.sampled_from([0.0, 1e-12, 0.5]),
+)
+@settings(
+    max_examples=150, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_a_record_hands_the_check_its_sweep(
+    eight_blocks, block_work, d, n, seed, coarse, fixed, nonfinite, mode, k, stop, above
+):
+    # random or coarse rows (ties, duplicates, signed zeros), a share fixed,
+    # NaN and infinite images; the record of a full sweep, or of one stopped
+    # at half its sup or after its first block; the check at the sup and above
+    rng = np.random.default_rng(seed)
+    if coarse:
+        pts = rng.integers(-4, 5, size=(n, d)) / 4
+        pts[rng.random((n, d)) < 0.1] = -0.0
+        images = -0.75 * pts[:, ::-1] + rng.integers(-2, 3, size=(n, d)) / 8
+    else:
+        pts, images = _random_case(seed, n, d, contraction=2.0)
+    rows = rng.random(n) < fixed
+    images[rows] = pts[rows]
+    for value in nonfinite:
+        images[rng.integers(n), rng.integers(d)] = value
+    sup = ratio_sup(pts, images, k, mode)[0]
+    rate = max(sup, 0.0) * (1.0 + above) + above if math.isfinite(sup) else 0.25
+    stop_at = {"none": None, "half": sup / 2, "first": -math.inf}[stop]
+    _handed_off(pts, images, k, mode, rate, block_work, stop_at=stop_at)
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+@pytest.mark.parametrize("k", certify.DEFAULT_K_GRID)
+def test_every_grid_k_hands_off(eight_blocks, block_work, mode, k):
+    # fixed rows (some repeating one point) and a NaN image, at the sup
+    pts, images = _fixed_rows_case(seed=41, n=N_PROPERTY, d=4, k=k)
+    rate = ratio_sup(pts, images, k, mode)[0]
+    held, _ = _handed_off(pts, images, k, mode, rate, block_work)
+    assert 0 in held
+    images[17, 2] = np.nan
+    _handed_off(pts, images, k, mode, rate, block_work)
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+def test_a_settled_record_leaves_the_check_its_own_sweep(eight_blocks, block_work, mode):
+    # a sweep that ``lower`` settled holds nothing: the check sorts and
+    # computes as it does without a record
+    pts, images = _random_case(seed=42, n=N_MULTI_BLOCK, d=3)
+    record = _kernels.SweepRecord()
+    assert ratio_sup(pts, images, 0.5, mode, stop_at=0.1, lower=0.2, record=record)[0] == 0.2
+    assert (record.order, record.disp, record.held) == (None, None, {})
+    block_work.swept.clear()
+    got = violation_max(pts, images, 0.5, 0.3, mode, record=record)
+    own = list(block_work.swept)
+    block_work.swept.clear()
+    assert _bits(got) == _bits(violation_max(pts, images, 0.5, 0.3, mode))
+    assert own == block_work.swept and block_work.computed == own + own
+
+
+def test_a_record_of_another_sweep_is_refused():
+    pts, images = _random_case(seed=43, n=50, d=2)
+    record = _kernels.SweepRecord()
+    ratio_sup(pts, images, 0.5, MODE_KANNAN, record=record)
+    for args in (
+        (pts, images, 1.0, 0.3, MODE_KANNAN),
+        (pts, images, 0.5, 0.3, MODE_BIANCHINI),
+        (pts[:-1], images[:-1], 0.5, 0.3, MODE_KANNAN),
+    ):
+        with pytest.raises(ValueError, match="record"):
+            violation_max(*args, record=record)
+    settled = _kernels.SweepRecord()
+    ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=0.1, lower=0.2, record=settled)
+    with pytest.raises(ValueError, match="record"):
+        violation_max(pts, images, 0.75, 0.3, MODE_KANNAN, record=settled)
+    assert _bits(violation_max(pts, images, 0.5, 0.3, MODE_KANNAN, record=record)) == _bits(
+        violation_max(pts, images, 0.5, 0.3, MODE_KANNAN)
+    )
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
+@pytest.mark.parametrize("sorted_rows", [False, True])
+def test_blocks_past_the_cap_or_wider_than_a_slot_are_recomputed(monkeypatch, block_work, mode, sorted_rows):
+    # 64-entry blocks: at 70 rows, rows 0 to 5 are one-row blocks wider than
+    # a slot. With two slots, the next two blocks are held, sorted or not,
+    # and the check computes every other block it sweeps, with the same bits
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 8 * 64)
+    monkeypatch.setattr(_kernels, "_RECORD_BLOCKS", 2)
+    n = 70
+    pts, images = _random_case(seed=44, n=n, d=3)
+    los = [lo for lo, _ in _kernels._blocks(n)]
+    assert los[:9] == list(range(9)) and (n - 5) * 1 > 64 >= (n - 6) * 1
+    sup = ratio_sup(pts, images, 0.5, mode)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        if not sorted_rows:
+            patch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: None)
+        held, computed = _handed_off(pts, images, 0.5, mode, sup, block_work)
+    assert held == {6, 7}
+    if not sorted_rows:  # every block, in the sample's order
+        assert computed == los[:6] + los[8:]
