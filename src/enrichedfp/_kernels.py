@@ -158,13 +158,24 @@ after the ratio sweep at that ``k`` (``certify._estimate``), and both
 sweeps compute the same numerator ``||k (x_i - x_j) + (t_i - t_j)||`` on
 each pair. So ``ratio_sup`` fills a ``SweepRecord``: its row order, its
 arrays and ``_pair_bound``'s H in that order, and the numerators of its
-first ``_RECORD_BLOCKS`` blocks, written into the record's own buffer as
-the sweep's numerator blocks. ``violation_max`` sweeps the rows in that
-order, keys them from the stored H (no second ``_pair_bound`` or sort),
-and reads each stored block in place of computing it: the same
-arithmetic on the same arrays, so the same bits. The keys are not sorted
-in that order, which the stop rule above allows; the blocks are those of
-the one schedule ``_blocks`` every sweep uses.
+first ``_RECORD_BLOCKS`` blocks, each written into a slot the record
+takes when the sweep reaches that block, as the sweep's numerator block.
+``violation_max`` sweeps the rows in that order, keys them from the
+stored H (no second ``_pair_bound`` or sort), and reads each stored
+block in place of computing it: the same arithmetic on the same arrays,
+so the same bits. The keys are not sorted in that order, which the stop
+rule above allows; the blocks are those of the one schedule ``_blocks``
+every sweep uses. The check writes its own values into a block buffer of
+its own, and leaves the record as it was.
+
+Nothing in a record depends on the mode: H, the row order and the
+numerators are those of ``(k, n)`` alone. So a ``ratio_sup`` sweep in the
+other class at the same ``k`` takes a filled record too (the estimate of
+one class right after the other's on the same sample): it keys the rows
+from the stored H in the record's order (the stop rule holds in any row
+order, and a Bianchini key is exactly twice the Kannan key), reads the
+held blocks, and computes, and holds while slots are left, only the
+blocks past them.
 
 A sweep of at most two blocks is not sorted (``_worth_sorting``): it
 could skip at most its second block, and the keys and the sort cost about
@@ -178,6 +189,7 @@ holds 96% of the pairs.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -206,8 +218,8 @@ PAIR_SCALE = {MODE_KANNAN: np.add, MODE_BIANCHINI: np.maximum}
 HAVE_NUMBA = False
 
 _BLOCK_BYTES = 1 << 18  # one flat float64 block buffer
-# the leading blocks whose numerators a ratio sweep keeps for the check
-# (``SweepRecord``): 2 MB at 256 KB a block
+# the leading blocks whose numerators a ratio sweep keeps for the other
+# sweeps at its k (``SweepRecord``): at most 2 MB at 256 KB a block
 _RECORD_BLOCKS = 8
 _LINE_BYTES = 64  # the block buffers start on a cache line
 
@@ -605,45 +617,79 @@ def _worth_sorting(n):
 
 
 class SweepRecord:
-    """What a ``ratio_sup`` sweep at ``k`` leaves for the check at that ``k``.
+    """What a ``ratio_sup`` sweep at ``k`` leaves for the other sweeps at that ``k``.
 
-    ``ratio_sup(..., record=r)`` fills it: ``of``, the sweep's ``(k, mode,
-    n)``; ``order``, its row order (None: the sample's); ``xt`` (after
-    ``_x_term``), ``tt`` and ``disp`` in that order; ``bound``,
-    ``_pair_bound``'s H in that order (None: the sweep had no row key);
-    and ``held``, by block start, the square-rooted numerators of the first
-    ``_RECORD_BLOCKS`` blocks it swept. Each of those is a slot of the
-    record's own buffer that served as the sweep's numerator block, so
-    nothing is copied; a block wider than a slot (a one-row block of more
-    than ``_BLOCK_BYTES / 8`` entries) is not held. A call that ``lower``
-    settled fills in ``of`` alone.
+    ``ratio_sup(..., record=r)`` with an empty record fills it: ``of``, the
+    sweep's ``(k, n)``; ``order``, its row order (None: the sample's);
+    ``xt`` (after ``_x_term``), ``tt`` and ``disp`` in that order;
+    ``bound``, ``_pair_bound``'s H in that order (None: the sweep had no
+    row key); and ``held``, by block start, the square-rooted numerators of
+    the first ``_RECORD_BLOCKS`` blocks it swept. Each of those is a slot
+    taken when the sweep reached its block, which served as the sweep's
+    numerator block, so nothing is copied; a block wider than a block
+    buffer (a one-row block of more than ``_BLOCK_BYTES / 8`` entries) is
+    not held. A call that ``lower`` settled fills in ``of`` alone. The
+    slots go back to ``_spare_slots`` when the record is gone or filled
+    again.
 
-    ``violation_max(..., record=r)`` sweeps the rows in the record's order
-    and reads each held block in place of its own numerators, overwriting
-    it, so a record serves one check.
+    A filled record serves any number of sweeps of the same points and
+    images at its ``(k, n)``, in either class: ``violation_max(...,
+    record=r)`` and ``ratio_sup(..., record=r)`` sweep the rows in its
+    order and read each held block in place of their own numerators. The
+    check leaves the record as it is; a ratio sweep adds the blocks it
+    computes past the held ones while slots are left.
     """
 
     def __init__(self):
-        self._begin(None, None, None)
+        self._slots = []  # the flat slots under ``held``
+        self._begin(None, None)
 
-    def _begin(self, k, mode, n):
-        self.of = (k, mode, n)
+    def _begin(self, k, n):
+        self.of = (k, n)
         self.order = self.xt = self.tt = self.disp = self.bound = None
         self.held = {}
-        self._slots = None
+        _release(self._slots)
+
+    def _expect(self, k, n, mode):
+        """Refuse the record for a sweep of ``mode`` at ``(k, n)`` that it does not serve."""
+        if mode not in PAIR_SCALE or self.of != (k, n):
+            raise ValueError(f"a record of (k, n) = {self.of} for a mode {mode} sweep at {(k, n)}")
 
     def _num(self, lo, hi, spare):
-        """The sweep's numerator block for rows ``lo:hi``: the record's next
-        slot, held for the check, or ``spare`` when no slot is left or fits."""
-        n = self.of[2]
-        if self._slots is None:
-            self._slots = _aligned(min(_RECORD_BLOCKS, len(_blocks(n))), min(_BLOCK_BYTES // 8, n * n))
-        shape = (hi - lo, n - lo)
-        if len(self.held) == len(self._slots) or shape[0] * shape[1] > self._slots.shape[1]:
+        """The sweep's numerator block for rows ``lo:hi``: a slot, held, or
+        ``spare`` when the record holds its last slot or the block is wider
+        than a block buffer."""
+        shape = (hi - lo, self.of[1] - lo)
+        size = shape[0] * shape[1]
+        if len(self.held) == _RECORD_BLOCKS or size > _BLOCK_BYTES // 8:
             return spare
-        num = self._slots[len(self.held), : shape[0] * shape[1]].reshape(shape)
-        self.held[lo] = num
+        if not self._slots:  # the record's first slot: they all go back with the record
+            weakref.finalize(self, _release, self._slots)
+        try:
+            slot = _spare_slots.pop()  # one step, so no two threads take one slot
+        except IndexError:
+            slot = None
+        if slot is None or slot.size < size:  # a new slot holds any block of the sweep
+            slot = _aligned(1, min(_BLOCK_BYTES // 8, self.of[1] ** 2))[0]
+        self._slots.append(slot)
+        num = self.held[lo] = slot[:size].reshape(shape)
         return num
+
+
+# The slots of records that are gone, at most ``_RECORD_BLOCKS``, for the
+# next records' blocks. Slots allocated afresh for each record came back
+# from malloc as fresh pages, and freeing them trimmed the heap that the
+# block buffers reuse: about 650 page faults and 0.6 ms a ``certify_5d``
+# pass, against none with this list.
+_spare_slots = []
+
+
+def _release(slots):
+    """Keep ``slots`` for later records while fewer than ``_RECORD_BLOCKS`` are kept."""
+    for slot in slots:
+        if len(_spare_slots) < _RECORD_BLOCKS:
+            _spare_slots.append(slot)
+    slots.clear()
 
 
 def _norms(rows):
@@ -663,14 +709,14 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
     rows and stop below the running maximum (module docstring). A
     ``record`` that a ``ratio_sup`` sweep of the same points and images
     filled (``SweepRecord``) gives the check that sweep's row order, row
-    bounds and leading numerators, with the same bits; one of another
-    ``(k, mode, n)`` raises ``ValueError``.
+    bounds and leading numerators, with the same bits, in either class; one
+    of another ``(k, n)``, or a Banach check, raises ``ValueError``. The
+    record is left as it is.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k, rate = float(k), float(rate)
-        of = (k, mode, len(points))
-        if record is not None and record.of != of:
-            raise ValueError(f"a record of (k, mode, n) = {record.of} for a check at {of}")
+        if record is not None:
+            record._expect(k, len(points), mode)
         if record is None or record.disp is None:
             x, t, xt, tt, disp = _prepare(points, images)
             pnorm, tnorm = _norms(x), _norms(t)
@@ -686,7 +732,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
             x_rows, xt, tt, disp = None, record.xt, record.tt, record.disp
             key = _keys(record.bound, disp, mode, rate)
             tri, best = _sweep(x, rank, key, (), order=record.order)
-            held, record.held = record.held, {}
+            held = record.held
         scale = PAIR_SCALE.get(mode)
         with _small_ufunc_buffer():
             for spare, rhs, back in tri:
@@ -706,7 +752,7 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
                 p_i, p_j = tri.ends(pnorm)
                 t_i, t_j = tri.ends(tnorm)
                 np.add(num, rhs, out=back)
-                net = np.subtract(num, rhs, out=num)
+                net = np.subtract(num, rhs, out=spare)  # a held block stays as it is
                 fwd = np.add(back, p_i, out=rhs)
                 for term in (p_j, t_i, t_j):
                     fwd += term
@@ -747,31 +793,45 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None, r
     ``stop_at`` the call returns ``(lower, (-1, -1), False, (-1, -1))`` at
     once, before any row key, sort or block. ``rank`` is
     ``_row_rank(points)`` when a caller already has it; by default it is
-    computed here. A ``record`` (``SweepRecord``) is filled for the
-    violation check at this ``k``.
+    computed here. An empty ``record`` (``SweepRecord``) is filled for
+    the other sweeps at this ``k``; a filled one, of a sweep of the same
+    points and images at this ``(k, n)`` in either class, gives this sweep
+    its row order, row bounds and held numerators, with the same bits, and
+    takes the blocks it computes past them while slots are left. A filled
+    record of another ``(k, n)`` raises ``ValueError``.
     """
-    if record is not None:
-        record._begin(float(k), mode, len(points))
+    k = float(k)
+    filled = record is not None and record.disp is not None
+    if filled:
+        record._expect(k, len(points), mode)
+    elif record is not None:
+        record._begin(k, len(points))
     if stop_at is not None and lower is not None and lower >= stop_at:
         return lower, (-1, -1), False, (-1, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, _, xt, tt, disp = _prepare(points, images)
-        k = float(k)
-        key = _row_keys(xt, tt, disp, k, mode, record=record)
-        cols = (xt, tt, disp) if record is None or record.bound is None else (xt, tt, disp, record.bound)
-        tri, best = _sweep(x, rank, key, cols, stop_at)
+        if filled:
+            x = np.ascontiguousarray(points, dtype=np.float64)
+            xt, tt, disp = record.xt, record.tt, record.disp
+            key = _keys(record.bound, disp, mode)
+            tri, best = _sweep(x, rank, key, (), stop_at, order=record.order)
+        else:
+            x, _, xt, tt, disp = _prepare(points, images)
+            key = _row_keys(xt, tt, disp, k, mode, record=record)
+            cols = (xt, tt, disp) if record is None or record.bound is None else (xt, tt, disp, record.bound)
+            tri, best = _sweep(x, rank, key, cols, stop_at)
+            xt = _x_term(xt, k)
+            if record is not None:
+                record.order, record.xt, record.tt, record.disp = best.order, xt, tt, disp
         zero = _Smallest(best.rank, best.order)
-        xt = _x_term(xt, k)
-        if record is not None:
-            record.order, record.xt, record.tt, record.disp = best.order, xt, tt, disp
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
         with _small_ufunc_buffer():
-            for num, scale, tmp in tri:
-                if record is not None:
-                    num = record._num(tri.lo, tri.hi, num)
-                tri.enriched_sq(xt, tt, k, num, scale, tmp)
-                np.sqrt(num, out=num)
+            for spare, scale, tmp in tri:
+                num = None if record is None else record.held.get(tri.lo)
+                if num is None:
+                    num = spare if record is None else record._num(tri.lo, tri.hi, spare)
+                    tri.enriched_sq(xt, tt, k, num, scale, tmp)
+                    np.sqrt(num, out=num)
                 tri.outer(PAIR_SCALE[mode], disp, scale)
                 ratio = np.divide(num, scale, out=tmp)
                 first, last = np.searchsorted(fixed, (tri.lo, tri.hi))

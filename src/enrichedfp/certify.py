@@ -23,6 +23,7 @@ for any finite rate.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -438,6 +439,26 @@ def _pick(k_values, outcomes):
     return best, fallback
 
 
+# The winning sweep of the last estimate, for an estimate of the other class
+# on the same sample right after it, under the key "sweep": (mode, weak
+# reference to the sample, images, chosen k, that k's SweepRecord). A dict,
+# so that an estimate takes and clears it in one step, ``pop``.
+_parked = {}
+
+
+def _handed_over(parked, sample, images, mode):
+    """``parked``'s ``(k, record)`` when it is the other class's winning sweep
+    on this very sample with these images, bit for bit; else None."""
+    if parked is None:
+        return None
+    other, ref, seen, k, record = parked
+    if other == mode or ref() is not sample:
+        return None
+    if (seen.dtype, seen.shape, seen.tobytes()) != (images.dtype, images.shape, images.tobytes()):
+        return None
+    return k, record
+
+
 def _estimate(mapping, sample, k_grid, mode):
     """The grid ``k`` with the smallest rate, as a certificate checked at that (k, rate).
 
@@ -496,12 +517,25 @@ def _estimate(mapping, sample, k_grid, mode):
     The fallback witness, read only when no ``k`` is feasible, comes from
     the first infeasible ``k`` in grid order.
 
+    The two classes share their numerators, so an estimate hands its
+    winning sweep to an estimate of the other class that follows it on the
+    same sample. Every estimate first takes what the last one parked
+    (``_parked``) and clears it. It uses the parked record only when it is
+    the other class's, on this same ``SampleSet`` object, with images equal
+    bit for bit: then its sweep at the parked ``k`` reads that record's row
+    order, row bounds and numerators in place of its own, and it parks
+    nothing. Otherwise, once it has chosen a ``k``, it parks that ``k``'s
+    record. So a record serves one estimate after its own, and an estimate
+    repeated on one sample still sweeps each time; an estimate that raises
+    or finds no ``k`` parks nothing.
+
     The estimate is feasible only when its rate is inside the class range
     and the check holds: ``max_violation <= 0``, which a NaN or +inf
     violation fails too. The rate sweep passes over a pair of two fixed
     points whose numerator is at most ``ZERO_NUM_TOL``, but the check
     counts it, so a rate can be in range while a pair violates it.
     """
+    parked = _parked.pop("sweep", None)
     k_values = [float(k) for k in k_grid]
     if not k_values:
         raise InvalidConstantError("k grid must be nonempty")
@@ -512,6 +546,8 @@ def _estimate(mapping, sample, k_grid, mode):
         raise DegenerateSampleError(
             "every sample point is fixed; no displacement to estimate against"
         )
+    handed = _handed_over(parked, sample, images, mode)
+    del parked  # a record not taken is freed before the sweeps
 
     rank = sample.rank  # one tie-break order for every sweep
     probes = _probe(sample.points, images, k_values, mode)
@@ -521,7 +557,7 @@ def _estimate(mapping, sample, k_grid, mode):
     s_ref = None  # the smallest full sup of a feasible k so far
     for i in sorted(range(len(k_values)), key=lambda i: (guesses[i], i)):
         stop_at = None if s_ref is None else _prune_bound(s_ref, len(k_values))
-        record = _kernels.SweepRecord()
+        record = handed[1] if handed is not None and k_values[i] == handed[0] else _kernels.SweepRecord()
         outcome = _kernels.ratio_sup(
             sample.points, images, k_values[i], mode,
             stop_at=stop_at, rank=rank, lower=probes[i][0], record=record,
@@ -548,6 +584,8 @@ def _estimate(mapping, sample, k_grid, mode):
 
     k, rate, pair = k_values[best], outcomes[best][0], outcomes[best][1]
     viol, _ = _kernels.violation_max(sample.points, images, k, rate, mode, rank=rank, record=records[best])
+    if handed is None:
+        _parked["sweep"] = (mode, weakref.ref(sample), images, k, records[best])
     return ContractionCertificate(
         class_tag=plain if k == 0.0 else enriched,
         k=k,

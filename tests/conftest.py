@@ -7,6 +7,13 @@ from enrichedfp.mappings import Reflection1D, Scale1D
 EPS = float(np.finfo(np.float64).eps)
 
 
+@pytest.fixture(autouse=True)
+def _nothing_parked():
+    """Each test starts with no estimate's winning sweep parked for the next
+    one (``certify._parked``), so that no test reads another's record."""
+    certify._parked.clear()
+
+
 @pytest.fixture(scope="session")
 def unit_sample() -> certify.SampleSet:
     """101-point grid on [0,1] plus 100 seed-0 uniform points."""

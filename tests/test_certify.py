@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -992,6 +994,210 @@ class TestTheCheckReusesTheWinningSweep:
         assert 300 < n < 330 and len(_kernels._blocks(n)) == 3
         assert check_blocks == [3]
         assert check_numerators == [0]
+
+
+# --- an estimate hands its winning sweep to the other class's estimate --------
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The ``k`` of each ``ratio_sup`` call handed a filled record, one entry a call."""
+    calls = []
+    kernel = _kernels.ratio_sup
+
+    def spied(points, images, k, mode, **kwargs):
+        record = kwargs.get("record")
+        if record is not None and record.disp is not None:
+            calls.append(k)
+        return kernel(points, images, k, mode, **kwargs)
+
+    monkeypatch.setattr(_kernels, "ratio_sup", spied)
+    return calls
+
+
+@pytest.fixture
+def numerator_blocks(monkeypatch):
+    """Per kernel call: ``(name, k, the number of blocks whose numerators it computed)``."""
+    calls = []
+    enriched_sq = _kernels._Triangle.enriched_sq
+
+    def counted_sq(self, *args):
+        calls[-1][2] += 1
+        return enriched_sq(self, *args)
+
+    def counting(name, kernel):
+        def counted(points, images, k, *args, **kwargs):
+            calls.append([name, k, 0])
+            return kernel(points, images, k, *args, **kwargs)
+        return counted
+
+    for name in ("ratio_sup", "violation_max"):
+        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
+    monkeypatch.setattr(_kernels._Triangle, "enriched_sq", counted_sq)
+    return calls
+
+
+def _both_orders(mapping, sample, k_grid, handed):
+    """Each class estimated right after the other on ``sample``, in both
+    orders, pinned bit for bit to its estimate with nothing parked and to
+    the unpruned loop. Returns the ``(Kannan, Bianchini)`` certificates and,
+    per order, the ``k`` of each sweep handed a record."""
+    alone = []
+    for estimate, args in ESTIMATORS:
+        certify._parked.clear()
+        cert = estimate(mapping, sample, k_grid)
+        assert _cert_bits(cert) == _cert_bits(_unpruned_estimate(mapping, sample, k_grid, *args))
+        alone.append(cert)
+    handed.clear()
+    hand_offs = []
+    for order in (ESTIMATORS, ESTIMATORS[::-1]):
+        certify._parked.clear()
+        certs = {estimate: estimate(mapping, sample, k_grid) for estimate, _ in order}
+        assert [_cert_bits(certs[estimate]) for estimate, _ in ESTIMATORS] == [_cert_bits(c) for c in alone]
+        assert not certify._parked or not handed  # a record serves one estimate after its own
+        hand_offs.append(list(handed))
+        handed.clear()
+    return alone, hand_offs
+
+
+def _affine_seeded(seed):
+    """A random affine map on 201 random points of [-1, 1]^d, d from 1 to 3."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    mapping = AffineMap(matrix=rng.uniform(-2.0, 1.0, (d, d)), offset=rng.uniform(-0.5, 0.5, d))
+    return mapping, random_sample([(-1.0, 1.0)] * d, 201, seed)
+
+
+class TestTheOtherClassReusesTheWinningSweep:
+    @pytest.mark.parametrize("seed, ks", [(9, (0.0, 0.25)), (80, (0.75, 1.0))])
+    def test_classes_that_pick_different_k(self, small_blocks, handed, seed, ks):
+        # the second estimate gets the first's winning sweep at the first's
+        # k, which it sweeps but does not pick; k = 0 among them
+        mapping, sample = _affine_seeded(seed)
+        (kannan, bianchini), hand_offs = _both_orders(mapping, sample, DEFAULT, handed)
+        assert (kannan.k, bianchini.k) == ks
+        assert hand_offs == [[ks[0]], [ks[1]]]
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.5, 3.0), (2.0, 0.0, 3.0, 0.5)])
+    def test_fixed_rows(self, small_blocks, handed, grid):
+        # the fixed points (0, 0) and (4e-15, 0), whose pair rules out k >= 2
+        rng = np.random.default_rng(8)
+        pts = np.concatenate([rng.uniform(0.5, 1.0, size=(200, 2)), [[0.0, 0.0], [4e-15, 0.0]]])
+        sample = SampleSet(points=pts, description="200 moving and 2 fixed pts")
+        mapping = AffineMap(matrix=np.array([[1.0, 0.0], [0.0, 0.0]]), offset=np.zeros(2))
+        (kannan, bianchini), hand_offs = _both_orders(mapping, sample, grid, handed)
+        assert hand_offs == [[kannan.k], [bianchini.k]]
+
+    @pytest.mark.parametrize("grid", [(3.0, 1.0), DEFAULT[::-1]])
+    def test_a_nan_pair_at_one_k(self, small_blocks, handed, grid):
+        # x -> -x on [-1, 1] and x = 1e154: only k = 3 meets a NaN ratio
+        pts = np.concatenate([np.linspace(-1.0, 1.0, 199), [1e154]])[:, None]
+        sample = SampleSet(points=pts, description="[-1, 1] and 1e154")
+        mapping = AffineMap(matrix=-np.eye(1), offset=np.zeros(1))
+        with np.errstate(over="ignore"):
+            (kannan, bianchini), hand_offs = _both_orders(mapping, sample, grid, handed)
+        assert kannan.k == bianchini.k == 1.0 and hand_offs == [[1.0], [1.0]]
+
+    def test_nan_images(self, handed, unit_sample):
+        # a NaN image rules out every k, so neither order hands anything on
+        (kannan, bianchini), hand_offs = _both_orders(_ScaleWithHole(), unit_sample, DEFAULT, handed)
+        assert not kannan.feasible and not bianchini.feasible and hand_offs == [[], []]
+
+    def test_a_sample_of_at_most_two_blocks(self, handed, scale_third, unit_sample):
+        # 201 rows in two blocks, swept unsorted; x / 3 picks k = 0
+        assert not _kernels._worth_sorting(unit_sample.size)
+        (kannan, _), hand_offs = _both_orders(scale_third, unit_sample, DEFAULT, handed)
+        assert kannan.k == 0.0 and hand_offs == [[0.0], [0.0]]
+
+    def test_the_5d_certificate(self, handed, numerator_blocks):
+        # k = 0.75 wins both classes on the default 2000-point sample of
+        # [-1, 1]^5. The Bianchini estimate computes no numerator block at
+        # 0.75, in its ratio sweep or its check
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        mapping = AffineMap(matrix=q @ np.diag([-1.0, -0.9, -0.8, -0.7, -0.6]) @ q.T, offset=rng.uniform(-0.5, 0.5, 5))
+        sample = default_sample([(-1.0, 1.0)] * 5, seed=3)
+        kannan = estimate_kannan_constants(mapping, sample)
+        first = len(numerator_blocks)
+        bianchini = estimate_bianchini_constants(mapping, sample)
+        assert kannan.k == bianchini.k == 0.75 and handed == [0.75]
+        at = [[[name, count] for name, k, count in calls if k == 0.75]
+              for calls in (numerator_blocks[:first], numerator_blocks[first:])]
+        assert at == [[["ratio_sup", 2], ["violation_max", 0]], [["ratio_sup", 0], ["violation_max", 0]]]
+
+    def test_no_hand_off_to_other_images_or_another_sample(self, handed, unit_sample, scale_third, reflection):
+        # other images on the same sample, or the same points in another
+        # SampleSet: each estimate sweeps on its own
+        estimate_kannan_constants(scale_third, unit_sample)
+        estimate_bianchini_constants(reflection, unit_sample)
+        estimate_kannan_constants(scale_third, unit_sample)
+        twin = SampleSet(points=unit_sample.points, description="the same points")
+        assert _cert_bits(estimate_bianchini_constants(scale_third, twin)) == _cert_bits(
+            _unpruned_estimate(scale_third, twin, DEFAULT, *ESTIMATORS[1][1])
+        )
+        assert handed == []
+
+    def test_no_hand_off_to_the_same_class(self, handed, unit_sample, scale_third):
+        for estimate in (estimate_kannan_constants, estimate_bianchini_constants):
+            certify._parked.clear()
+            estimate(scale_third, unit_sample)
+            estimate(scale_third, unit_sample)
+            assert handed == [] and certify._parked
+
+    def test_a_record_serves_one_estimate_after_its_own(self, handed, unit_sample, scale_third):
+        # Kannan hands its sweep to Bianchini, which parks nothing, so the
+        # next Kannan sweeps on its own and hands its sweep on again
+        for _ in range(2):
+            estimate_kannan_constants(scale_third, unit_sample)
+            estimate_bianchini_constants(scale_third, unit_sample)
+        assert handed == [0.0, 0.0] and not certify._parked
+
+    def test_no_hand_off_after_an_estimate_that_raised_or_found_no_k(self, handed, unit_sample, scale_third):
+        # an estimate that raises takes the parked sweep and parks nothing;
+        # so does one that finds no feasible k (a NaN image rules out every k)
+        estimate_kannan_constants(scale_third, unit_sample)
+        with pytest.raises(InvalidConstantError):
+            estimate_bianchini_constants(scale_third, unit_sample, ())
+        estimate_bianchini_constants(scale_third, unit_sample)
+        grid11 = grid_sample([(0.0, 1.0)], 11)
+        assert not estimate_kannan_constants(_ScaleWithHole(), grid11).feasible
+        assert not certify._parked
+        estimate_bianchini_constants(_ScaleWithHole(), grid11)
+        assert handed == []
+
+
+def test_estimates_on_many_threads_with_fast_switching(small_blocks):
+    # a time-bounded stress run: 6 threads estimating both classes, in either
+    # order, on one sample, so that a parked sweep may pass from one thread
+    # to another; every certificate keeps its bits
+    mapping, sample = _affine_seeded(80)
+    alone = {}
+    for estimate, _ in ESTIMATORS:
+        certify._parked.clear()
+        alone[estimate] = _cert_bits(estimate(mapping, sample, DEFAULT))
+    errors = []
+
+    def run(order):
+        try:
+            for _ in range(4):
+                for estimate, _ in order:
+                    assert _cert_bits(estimate(mapping, sample, DEFAULT)) == alone[estimate]
+        except BaseException as exc:  # noqa: BLE001 - raised in the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(ESTIMATORS[:: 1 - 2 * (i % 2)],)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
 
 
 # --- row order: a certificate does not depend on the order of the sample rows --

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from enrichedfp import catalog, cli, serialize
+from enrichedfp import catalog, certify, cli, serialize
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +59,26 @@ def _run(tmp_path, capsys, name):
 def test_certify_writes_the_pinned_certificate(tmp_path, capsys, name):
     out = _run(tmp_path, capsys, name)
     assert (out / "certificate.json").read_bytes() == (DATA / RUNS[name][2]).read_bytes()
+
+
+@pytest.mark.parametrize("order", ["kannan first", "bianchini first"])
+def test_the_affine5_certificate_in_either_class_order(tmp_path, capsys, monkeypatch, order):
+    # both orders in one process: the first estimate hands its winning sweep
+    # to the second, which reads it in place of its own, with the same bits
+    _run(tmp_path / "again", capsys, "affine5")
+    if order == "bianchini first":
+        kannan, bianchini = certify.estimate_kannan_constants, certify.estimate_bianchini_constants
+        done = []
+
+        def bianchini_then_kannan(mapping, sample, k_grid):
+            done.append(bianchini(mapping, sample, k_grid))
+            return kannan(mapping, sample, k_grid)
+
+        monkeypatch.setattr(certify, "estimate_kannan_constants", bianchini_then_kannan)
+        monkeypatch.setattr(certify, "estimate_bianchini_constants", lambda *args: done.pop())
+    out = _run(tmp_path, capsys, "affine5")
+    assert not certify._parked  # the second estimate took the first's sweep
+    assert (out / "certificate.json").read_bytes() == (DATA / RUNS["affine5"][2]).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))

@@ -584,6 +584,31 @@ def test_more_workers_than_cores_with_fast_switching(eight_blocks):
         sys.setswitchinterval(interval)
 
 
+def test_records_on_many_threads_with_fast_switching(eight_blocks):
+    # a time-bounded stress run: 8 threads filling records, handing them to
+    # the other class and to the checks, and dropping them, so that their
+    # slots pass through _spare_slots; two records sharing a slot would
+    # change an answer
+    pts, images = _random_case(seed=46, n=N_MULTI_BLOCK, d=3)
+    rates = {mode: ratio_sup(pts, images, 0.5, mode)[0] for mode in (MODE_KANNAN, MODE_BIANCHINI)}
+    expected = {mode: _bits(violation_max(pts, images, 0.5, rate, mode)) for mode, rate in rates.items()}
+
+    def check():
+        for _ in range(5):
+            record = _kernels.SweepRecord()
+            for mode in (MODE_KANNAN, MODE_BIANCHINI):
+                assert ratio_sup(pts, images, 0.5, mode, record=record)[0] == rates[mode]
+                assert _bits(violation_max(pts, images, 0.5, rates[mode], mode, record=record)) == expected[mode]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _on_threads(8, check)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(_kernels._spare_slots) <= _kernels._RECORD_BLOCKS + 8
+
+
 # --- numpy state around a sweep ------------------------------------------------
 
 SWEEPS = [
@@ -1522,23 +1547,81 @@ def block_work(monkeypatch):
     return work
 
 
-def _handed_off(pts, images, k, mode, rate, work, stop_at=None, lower=None):
-    """The check at ``(k, rate)`` with the record of a ``ratio_sup`` sweep at
-    ``k``, pinned to the check without one and to the oracle; every block of
-    the record that the check reaches is read, and no other. Returns the
-    start rows of the blocks the record held and of those the check computed."""
-    record = _kernels.SweepRecord()
-    ratio_sup(pts, images, k, mode, stop_at=stop_at, lower=lower, record=record)
-    held = set(record.held)
+def _held_bytes(record):
+    """A record's held numerator blocks, each as its bytes, by block start."""
+    return {lo: block.tobytes() for lo, block in record.held.items()}
+
+
+def _check_reads(record, pts, images, k, rate, mode, work):
+    """The check at ``(k, rate)`` with a filled ``record``, pinned to the check
+    without one and to the oracle; every block of the record that the check
+    reaches is read, and no other, and the record keeps its bytes. Returns
+    the start rows of the blocks the check computed."""
+    held = _held_bytes(record)
     work.swept.clear(), work.computed.clear()
     got = violation_max(pts, images, k, rate, mode, record=record)
     computed = list(work.computed)
     assert computed == [lo for lo in work.swept if lo not in held]
-    assert record.held == {}  # a record serves one check
+    assert _held_bytes(record) == held  # the check leaves the record as it is
     assert _bits(got) == _bits(violation_max(pts, images, k, rate, mode))
     with np.errstate(over="ignore", invalid="ignore"):
         assert _bits(got) == _bits(brute_violation(pts, images, k, rate, mode))
-    return held, computed
+    return computed
+
+
+def _handed_off(pts, images, k, mode, rate, work, stop_at=None, lower=None):
+    """The check at ``(k, rate)`` with the record of a ``ratio_sup`` sweep at
+    ``k`` (``_check_reads``). Returns the start rows of the blocks the record
+    held and of those the check computed."""
+    record = _kernels.SweepRecord()
+    ratio_sup(pts, images, k, mode, stop_at=stop_at, lower=lower, record=record)
+    return set(record.held), _check_reads(record, pts, images, k, rate, mode, work)
+
+
+def _other(mode):
+    return MODE_BIANCHINI if mode == MODE_KANNAN else MODE_KANNAN
+
+
+def _handed_across(pts, images, k, mode, work, stop_at=None):
+    """The ``mode`` ratio sweep at ``k`` with the record of the other class's
+    full sweep at ``k``, pinned to the sweep without a record (and to the
+    oracle when it is full): it computes only the blocks the record does not
+    hold, and the held ones keep their bytes. Returns the record and the
+    start rows of the blocks the sweep computed."""
+    record = _kernels.SweepRecord()
+    ratio_sup(pts, images, k, _other(mode), record=record)
+    held = _held_bytes(record)
+    work.swept.clear(), work.computed.clear()
+    got = ratio_sup(pts, images, k, mode, stop_at=stop_at, record=record)
+    computed = list(work.computed)
+    assert computed == [lo for lo in work.swept if lo not in held]
+    after = _held_bytes(record)
+    assert {lo: after[lo] for lo in held} == held and set(after) - set(held) <= set(computed)
+    own = ratio_sup(pts, images, k, mode, stop_at=stop_at)
+    if stop_at is None or not own[0] >= stop_at:
+        assert _bits(got) == _bits(own)
+    else:  # stopped: each sweep returns a lower bound that reached stop_at
+        assert got[0] >= stop_at
+    if stop_at is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(got) == _bits(brute_ratio(pts, images, k, mode))
+    return record, computed
+
+
+def _hand_off_case(rng, seed, n, d, coarse, fixed, nonfinite):
+    """Random or coarse rows (ties, duplicates, signed zeros), a share of them
+    fixed, and NaN or infinite images."""
+    if coarse:
+        pts = rng.integers(-4, 5, size=(n, d)) / 4
+        pts[rng.random((n, d)) < 0.1] = -0.0
+        images = -0.75 * pts[:, ::-1] + rng.integers(-2, 3, size=(n, d)) / 8
+    else:
+        pts, images = _random_case(seed, n, d, contraction=2.0)
+    rows = rng.random(n) < fixed
+    images[rows] = pts[rows]
+    for value in nonfinite:
+        images[rng.integers(n), rng.integers(d)] = value
+    return pts, images
 
 
 @given(
@@ -1560,24 +1643,75 @@ def _handed_off(pts, images, k, mode, rate, work, stop_at=None, lower=None):
 def test_a_record_hands_the_check_its_sweep(
     eight_blocks, block_work, d, n, seed, coarse, fixed, nonfinite, mode, k, stop, above
 ):
-    # random or coarse rows (ties, duplicates, signed zeros), a share fixed,
-    # NaN and infinite images; the record of a full sweep, or of one stopped
-    # at half its sup or after its first block; the check at the sup and above
+    # the record of a full sweep, or of one stopped at half its sup or after
+    # its first block; the check at the sup and above
     rng = np.random.default_rng(seed)
-    if coarse:
-        pts = rng.integers(-4, 5, size=(n, d)) / 4
-        pts[rng.random((n, d)) < 0.1] = -0.0
-        images = -0.75 * pts[:, ::-1] + rng.integers(-2, 3, size=(n, d)) / 8
-    else:
-        pts, images = _random_case(seed, n, d, contraction=2.0)
-    rows = rng.random(n) < fixed
-    images[rows] = pts[rows]
-    for value in nonfinite:
-        images[rng.integers(n), rng.integers(d)] = value
+    pts, images = _hand_off_case(rng, seed, n, d, coarse, fixed, nonfinite)
     sup = ratio_sup(pts, images, k, mode)[0]
     rate = max(sup, 0.0) * (1.0 + above) + above if math.isfinite(sup) else 0.25
     stop_at = {"none": None, "half": sup / 2, "first": -math.inf}[stop]
     _handed_off(pts, images, k, mode, rate, block_work, stop_at=stop_at)
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.sampled_from([2, 3, 40, 65, N_PROPERTY]),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    fixed=st.sampled_from([0.0, 0.0, 0.2, 1.0]),
+    nonfinite=st.sampled_from([(), (), (np.nan,), (np.inf,), (np.nan, np.inf, np.inf)]),
+    mode=st.sampled_from([MODE_KANNAN, MODE_BIANCHINI]),
+    k=st.sampled_from(certify.DEFAULT_K_GRID),
+    stop=st.sampled_from(["none", "none", "half", "first"]),
+    above=st.sampled_from([0.0, 1e-12, 0.5]),
+)
+@settings(
+    max_examples=150, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_a_record_hands_the_other_class_its_sweep(
+    eight_blocks, block_work, d, n, seed, coarse, fixed, nonfinite, mode, k, stop, above
+):
+    # the other class's full sweep at k hands this class's ratio sweep, full
+    # or stopped, its record; the check at this class's sup then reads the
+    # blocks of both sweeps
+    rng = np.random.default_rng(seed)
+    pts, images = _hand_off_case(rng, seed, n, d, coarse, fixed, nonfinite)
+    sup = ratio_sup(pts, images, k, mode)[0]
+    rate = max(sup, 0.0) * (1.0 + above) + above if math.isfinite(sup) else 0.25
+    stop_at = {"none": None, "half": sup / 2, "first": -math.inf}[stop]
+    record, _ = _handed_across(pts, images, k, mode, block_work, stop_at=stop_at)
+    _check_reads(record, pts, images, k, rate, mode, block_work)
+
+
+def test_the_other_class_computes_only_the_blocks_past_the_record(eight_blocks, block_work):
+    # a contraction on 200 rows (8 blocks): the Kannan sweep at k = 0.5 stops
+    # after its first block, the Bianchini sweep after its second. So after
+    # Bianchini, Kannan computes no block; after Kannan, Bianchini computes
+    # its second alone and holds it too. Each check, at its own sup, then
+    # computes nothing
+    pts, images = _random_case(seed=45, n=N_MULTI_BLOCK, d=3)
+    for mode, computed in ((MODE_KANNAN, []), (MODE_BIANCHINI, [15])):
+        record, swept = _handed_across(pts, images, 0.5, mode, block_work)
+        assert swept == computed and sorted(record.held) == [0, 15]
+        sup = ratio_sup(pts, images, 0.5, mode)[0]
+        assert _check_reads(record, pts, images, 0.5, sup, mode, block_work) == []
+
+
+def test_a_record_holds_the_blocks_it_swept_and_no_more(eight_blocks):
+    # each slot is allocated when the sweep reaches its block, at that
+    # block's shape: a sweep that stops early holds only the blocks it swept
+    pts, images = _random_case(seed=45, n=N_MULTI_BLOCK, d=3)
+    blocks = _kernels._blocks(N_MULTI_BLOCK)
+    for stop_at, swept in ((-math.inf, 1), (None, None)):
+        record = _kernels.SweepRecord()
+        ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=stop_at, record=record)
+        held = sorted(record.held)
+        assert held == [lo for lo, _ in blocks[: len(held)]]
+        assert 0 < len(held) < len(blocks) and len(held) == (swept or len(held))
+        for lo, hi in blocks[: len(held)]:
+            assert record.held[lo].shape == (hi - lo, N_MULTI_BLOCK - lo)
+            assert record.held[lo].ctypes.data % _kernels._LINE_BYTES == 0
 
 
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
@@ -1608,24 +1742,52 @@ def test_a_settled_record_leaves_the_check_its_own_sweep(eight_blocks, block_wor
     assert own == block_work.swept and block_work.computed == own + own
 
 
+def test_the_slots_of_a_record_that_is_gone_serve_the_next(eight_blocks, monkeypatch):
+    # a live record's slots are its own; a dropped record's serve the next
+    # record, and no more than _RECORD_BLOCKS of them are kept
+    monkeypatch.setattr(_kernels, "_spare_slots", [])
+    pts, images = _random_case(seed=45, n=N_MULTI_BLOCK, d=3)
+    first = _kernels.SweepRecord()
+    ratio_sup(pts, images, 0.5, MODE_KANNAN, record=first)
+    kept, slots = _held_bytes(first), {block.ctypes.data for block in first.held.values()}
+    second = _kernels.SweepRecord()
+    ratio_sup(pts, images, 1.0, MODE_BIANCHINI, record=second)
+    assert _held_bytes(first) == kept and not slots & {block.ctypes.data for block in second.held.values()}
+    del first
+    third = _kernels.SweepRecord()
+    ratio_sup(pts, images, 3.0, MODE_KANNAN, record=third)
+    assert slots <= {block.ctypes.data for block in third.held.values()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_RECORD_BLOCKS", 1)
+        del second, third
+        assert len(_kernels._spare_slots) == 1
+
+
 def test_a_record_of_another_sweep_is_refused():
+    # a record serves the sweeps of either class at its own (k, n), and no
+    # other: not another k or n, nor a Banach check
     pts, images = _random_case(seed=43, n=50, d=2)
     record = _kernels.SweepRecord()
     ratio_sup(pts, images, 0.5, MODE_KANNAN, record=record)
     for args in (
         (pts, images, 1.0, 0.3, MODE_KANNAN),
-        (pts, images, 0.5, 0.3, MODE_BIANCHINI),
         (pts[:-1], images[:-1], 0.5, 0.3, MODE_KANNAN),
+        (pts, images, 0.5, 0.3, MODE_BANACH),
     ):
         with pytest.raises(ValueError, match="record"):
             violation_max(*args, record=record)
+    for args in ((pts, images, 1.0, MODE_BIANCHINI), (pts[:-1], images[:-1], 0.5, MODE_BIANCHINI)):
+        with pytest.raises(ValueError, match="record"):
+            ratio_sup(*args, record=record)
     settled = _kernels.SweepRecord()
     ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=0.1, lower=0.2, record=settled)
     with pytest.raises(ValueError, match="record"):
         violation_max(pts, images, 0.75, 0.3, MODE_KANNAN, record=settled)
-    assert _bits(violation_max(pts, images, 0.5, 0.3, MODE_KANNAN, record=record)) == _bits(
-        violation_max(pts, images, 0.5, 0.3, MODE_KANNAN)
-    )
+    for mode in (MODE_KANNAN, MODE_BIANCHINI):
+        assert _bits(violation_max(pts, images, 0.5, 0.3, mode, record=record)) == _bits(
+            violation_max(pts, images, 0.5, 0.3, mode)
+        )
+        assert _bits(ratio_sup(pts, images, 0.5, mode, record=record)) == _bits(ratio_sup(pts, images, 0.5, mode))
 
 
 @pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI])
@@ -1645,6 +1807,8 @@ def test_blocks_past_the_cap_or_wider_than_a_slot_are_recomputed(monkeypatch, bl
         if not sorted_rows:
             patch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: None)
         held, computed = _handed_off(pts, images, 0.5, mode, sup, block_work)
+        # the other class's sweep takes no slot past the cap either
+        assert set(_handed_across(pts, images, 0.5, mode, block_work)[0].held) == {6, 7}
     assert held == {6, 7}
     if not sorted_rows:  # every block, in the sample's order
         assert computed == los[:6] + los[8:]
