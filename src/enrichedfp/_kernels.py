@@ -153,6 +153,28 @@ with other fixed rows are zero pairs. No sweep stops before it has swept
 these rows (a sorted one sweeps them first), so every pair they form is
 swept. (The excess bound holds at ``d_i = 0`` too.)
 
+*The rows a check guards.* The same holds pair by pair, with the exact
+``net = fl(num - rhs)`` in place of a bound. In each block
+``violation_max`` computes ``net`` first and adds the guard only on the
+span of rows whose largest ``net`` right of the diagonal is not below a
+floor (``_guarded_rows``), as views of the block buffers, in the dense
+expression order. At a ``rate >= 0`` every guard term (``num``,
+``rhs``, the four norms) is at least 0, ``+inf`` or NaN, so the guard is
+at least 0 or NaN, and ``fl(net - guard) <= net`` by monotone rounding
+(``-inf`` when the guard is ``+inf``). A NaN guard has a NaN term, and
+each makes ``net`` NaN: a NaN norm comes from a NaN coordinate, which
+the pair sum keeps (``_x_term``). So a pair whose ``net`` is below the
+floor (not NaN, nor ``+inf``) has an excess below it, and not NaN. The floor is the running max or, before
+there is one, the guarded excess of the block's largest ``net``,
+computed in the kernel's order (the first maximum in row-major order is
+right of the diagonal: an entry left of it repeats one right of it that
+comes first); its row is guarded, so the pair is folded in again with
+the same bits and the max ends at least there. A
+pair left out neither beats the max nor ties with it, and is not NaN: the
+max, its witness and the smallest NaN pair are those of the dense sweep.
+Below 0 (or at NaN) the ``rate`` can make the guard negative, and every
+row is guarded.
+
 *The hand-off.* The estimators check the chosen ``(k, rate)`` right
 after the ratio sweep at that ``k`` (``certify._estimate``), and both
 sweeps compute the same numerator ``||k (x_i - x_j) + (t_i - t_j)||`` on
@@ -697,6 +719,82 @@ def _norms(rows):
     return np.sqrt(np.sum(rows**2, axis=-1))
 
 
+@lru_cache(maxsize=16)
+def _right_of_diagonal(h, w):
+    """An ``(h, w)`` mask of the entries right of a block's diagonal (read-only)."""
+    mask = ~np.tri(h, w, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _guarded_rows(tri, best, num, rhs, net, pnorm, tnorm):
+    """The span ``(a, b)`` of a block's rows whose pairs can reach ``best``'s
+    max once guarded, at ``rate >= 0`` (module docstring, *the rows a check
+    guards*).
+
+    A row is left out when every ``net`` right of its diagonal is below the
+    floor: the running max or, before there is one, the guarded excess of
+    the block's largest ``net``, whose row is guarded.
+    """
+    h, w = net.shape
+    floor = best.value
+    if floor == -np.inf:  # seed with a pair's own excess, in the kernel's order
+        np.fill_diagonal(net, -np.inf)  # no pair
+        # right of the diagonal, or the first NaN, which is kept and seeds nothing
+        r, c = divmod(int(net.argmax()), w)
+        seed = _pair_excess(tri.lo, r, c, num, rhs, net, pnorm, tnorm)
+        if seed > floor:  # not NaN: at net = +inf both sides are NaN
+            floor = seed
+    reach = np.greater(_right_of_diagonal(h, w), net < floor)  # a NaN reaches it
+    first = int(reach.argmax())
+    if not reach.flat[first]:
+        return 0, 0
+    return first // w, h - int(reach[::-1].argmax()) // w
+
+
+def _pair_excess(lo, r, c, num, rhs, net, pnorm, tnorm):
+    """The guarded excess of the block entry ``(r, c)``, pair ``(lo + r,
+    lo + c)``, the larger of its two orientations': ``_fold_excess``'s
+    operations in its order, on Python floats, which round as the ufuncs do."""
+    p_i, p_j = pnorm.item(lo + r), pnorm.item(lo + c)
+    t_i, t_j = tnorm.item(lo + r), tnorm.item(lo + c)
+    s, d = num.item(r, c) + rhs.item(r, c), net.item(r, c)
+    fwd = (((s + p_i) + p_j) + t_i) + t_j
+    back = (((s + p_j) + p_i) + t_j) + t_i
+    return max(d - fwd * CHECK_GUARD_EPS, d - back * CHECK_GUARD_EPS)
+
+
+def _fold_excess(tri, best, num, rhs, net, spare, pnorm, tnorm, skip):
+    """Fold a block's guarded excesses into ``best``.
+
+    ``net`` is ``num - rhs``; ``spare`` is free once ``num`` has been read
+    (it may be ``num``). With ``skip`` only the rows that ``_guarded_rows``
+    keeps are guarded, as the views ``[a:b, a:]`` of the block: entries left
+    of the diagonal repeat pairs found right of it.
+    """
+    a, b = _guarded_rows(tri, best, num, rhs, net, pnorm, tnorm) if skip else (0, net.shape[0])
+    if a == b:
+        return
+    lo, hi = tri.lo + a, tri.lo + b
+    span = (slice(a, b), slice(a, None))
+    net, fwd, back = net[span], rhs[span], spare[span]
+    # num and rhs serve (i, j) and (j, i) alike; the guard adds the point
+    # norms in each ordered pair's own order
+    p_i, p_j = pnorm[lo:hi, None], pnorm[None, lo:]
+    t_i, t_j = tnorm[lo:hi, None], tnorm[None, lo:]
+    np.add(num[span], fwd, out=fwd)  # num + rhs
+    np.add(fwd, p_j, out=back)
+    for term in (p_i, t_j, t_i):
+        back += term
+    for term in (p_i, p_j, t_i, t_j):
+        fwd += term
+    sides = []
+    for guard in (fwd, back):
+        guard *= CHECK_GUARD_EPS
+        sides.append(np.subtract(net, guard, out=guard))
+    best.update(np.maximum(*sides, out=net), lo, sides)
+
+
 def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
     """Max over distinct ordered pairs of ``lhs - rhs - guard``.
 
@@ -706,7 +804,12 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
     caller already has it; by default it is computed here.
 
     The Kannan and Bianchini modes at a finite ``rate >= 0`` sweep sorted
-    rows and stop below the running maximum (module docstring). A
+    rows and stop below the running maximum (module docstring). At any
+    ``rate >= 0`` a block adds the rounding guard, which is then at least
+    0, only on the rows whose largest ``lhs - rhs`` is not below the
+    running maximum (before there is one, the guarded excess of the
+    block's largest pair); a NaN row is always guarded. At a ``rate``
+    below 0 or NaN every row is guarded. A
     ``record`` that a ``ratio_sup`` sweep of the same points and images
     filled (``SweepRecord``) gives the check that sweep's row order, row
     bounds and leading numerators, with the same bits, in either class; one
@@ -734,35 +837,22 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
             tri, best = _sweep(x, rank, key, (), order=record.order)
             held = record.held
         scale = PAIR_SCALE.get(mode)
+        skip = rate >= 0.0  # the guard is then >= 0, so a pair's excess is at most its net
         with _small_ufunc_buffer():
-            for spare, rhs, back in tri:
+            for spare, rhs, net in tri:
                 num = held.get(tri.lo)  # both sweeps go by the one block schedule
                 if num is None:
                     num = spare
-                    tri.enriched_sq(xt, tt, k, num, rhs, back)
+                    tri.enriched_sq(xt, tt, k, num, rhs, net)
                     np.sqrt(num, out=num)
                 if scale is None:
-                    tri.sq_dist(x_rows, rhs, back)
+                    tri.sq_dist(x_rows, rhs, net)
                     np.sqrt(rhs, out=rhs)
                 else:
                     tri.outer(scale, disp, rhs)
                 rhs *= rate
-                # num and rhs serve (i, j) and (j, i) alike; the guard adds
-                # the point norms in each ordered pair's own order
-                p_i, p_j = tri.ends(pnorm)
-                t_i, t_j = tri.ends(tnorm)
-                np.add(num, rhs, out=back)
-                net = np.subtract(num, rhs, out=spare)  # a held block stays as it is
-                fwd = np.add(back, p_i, out=rhs)
-                for term in (p_j, t_i, t_j):
-                    fwd += term
-                for term in (p_j, p_i, t_j, t_i):
-                    back += term
-                sides = []
-                for guard in (fwd, back):
-                    guard *= CHECK_GUARD_EPS
-                    sides.append(np.subtract(net, guard, out=guard))
-                best.update(np.maximum(*sides, out=net), tri.lo, sides)
+                np.subtract(num, rhs, out=net)  # a held block stays as it is
+                _fold_excess(tri, best, num, rhs, net, spare, pnorm, tnorm, skip)
         return best.result
 
 

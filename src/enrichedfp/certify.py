@@ -270,8 +270,13 @@ def _checked(max_violation: float) -> bool:
 
 
 def evaluate_on(mapping: Mapping, sample: SampleSet) -> np.ndarray:
-    """Evaluate a mapping over every sample point (domain errors propagate)."""
-    return mapping.apply_many(sample.points)
+    """Evaluate a mapping over every sample point (domain errors propagate).
+
+    An image that overflows or is invalid is inf or NaN, which the checks
+    fail closed on, so those floating-point warnings are off here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mapping.apply_many(sample.points)
 
 
 def _witness(sample: SampleSet, idx_pair) -> tuple[np.ndarray, np.ndarray] | None:

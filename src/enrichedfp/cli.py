@@ -443,7 +443,7 @@ def cmd_demo(settings: _Settings) -> int:
 
     print(
         f"averaged lam={averaged_trace.lam:.6f}: {averaged_trace.status} in "
-        f"{averaged_trace.iterations} iterations, final={averaged_trace.final[0]!r}, "
+        f"{averaged_trace.iterations} iterations, final={float(averaged_trace.final[0])!r}, "
         f"worst bound excess={worst_excess:.3e}"
     )
     print(

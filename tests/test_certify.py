@@ -519,6 +519,17 @@ class TestNonFiniteImages:
         assert not cert.feasible
         assert cert.max_violation == math.inf
 
+    def test_images_that_overflow_warn_of_nothing(self):
+        # 1e308 x on [-10, 10]: every image but that of 0 is +-inf
+        sample = grid_sample([(-10.0, 10.0)], 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            images = certify.evaluate_on(Scale1D(1e308), sample)
+            cert = check_enriched_kannan(Scale1D(1e308), k=0.5, a=0.25, sample=sample)
+        assert np.isinf(images).sum() == 10
+        assert cert.max_violation == math.inf
+        assert not cert.feasible
+
     def test_estimate_refuses_an_unchecked_violation_at_the_chosen_k(self, grid11, monkeypatch):
         # the ratio sweeps find a rate, but the violation sweep at it meets a NaN pair
         monkeypatch.setattr(certify._kernels, "violation_max", lambda *args, **kwargs: (math.inf, (0, 5)))

@@ -86,6 +86,27 @@ class TestCertify:
         result = run_cli("certify", "--input", mapping, "--out", str(tmp_path / "o"))
         assert result.returncode == cli.EXIT_CERT_INFEASIBLE
 
+    @pytest.mark.parametrize("mapping", [
+        {"variant": "scale_1d", "c": 1e308},
+        {"variant": "affine", "matrix": [[1e308]], "offset": [0.0]},
+    ], ids=["scale_1d", "affine"])
+    def test_a_map_whose_images_overflow_exits_4_under_w_error(self, tmp_path, mapping):
+        # images of 1e308 x on [-10, 10] overflow to inf; the checks fail
+        # closed on them, and evaluating the map warns of nothing
+        config = write_json(tmp_path / "box10.json", {"sample": {"bounds": [[-10, 10]]}})
+        out = tmp_path / "o"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", *RUN[1:], "certify",
+             "--input", write_json(tmp_path / "map.json", mapping), "--config", config, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == cli.EXIT_CERT_INFEASIBLE, result.stderr
+        assert result.stderr == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        for name in ("kannan", "bianchini"):
+            assert cert[name]["feasible"] is False
+            assert cert[name]["max_violation"] == math.inf
+
 
 class TestSolve:
     def test_auto_lambda_converges(self, tmp_path, reflection_json):

@@ -34,6 +34,10 @@ RUNS = {
     "vip_line": ("vip", ["--input", "vip_line.json"], "vip_line_certificate.json"),
 }
 
+# demo's stdout and certificate.json: its three direct checks run on the
+# reflection sample, where about half the pairs' net values reach the max excess
+DEMO = ("demo_stdout.txt", "demo_certificate.json")
+
 # the solves whose trace.csv is pinned too, every iterate's bits
 TRACES = {"standard_sfp": "standard_sfp_trace.csv", "vip_line": "vip_line_trace.csv"}
 
@@ -79,6 +83,14 @@ def test_the_affine5_certificate_in_either_class_order(tmp_path, capsys, monkeyp
     out = _run(tmp_path, capsys, "affine5")
     assert not certify._parked  # the second estimate took the first's sweep
     assert (out / "certificate.json").read_bytes() == (DATA / RUNS["affine5"][2]).read_bytes()
+
+
+def test_demo_prints_and_writes_the_pinned_outputs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["demo", "--out", str(out)]) == cli.EXIT_OK
+    stdout, certificate = DEMO
+    assert capsys.readouterr().out.encode() == (DATA / stdout).read_bytes()
+    assert (out / "certificate.json").read_bytes() == (DATA / certificate).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))

@@ -611,10 +611,11 @@ def test_records_on_many_threads_with_fast_switching(eight_blocks):
 
 # --- numpy state around a sweep ------------------------------------------------
 
+# each kernel and the per-block step it folds a block with
 SWEEPS = [
-    partial(ratio_sup, k=0.5, mode=MODE_KANNAN),
-    partial(violation_max, k=0.5, rate=0.25, mode=MODE_BIANCHINI),
-    inner_min,
+    (partial(ratio_sup, k=0.5, mode=MODE_KANNAN), (_kernels._Extremum, "update")),
+    (partial(violation_max, k=0.5, rate=0.25, mode=MODE_BIANCHINI), (_kernels, "_fold_excess")),
+    (inner_min, (_kernels._Extremum, "update")),
 ]
 
 
@@ -627,26 +628,28 @@ def caller_bufsize():
     np.setbufsize(old)
 
 
-@pytest.mark.parametrize("kernel", SWEEPS, ids=["ratio_sup", "violation_max", "inner_min"])
-def test_kernel_leaves_numpy_state_as_found(caller_bufsize, monkeypatch, kernel):
+@pytest.mark.parametrize("kernel, step", SWEEPS, ids=["ratio_sup", "violation_max", "inner_min"])
+def test_kernel_leaves_numpy_state_as_found(caller_bufsize, monkeypatch, kernel, step):
     pts, images = _random_case(seed=4, n=N_MULTI_BLOCK, d=3)
     with np.errstate(all="raise", under="ignore"):
         state = np.geterr()
         kernel(pts, images)
         assert (np.getbufsize(), np.geterr()) == (caller_bufsize, state)
 
-        update = _kernels._Extremum.update
+        owner, name = step
+        fold = getattr(owner, name)
         blocks = []
 
-        def fail_on_second_block(self, vals, lo, *sides):
-            blocks.append(lo)
+        def fail_on_second_block(*args):
+            blocks.append(args)
             if len(blocks) == 2:
                 raise MemoryError("block buffer")
-            update(self, vals, lo, *sides)
+            fold(*args)
 
-        monkeypatch.setattr(_kernels._Extremum, "update", fail_on_second_block)
+        monkeypatch.setattr(owner, name, fail_on_second_block)
         with pytest.raises(MemoryError, match="block buffer"):
             kernel(pts, images)
+        assert len(blocks) == 2  # it failed folding the second block, before the sweep's end
         assert (np.getbufsize(), np.geterr()) == (caller_bufsize, state)
 
 
@@ -1812,3 +1815,179 @@ def test_blocks_past_the_cap_or_wider_than_a_slot_are_recomputed(monkeypatch, bl
     assert held == {6, 7}
     if not sorted_rows:  # every block, in the sample's order
         assert computed == los[:6] + los[8:]
+
+
+# --- the guard only on the rows that can reach the max -------------------------
+
+
+@pytest.fixture
+def guarded(monkeypatch):
+    """Each block's ``(lo, hi, a, b)`` over every check: the span ``a:b`` of
+    the block's rows that ``_guarded_rows`` guards."""
+    spans = []
+    rows = _kernels._guarded_rows
+
+    def spying(tri, *args):
+        span = rows(tri, *args)
+        spans.append((tri.lo, tri.hi, *span))
+        return span
+
+    monkeypatch.setattr(_kernels, "_guarded_rows", spying)
+    return spans
+
+
+def _every_row_guarded(tri, best, num, rhs, net, pnorm, tnorm):
+    return 0, net.shape[0]
+
+
+def _checked(pts, images, k, rate, mode):
+    """The check at ``(k, rate)`` without a record and, in the enriched
+    modes, with the record of the ratio sweep at ``k``: each bit for bit the
+    check that guards every row, and the oracle. (With NaN points the oracle
+    gives the value alone: its tuple comparisons do not order NaN.)"""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_guarded_rows", _every_row_guarded)
+        expected = _bits(violation_max(pts, images, k, rate, mode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = _bits(brute_violation(pts, images, k, rate, mode))
+    assert expected[0] == oracle[0] and (np.isnan(pts).any() or expected == oracle)
+    assert _bits(violation_max(pts, images, k, rate, mode)) == expected
+    if mode != MODE_BANACH:
+        record = _kernels.SweepRecord()
+        ratio_sup(pts, images, k, mode, record=record)
+        assert _bits(violation_max(pts, images, k, rate, mode, record=record)) == expected
+    return expected
+
+
+def _reflection_sample():
+    """demo's sample: the default 201 points of [0, 1], and their images 1 - x."""
+    pts = certify.default_sample([(0.0, 1.0)]).points
+    return pts, 1.0 - pts
+
+
+@pytest.mark.parametrize("k, rate, mode", [
+    (0.5, 0.25, MODE_KANNAN), (0.5, 0.5, MODE_BIANCHINI), (1.5, 0.5, MODE_BIANCHINI),
+], ids=["kannan", "bianchini k=1-2a", "bianchini k=2(1-a)"])
+def test_demo_reflection_checks_match_the_oracle(guarded, k, rate, mode):
+    # about half the pairs' net values reach the max excess, so most rows are guarded
+    pts, images = _reflection_sample()
+    _checked(pts, images, k, rate, mode)
+    assert any(a < b for _, _, a, b in guarded)
+
+
+def test_demo_kannan_check_is_the_pinned_one():
+    pts, images = _reflection_sample()
+    value, (i, j) = violation_max(pts, images, 0.5, 0.25, MODE_KANNAN)
+    assert value == -3.552898750869021e-15
+    assert (pts[i, 0], pts[j, 0]) == (0.499895813687647, 0.5)
+
+
+@pytest.mark.parametrize("sample", ["dyadic", "demo"])
+def test_reflection_at_k1_rate0_guards_every_row_with_a_pair(guarded, sample):
+    # k (x - y) + (1 - x) - (1 - y) is exactly 0 on a dyadic grid, so every
+    # pair's net is 0: every row with a pair right of the diagonal is guarded
+    if sample == "dyadic":
+        pts = np.linspace(0.0, 1.0, 257)[:, None]
+        images = 1.0 - pts
+        assert np.all((pts - pts.T) + (images - images.T) == 0.0)
+    else:
+        pts, images = _reflection_sample()
+    for mode in (MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH):
+        guarded.clear()
+        _checked(pts, images, 1.0, 0.0, mode)
+        if sample == "dyadic":  # the last row has no pair right of the diagonal
+            checks = 1 if mode == MODE_BANACH else 2
+            assert sum(b - a for _, _, a, b in guarded) == checks * (len(pts) - 1)
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH])
+@pytest.mark.parametrize("rate", [-0.25, -0.0, math.nan], ids=["negative", "minus zero", "nan"])
+def test_a_negative_or_nan_rate_takes_the_dense_path(guarded, mode, rate):
+    # below 0 the guard can be negative, so no row is left out; -0.0 is not
+    # below 0, and guards only the rows that can reach the max
+    pts, images = _random_case(seed=31, n=N_MULTI_BLOCK, d=3)
+    _checked(pts, images, 0.5, rate, mode)
+    assert bool(guarded) == (rate == 0.0)
+
+
+def _nonfinite_case(seed, n, d, where, value):
+    pts, images = _random_case(seed, n, d)
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, size=3, replace=False)
+    target = pts if where == "points" else images
+    target[rows, rng.integers(d, size=3)] = value
+    return pts, images
+
+
+# (block bytes, rows): 3000-entry blocks take 100 rows in three blocks, so
+# the enriched checks sort them, and 60 rows in two, which are not sorted
+LAYOUTS = {
+    "sorted multi-block": (BLOCK_BYTES_8_BLOCKS, N_PROPERTY),
+    "unsorted two blocks": (BLOCK_BYTES_8_BLOCKS, 60),
+    "unsorted one block": (None, 40),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH])
+@pytest.mark.parametrize("case", [
+    "random", "tie_heavy", "nan points", "inf points", "nan images", "inf images", "-inf images",
+])
+@pytest.mark.parametrize("k", [0.0, 0.5])
+def test_guarded_rows_match_the_oracle(monkeypatch, layout, mode, case, k):
+    block_bytes, n = LAYOUTS[layout]
+    if block_bytes is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+    assert len(_kernels._blocks(n)) == {"sorted multi-block": 3, "unsorted two blocks": 2}.get(layout, 1)
+    d, seed = 3, 17 + mode
+    if case == "random":
+        pts, images = _random_case(seed, n, d)
+    elif case == "tie_heavy":
+        pts, images = _tie_heavy_case(seed, n, d)
+    else:
+        value, where = case.split()
+        pts, images = _nonfinite_case(seed, n, d, where, float(value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = ratio_sup(pts, images, k, MODE_KANNAN if mode == MODE_BANACH else mode)[0]
+    for rate in (max(sup, 0.0) if math.isfinite(sup) else 0.25, math.inf):
+        _checked(pts, images, k, rate, mode)
+
+
+def test_a_check_at_the_sup_guards_one_row(eight_blocks, guarded):
+    # a contraction at its Kannan sup: the check without a record and the
+    # one with it each sweep 4 blocks, 67 rows, and guard one row, the
+    # winning pair's
+    pts, images = _random_case(seed=5, n=N_MULTI_BLOCK, d=5)
+    sup = ratio_sup(pts, images, 0.5, MODE_KANNAN)[0]
+    _checked(pts, images, 0.5, sup, MODE_KANNAN)
+    assert len(guarded) == 2 * 4 and sum(hi - lo for lo, hi, _, _ in guarded) == 2 * 67
+    assert sum(b - a for _, _, a, b in guarded) == 2, guarded
+
+
+@pytest.mark.parametrize("mode", [MODE_KANNAN, MODE_BIANCHINI, MODE_BANACH])
+@pytest.mark.parametrize("d", [1, 3])
+def test_the_seed_is_the_pairs_excess_bit_for_bit(monkeypatch, mode, d):
+    # x -> -x on rows spanning six decades of norm, at k = 1 and rate 0
+    # (Banach: k = 0, rate 1): every pair's net is exactly 0, so its excess
+    # is -guard, whose sum rounds differently in the two orientations. For
+    # every pair of the one block, the excess a seed takes is the larger of
+    # the oracle's two, bit for bit
+    rng = np.random.default_rng(40 + d)
+    pts = rng.uniform(-1.0, 1.0, size=(40, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(40, 1))
+    k, rate = (0.0, 1.0) if mode == MODE_BANACH else (1.0, 0.0)
+    blocks = []
+    rows = _kernels._guarded_rows
+
+    def keep(tri, best, num, rhs, net, pnorm, tnorm):
+        blocks.append((tri.lo, num.copy(), rhs.copy(), net.copy(), pnorm, tnorm))
+        return rows(tri, best, num, rhs, net, pnorm, tnorm)
+
+    monkeypatch.setattr(_kernels, "_guarded_rows", keep)
+    violation_max(pts, -pts, k, rate, mode)
+    assert [lo for lo, *_ in blocks] == [0] and not blocks[0][3].any()
+    oracle = {(i, j): v for v, i, j in brute_violations(pts, -pts, k, rate, mode)}
+    assert any(oracle[i, j] != oracle[j, i] for i, j in oracle)
+    for i in range(40):
+        for j in range(i + 1, 40):
+            got = _kernels._pair_excess(0, i, j, *blocks[0][1:])
+            assert _bits(got) == _bits(max(oracle[i, j], oracle[j, i])), (i, j)
