@@ -8,7 +8,8 @@ once, in upper-triangle blocks: a block pairs rows ``lo:hi`` with columns
 256 KB buffer that starts on a cache line, so the blocks grow taller as
 the columns right of the diagonal run out, and the three buffers a kernel
 uses stay in L2 cache; the extremum and its tied candidates are found in
-the same pass. Every kernel sets its sweep up in ``_sweep``.
+the same pass. ``ratio_sup`` and ``violation_max`` lay their rows out in
+``_laid_out``, and every kernel sets its sweep up in ``_sweep``.
 Entries left of a block's diagonal repeat pairs found right of it and are
 passed over.
 
@@ -89,8 +90,9 @@ stops at the first block from whose leading row ``lo`` on every key is
 strictly below the running extremum (``_until``). The blocks swept so far
 hold every pair with a row before ``lo``, so each pair left out has both
 rows from ``lo`` on, and is below the extremum: not a tie with it, and
-not NaN. This holds for any row order. A sweep of its own orders the rows
-by descending key, so that the largest key from ``lo`` on is ``key[lo]``.
+not NaN. This holds for any row order. A sweep laid out afresh orders the
+rows by its descending key, so that the largest key from ``lo`` on is
+``key[lo]``.
 The rows are mapped back to the sample's rows (``_Smallest``), so the
 witness, the tie-break and every zero or NaN pair are those of the full
 sweep, whatever the order. ``violation_max`` keys each row by
@@ -178,26 +180,26 @@ row is guarded.
 *The hand-off.* The estimators check the chosen ``(k, rate)`` right
 after the ratio sweep at that ``k`` (``certify._estimate``), and both
 sweeps compute the same numerator ``||k (x_i - x_j) + (t_i - t_j)||`` on
-each pair. So ``ratio_sup`` fills a ``SweepRecord``: its row order, its
-arrays and ``_pair_bound``'s H in that order, and the numerators of its
-first ``_RECORD_BLOCKS`` blocks, each written into a slot the record
-takes when the sweep reaches that block, as the sweep's numerator block.
-``violation_max`` sweeps the rows in that order, keys them from the
-stored H (no second ``_pair_bound`` or sort), and reads each stored
-block in place of computing it: the same arithmetic on the same arrays,
-so the same bits. The keys are not sorted in that order, which the stop
-rule above allows; the blocks are those of the one schedule ``_blocks``
-every sweep uses. The check writes its own values into a block buffer of
-its own, and leaves the record as it was.
+each pair. So a sweep's layout is a ``SweepRecord``, made in one place,
+``_laid_out``: ``_prepare``, ``_pair_bound``'s H, the rows sorted by the
+sweep's keys with each array permuted in place, and ``_x_term``. A
+``ratio_sup`` handed a record keeps the numerators of its first
+``_RECORD_BLOCKS`` blocks there, each in a slot the record takes when the
+sweep reaches that block, as the sweep's numerator block. A sweep handed
+a laid-out record keys the rows from the stored H in its order (no
+second ``_pair_bound`` or sort) and reads each held block in place of
+computing it: the same arithmetic on the same arrays, so the same bits.
+The keys are not sorted in that order, which the stop rule above allows;
+the blocks are those of the one schedule ``_blocks`` every sweep uses.
 
-Nothing in a record depends on the mode: H, the row order and the
-numerators are those of ``(k, n)`` alone. So a ``ratio_sup`` sweep in the
-other class at the same ``k`` takes a filled record too (the estimate of
-one class right after the other's on the same sample): it keys the rows
-from the stored H in the record's order (the stop rule holds in any row
-order, and a Bianchini key is exactly twice the Kannan key), reads the
-held blocks, and computes, and holds while slots are left, only the
-blocks past them.
+Nothing in a layout depends on the mode: H, the row order and the
+numerators are those of ``(k, n)`` alone, and a Bianchini ratio key is
+exactly twice the Kannan key. So a record serves the check in either
+class, and the other class's ratio sweep at the same ``k`` (the estimate
+of one class right after the other's on the same sample), which
+computes, and holds while slots are left, only the blocks past the held
+ones. The check holds no block. Only a Banach check's layout keeps the
+points by coordinate, its rhs.
 
 A sweep of at most two blocks is not sorted (``_worth_sorting``): it
 could skip at most its second block, and the keys and the sort cost about
@@ -252,13 +254,13 @@ _UFUNC_BUFSIZE = 256
 
 
 def _prepare(points, images):
-    """``(x, t, xt, tt, disp)``: points, images, both by coordinate (new
-    arrays, which ``_sweep`` may reorder), displacements."""
+    """``(xt, tt, disp)``: points and images by coordinate (new arrays,
+    which ``_laid_out`` may reorder), displacements."""
     x = np.ascontiguousarray(points, dtype=np.float64)
     t = np.ascontiguousarray(images, dtype=np.float64)
     if x.shape != t.shape or x.ndim != 2:
         raise ValueError(f"points/images shape mismatch: {x.shape} vs {t.shape}")
-    return x, t, x.T.copy(), t.T.copy(), _displacements(x, t)
+    return x.T.copy(), t.T.copy(), _displacements(x, t)
 
 
 def _displacements(x, t):
@@ -555,23 +557,12 @@ def _down(v):
     return np.nextafter(v, -np.inf)
 
 
-def _row_keys(xt, tt, disp, k, mode, rate=None, record=None):
-    """Per row a bound on its pairs: every pair of two rows has a ratio
-    (``rate`` None) or a guarded excess at ``rate`` at most the larger key
-    of the two, +inf for a row with no bound. None where no sweep can stop
-    early: Banach mode, a ``rate`` that is negative or not finite, or too
-    few blocks. A ``record`` keeps ``_pair_bound``'s H.
-    """
-    if mode not in PAIR_SCALE or not _worth_sorting(len(disp)):
-        return None
-    pair_bound = _pair_bound(xt, tt, disp, k)
-    if record is not None:
-        record.bound = pair_bound
-    return _keys(pair_bound, disp, mode, rate)
-
-
 def _keys(pair_bound, disp, mode, rate=None):
-    """``_row_keys`` from ``_pair_bound``'s H, row for row with ``disp``."""
+    """Per row a bound on its pairs from ``_pair_bound``'s H, row for row
+    with ``disp``: every pair of two rows has a ratio (``rate`` None) or a
+    guarded excess at ``rate`` at most the larger key of the two, +inf for
+    a row with no bound. None where no sweep can stop early: no H, or a
+    ``rate`` that is negative or not finite."""
     if pair_bound is None or (rate is not None and not 0.0 <= rate < np.inf):
         return None
     if rate is None:  # ratio <= max(key_i, key_j) (Kannan), <= key_i + key_j (Bianchini)
@@ -607,27 +598,19 @@ def _until(blocks, key, best, stop_at=None):
             return
 
 
-def _sweep(x, rank, key, cols, stop_at=None, largest=True, order=None):
-    """The set-up every kernel shares: ``(tri, best)``.
+def _sweep(points, rank, key, order=None, stop_at=None, largest=True):
+    """The set-up every kernel shares once its rows are laid out: ``(tri, best)``.
 
-    ``rank`` is ``_row_rank(x)`` when None. With a row ``key`` and no
-    ``order``, the rows go by descending key: each of ``cols``, the
-    kernel's own arrays whose last axis runs over the rows, is permuted in
-    place. With an ``order``, a record's (``SweepRecord``), the key and the
-    arrays the kernel sweeps are in that order already. ``best`` is the
-    running ``_Extremum`` over the sample's rows, ``tri`` the triangle over
-    the blocks that ``_until`` lets through.
+    ``rank`` is ``_row_rank(points)`` when None. ``order`` is the row
+    order the kernel sweeps in (None: the sample's, ``SweepRecord.order``),
+    and ``key`` its row keys in that order (None: every block). ``best`` is
+    the running ``_Extremum`` over the sample's rows, ``tri`` the triangle
+    over the blocks that ``_until`` lets through.
     """
     if rank is None:
-        rank = _row_rank(x)
-    if key is not None and order is None:
-        order = np.argsort(key, kind="stable")[::-1]
-        key = key[order]
-        for c in cols:  # in place: one spare copy at a time, for the peak memory
-            # np.take: 11 us at (5, 2000), c[..., order] 35 us (numpy 2.4, x86-64)
-            c[...] = np.take(c, order, axis=-1)
+        rank = _row_rank(np.asarray(points, dtype=np.float64))
     best = _Extremum(rank, largest, order)
-    n = x.shape[0]
+    n = len(points)
     blocks = _until(_blocks(n), key, best, stop_at)
     return _Triangle(n, blocks), best
 
@@ -639,27 +622,25 @@ def _worth_sorting(n):
 
 
 class SweepRecord:
-    """What a ``ratio_sup`` sweep at ``k`` leaves for the other sweeps at that ``k``.
+    """A sweep's layout at ``(k, n)``, and the numerators a ratio sweep keeps there.
 
-    ``ratio_sup(..., record=r)`` with an empty record fills it: ``of``, the
-    sweep's ``(k, n)``; ``order``, its row order (None: the sample's);
-    ``xt`` (after ``_x_term``), ``tt`` and ``disp`` in that order;
-    ``bound``, ``_pair_bound``'s H in that order (None: the sweep had no
-    row key); and ``held``, by block start, the square-rooted numerators of
-    the first ``_RECORD_BLOCKS`` blocks it swept. Each of those is a slot
-    taken when the sweep reached its block, which served as the sweep's
-    numerator block, so nothing is copied; a block wider than a block
+    ``_laid_out`` fills the layout: ``of``, the sweep's ``(k, n)``;
+    ``order``, its row order (None: the sample's); ``xt`` (after
+    ``_x_term``), ``tt`` and ``disp`` in that order; ``bound``,
+    ``_pair_bound``'s H in that order (None: no row key); and ``x_rows``,
+    the points by coordinate for a Banach check (None otherwise). A
+    ``ratio_sup`` sweep handed a record keeps in ``held``, by block start,
+    the square-rooted numerators of the first ``_RECORD_BLOCKS`` blocks it
+    swept, each in a slot taken when the sweep reached its block, which
+    served as the sweep's numerator block; a block wider than a block
     buffer (a one-row block of more than ``_BLOCK_BYTES / 8`` entries) is
-    not held. A call that ``lower`` settled fills in ``of`` alone. The
-    slots go back to ``_spare_slots`` when the record is gone or filled
-    again.
+    not held. The slots go back to ``_spare_slots`` when the record is gone.
 
-    A filled record serves any number of sweeps of the same points and
-    images at its ``(k, n)``, in either class: ``violation_max(...,
-    record=r)`` and ``ratio_sup(..., record=r)`` sweep the rows in its
-    order and read each held block in place of their own numerators. The
-    check leaves the record as it is; a ratio sweep adds the blocks it
-    computes past the held ones while slots are left.
+    ``ratio_sup(..., record=r)`` begins a record with no layout at its
+    ``(k, n)``; a call that ``lower`` settles fills in ``of`` alone. A
+    laid-out record serves any number of sweeps of the same points and
+    images at its ``(k, n)``, in either class (module docstring, *the
+    hand-off*).
     """
 
     def __init__(self):
@@ -668,14 +649,16 @@ class SweepRecord:
 
     def _begin(self, k, n):
         self.of = (k, n)
-        self.order = self.xt = self.tt = self.disp = self.bound = None
+        self.order = self.xt = self.tt = self.disp = self.bound = self.x_rows = None
         self.held = {}
-        _release(self._slots)
 
-    def _expect(self, k, n, mode):
-        """Refuse the record for a sweep of ``mode`` at ``(k, n)`` that it does not serve."""
-        if mode not in PAIR_SCALE or self.of != (k, n):
-            raise ValueError(f"a record of (k, n) = {self.of} for a mode {mode} sweep at {(k, n)}")
+    def _take(self, k, n):
+        """Take the record for a ratio sweep at ``(k, n)``: one with no layout
+        begins there; a laid-out one must be of ``(k, n)``."""
+        if self.disp is None:
+            self._begin(k, n)
+        elif self.of != (k, n):
+            raise ValueError(f"a record of (k, n) = {self.of} for a ratio sweep at {(k, n)}")
 
     def _num(self, lo, hi, spare):
         """The sweep's numerator block for rows ``lo:hi``: a slot, held, or
@@ -712,6 +695,40 @@ def _release(slots):
         if len(_spare_slots) < _RECORD_BLOCKS:
             _spare_slots.append(slot)
     slots.clear()
+
+
+def _laid_out(points, images, k, mode, record=None, rate=None):
+    """``(record, key)``: the layout of a sweep of ``mode`` at ``k``, and its row keys.
+
+    The one set-up of a ``ratio_sup`` (``rate`` None) or ``violation_max``
+    sweep. A given ``record`` must be of ``(k, len(points))`` and for an
+    enriched mode; laid out already, it serves as it is. Otherwise the
+    record, or a new one when ``record`` is None, is laid out here:
+    ``_prepare``, ``_pair_bound``'s H when the rows are worth sorting, the
+    rows by descending key, and ``_x_term``. ``key``, the ``_keys`` of the
+    record's rows in its order, is None where no sweep can stop early.
+    """
+    n = len(points)
+    if record is None:
+        record = SweepRecord()
+        record._begin(k, n)
+    elif record.of != (k, n) or mode not in PAIR_SCALE:
+        raise ValueError(f"a record of (k, n) = {record.of} for a mode {mode} sweep at {(k, n)}")
+    if record.disp is not None:
+        return record, _keys(record.bound, record.disp, mode, rate)
+    xt, tt, disp = _prepare(points, images)
+    bound = _pair_bound(xt, tt, disp, k) if mode in PAIR_SCALE and _worth_sorting(n) else None
+    key = _keys(bound, disp, mode, rate)
+    if key is not None:
+        record.order = np.argsort(key, kind="stable")[::-1]
+        key = key[record.order]
+        for c in (xt, tt, disp, bound):  # in place: one spare copy at a time, for the peak memory
+            # np.take: 11 us at (5, 2000), c[..., order] 35 us (numpy 2.4, x86-64)
+            c[...] = np.take(c, record.order, axis=-1)
+    record.xt, record.tt, record.disp, record.bound = _x_term(xt, k), tt, disp, bound
+    if mode not in PAIR_SCALE:
+        record.x_rows = xt  # Banach's rhs: ||x_i - x_j||
+    return record, key
 
 
 def _norms(rows):
@@ -811,42 +828,31 @@ def violation_max(points, images, k, rate, mode, *, rank=None, record=None):
     block's largest pair); a NaN row is always guarded. At a ``rate``
     below 0 or NaN every row is guarded. A
     ``record`` that a ``ratio_sup`` sweep of the same points and images
-    filled (``SweepRecord``) gives the check that sweep's row order, row
+    laid out (``SweepRecord``) gives the check that sweep's row order, row
     bounds and leading numerators, with the same bits, in either class; one
     of another ``(k, n)``, or a Banach check, raises ``ValueError``. The
-    record is left as it is.
+    check holds no block in the record; one that ``lower`` settled, with no
+    layout, it lays out.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k, rate = float(k), float(rate)
-        if record is not None:
-            record._expect(k, len(points), mode)
-        if record is None or record.disp is None:
-            x, t, xt, tt, disp = _prepare(points, images)
-            pnorm, tnorm = _norms(x), _norms(t)
-            key = _row_keys(xt, tt, disp, k, mode, rate)
-            tri, best = _sweep(x, rank, key, (xt, tt, disp, pnorm, tnorm))
-            x_rows = xt if mode not in PAIR_SCALE else None  # Banach's rhs: ||x_i - x_j||
-            xt, held = _x_term(xt, k), {}
-        else:
-            x = np.ascontiguousarray(points, dtype=np.float64)
-            pnorm, tnorm = _norms(x), _norms(np.ascontiguousarray(images, dtype=np.float64))
-            if record.order is not None:
-                pnorm, tnorm = pnorm[record.order], tnorm[record.order]
-            x_rows, xt, tt, disp = None, record.xt, record.tt, record.disp
-            key = _keys(record.bound, disp, mode, rate)
-            tri, best = _sweep(x, rank, key, (), order=record.order)
-            held = record.held
+        record, key = _laid_out(points, images, k, mode, record, rate)
+        pnorm, tnorm = (_norms(np.ascontiguousarray(a, dtype=np.float64)) for a in (points, images))
+        if record.order is not None:
+            pnorm, tnorm = pnorm[record.order], tnorm[record.order]
+        tri, best = _sweep(points, rank, key, record.order)
+        xt, tt, disp = record.xt, record.tt, record.disp
         scale = PAIR_SCALE.get(mode)
         skip = rate >= 0.0  # the guard is then >= 0, so a pair's excess is at most its net
         with _small_ufunc_buffer():
             for spare, rhs, net in tri:
-                num = held.get(tri.lo)  # both sweeps go by the one block schedule
+                num = record.held.get(tri.lo)  # both sweeps go by the one block schedule
                 if num is None:
                     num = spare
                     tri.enriched_sq(xt, tt, k, num, rhs, net)
                     np.sqrt(num, out=num)
                 if scale is None:
-                    tri.sq_dist(x_rows, rhs, net)
+                    tri.sq_dist(record.x_rows, rhs, net)
                     np.sqrt(rhs, out=rhs)
                 else:
                     tri.outer(scale, disp, rhs)
@@ -883,43 +889,33 @@ def ratio_sup(points, images, k, mode, *, stop_at=None, rank=None, lower=None, r
     ``stop_at`` the call returns ``(lower, (-1, -1), False, (-1, -1))`` at
     once, before any row key, sort or block. ``rank`` is
     ``_row_rank(points)`` when a caller already has it; by default it is
-    computed here. An empty ``record`` (``SweepRecord``) is filled for
-    the other sweeps at this ``k``; a filled one, of a sweep of the same
-    points and images at this ``(k, n)`` in either class, gives this sweep
-    its row order, row bounds and held numerators, with the same bits, and
-    takes the blocks it computes past them while slots are left. A filled
-    record of another ``(k, n)`` raises ``ValueError``.
+    computed here. A ``record`` (``SweepRecord``) with no layout is laid
+    out here, and holds this sweep's leading numerators, for the other
+    sweeps at this ``k``; a laid-out one, of a sweep of the same points and
+    images at this ``(k, n)`` in either class, gives this sweep its row
+    order, row bounds and held numerators, with the same bits, and takes
+    the blocks it computes past them while slots are left. A laid-out
+    record of another ``(k, n)`` raises ``ValueError``, even when ``lower``
+    settles the call.
     """
     k = float(k)
-    filled = record is not None and record.disp is not None
-    if filled:
-        record._expect(k, len(points), mode)
-    elif record is not None:
-        record._begin(k, len(points))
+    if record is not None:
+        record._take(k, len(points))
     if stop_at is not None and lower is not None and lower >= stop_at:
         return lower, (-1, -1), False, (-1, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if filled:
-            x = np.ascontiguousarray(points, dtype=np.float64)
-            xt, tt, disp = record.xt, record.tt, record.disp
-            key = _keys(record.bound, disp, mode)
-            tri, best = _sweep(x, rank, key, (), stop_at, order=record.order)
-        else:
-            x, _, xt, tt, disp = _prepare(points, images)
-            key = _row_keys(xt, tt, disp, k, mode, record=record)
-            cols = (xt, tt, disp) if record is None or record.bound is None else (xt, tt, disp, record.bound)
-            tri, best = _sweep(x, rank, key, cols, stop_at)
-            xt = _x_term(xt, k)
-            if record is not None:
-                record.order, record.xt, record.tt, record.disp = best.order, xt, tt, disp
+        keep = record is not None  # a caller's record holds the blocks swept
+        record, key = _laid_out(points, images, k, mode, record)
+        tri, best = _sweep(points, rank, key, record.order, stop_at)
+        xt, tt, disp = record.xt, record.tt, record.disp
         zero = _Smallest(best.rank, best.order)
         # the rhs scale is zero exactly on pairs of two fixed points
         fixed = np.flatnonzero(disp == 0.0)
         with _small_ufunc_buffer():
             for spare, scale, tmp in tri:
-                num = None if record is None else record.held.get(tri.lo)
+                num = record.held.get(tri.lo)
                 if num is None:
-                    num = spare if record is None else record._num(tri.lo, tri.hi, spare)
+                    num = record._num(tri.lo, tri.hi, spare) if keep else spare
                     tri.enriched_sq(xt, tt, k, num, scale, tmp)
                     np.sqrt(num, out=num)
                 tri.outer(PAIR_SCALE[mode], disp, scale)
@@ -947,8 +943,8 @@ def inner_min(points, images, *, rank=None):
     computed here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, _, xt, gt, _ = _prepare(points, images)
-        tri, best = _sweep(x, rank, None, (), largest=False)
+        xt, gt, _ = _prepare(points, images)
+        tri, best = _sweep(points, rank, None, largest=False)
         with _small_ufunc_buffer():
             for acc, diff, tmp in tri:
                 acc.fill(0.0)

@@ -560,6 +560,51 @@ class TestNonFiniteImages:
             assert certify.ContractionCertificate(tag, 0.5, inside, -1.0, None, grid11).feasible
 
 
+# --- norms at the numeric edges (open: the norms are unscaled) ----------------
+
+# x -> 10 x on 11 points of [s, 2 s]: at k = 0 every pair's Kannan ratio is
+# 10 |x - y| / (9 x + 9 y), whose sup, at the pair (s, 2 s), is 10/27 at any
+# scale s. The kernels' norms are sqrt(sum(sq)), unscaled: above about
+# 1.3e154 a square overflows, and below about 1e-162 it loses bits or flushes
+# to 0.
+EDGE_MAP = AffineMap(matrix=np.array([[10.0]]), offset=np.zeros(1))
+EDGE_SUP = 10.0 / 27.0
+UNSCALED = pytest.mark.xfail(strict=True, raises=AssertionError, reason="the kernels' norms are unscaled")
+
+
+def _edge_sample(scale):
+    return SampleSet(points=np.linspace(1.0, 2.0, 11)[:, None] * scale, description=f"[1, 2] * {scale}")
+
+
+class TestNormsAtTheNumericEdges:
+    def test_at_every_scale_inside_the_edges(self):
+        for scale in (1e-150, 1.0, 1e150):
+            sample = _edge_sample(scale)
+            assert estimate_kannan_constants(EDGE_MAP, sample).rate == pytest.approx(EDGE_SUP, rel=1e-12)
+            assert not check_enriched_kannan(EDGE_MAP, 0.0, 0.36, sample).satisfied
+
+    @UNSCALED
+    def test_displacements_that_overflow(self):
+        # today the rate is 0.18518518518518515 and the check holds: some
+        # displacements are inf, and a numerator over inf reads as 0
+        sample = _edge_sample(1e153)
+        assert estimate_kannan_constants(EDGE_MAP, sample).rate == pytest.approx(EDGE_SUP, rel=1e-12)
+        assert not check_enriched_kannan(EDGE_MAP, 0.0, 0.36, sample).satisfied
+
+    @UNSCALED
+    def test_squares_that_lose_bits(self):
+        # today the estimate certifies 0.36886520858343164
+        sample = _edge_sample(1e-162)
+        assert estimate_kannan_constants(EDGE_MAP, sample).rate == pytest.approx(EDGE_SUP, rel=1e-12)
+
+    @UNSCALED
+    def test_squares_that_flush_to_zero(self):
+        # today both checks hold with max_violation = 0.0: every norm is 0
+        sample = _edge_sample(1e-165)
+        assert not check_enriched_kannan(EDGE_MAP, 0.0, 0.36, sample).satisfied
+        assert not check_banach(EDGE_MAP, 0.5, sample).satisfied
+
+
 # --- the estimate's pruned k sweep against the unpruned loop -------------------
 
 
@@ -1120,10 +1165,21 @@ class TestTheOtherClassReusesTheWinningSweep:
         (kannan, _), hand_offs = _both_orders(scale_third, unit_sample, DEFAULT, handed)
         assert kannan.k == 0.0 and hand_offs == [[0.0], [0.0]]
 
-    def test_the_5d_certificate(self, handed, numerator_blocks):
+    def test_the_5d_certificate(self, handed, numerator_blocks, monkeypatch):
         # k = 0.75 wins both classes on the default 2000-point sample of
         # [-1, 1]^5. The Bianchini estimate computes no numerator block at
-        # 0.75, in its ratio sweep or its check
+        # 0.75, in its ratio sweep or its check. The pass lays one sweep out:
+        # one _prepare and one _pair_bound, and the row keys of each sweep
+        calls = {"_prepare": 0, "_pair_bound": 0, "_keys": 0}
+
+        def counting(name, step):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         mapping = AffineMap(matrix=q @ np.diag([-1.0, -0.9, -0.8, -0.7, -0.6]) @ q.T, offset=rng.uniform(-0.5, 0.5, 5))
@@ -1135,6 +1191,7 @@ class TestTheOtherClassReusesTheWinningSweep:
         at = [[[name, count] for name, k, count in calls if k == 0.75]
               for calls in (numerator_blocks[:first], numerator_blocks[first:])]
         assert at == [[["ratio_sup", 2], ["violation_max", 0]], [["ratio_sup", 0], ["violation_max", 0]]]
+        assert calls == {"_prepare": 1, "_pair_bound": 1, "_keys": 4}
 
     def test_no_hand_off_to_other_images_or_another_sample(self, handed, unit_sample, scale_third, reflection):
         # other images on the same sample, or the same points in another

@@ -876,7 +876,7 @@ def swept_blocks(monkeypatch):
 def _unsorted(call):
     """``call()`` with no row key: a full sweep, the reference for a sorted one."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: None)
+        patch.setattr(_kernels, "_keys", lambda *args, **kwargs: None)
         return call()
 
 
@@ -1250,10 +1250,8 @@ def test_nan_bound_keeps_the_far_rows_blocks(eight_blocks, swept_blocks):
     assert rate == 0.0
     assert _bits(bounded) == _bits(full) and full[0] == math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, xt, tt, disp = _kernels._prepare(pts, images)
-        key = _kernels._row_keys(xt, tt, disp, 1.0, MODE_KANNAN, rate)
-    _, best = _kernels._sweep(pts, None, key, ())
-    assert key[far] == math.inf and best.order[0] == far
+        record, key = _kernels._laid_out(pts, images, 1.0, MODE_KANNAN, rate=rate)
+    assert key[0] == math.inf and record.order[0] == far
 
 
 def _tie_across_blocks():
@@ -1299,7 +1297,7 @@ def test_a_block_whose_key_is_at_the_maximum_is_swept(eight_blocks, monkeypatch)
         own[i] = max(own[i], v)
     own[[199, *range(1, 15)]] = math.inf
     assert own[0] == own[120] == full[0] and np.sum(own >= full[0]) == 17
-    monkeypatch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: own.copy())
+    monkeypatch.setattr(_kernels, "_keys", lambda *args, **kwargs: own.copy())
     assert _bits(violation_max(pts, images, 0.5, rate, MODE_KANNAN)) == _bits(full)
 
 
@@ -1768,7 +1766,8 @@ def test_the_slots_of_a_record_that_is_gone_serve_the_next(eight_blocks, monkeyp
 
 def test_a_record_of_another_sweep_is_refused():
     # a record serves the sweeps of either class at its own (k, n), and no
-    # other: not another k or n, nor a Banach check
+    # other: not another k or n, nor a Banach check; a check takes no empty
+    # record
     pts, images = _random_case(seed=43, n=50, d=2)
     record = _kernels.SweepRecord()
     ratio_sup(pts, images, 0.5, MODE_KANNAN, record=record)
@@ -1779,9 +1778,12 @@ def test_a_record_of_another_sweep_is_refused():
     ):
         with pytest.raises(ValueError, match="record"):
             violation_max(*args, record=record)
+    with pytest.raises(ValueError, match="record"):
+        violation_max(pts, images, 0.5, 0.3, MODE_KANNAN, record=_kernels.SweepRecord())
     for args in ((pts, images, 1.0, MODE_BIANCHINI), (pts[:-1], images[:-1], 0.5, MODE_BIANCHINI)):
-        with pytest.raises(ValueError, match="record"):
-            ratio_sup(*args, record=record)
+        for settle in ({}, {"stop_at": 0.1, "lower": 0.2}):  # refused before lower settles the call
+            with pytest.raises(ValueError, match="record"):
+                ratio_sup(*args, record=record, **settle)
     settled = _kernels.SweepRecord()
     ratio_sup(pts, images, 0.5, MODE_KANNAN, stop_at=0.1, lower=0.2, record=settled)
     with pytest.raises(ValueError, match="record"):
@@ -1808,7 +1810,7 @@ def test_blocks_past_the_cap_or_wider_than_a_slot_are_recomputed(monkeypatch, bl
     sup = ratio_sup(pts, images, 0.5, mode)[0]
     with pytest.MonkeyPatch.context() as patch:
         if not sorted_rows:
-            patch.setattr(_kernels, "_row_keys", lambda *args, **kwargs: None)
+            patch.setattr(_kernels, "_keys", lambda *args, **kwargs: None)
         held, computed = _handed_off(pts, images, 0.5, mode, sup, block_work)
         # the other class's sweep takes no slot past the cap either
         assert set(_handed_across(pts, images, 0.5, mode, block_work)[0].held) == {6, 7}
