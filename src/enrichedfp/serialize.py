@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -276,8 +277,35 @@ def _final(column):
     return _finite_or_none(column[-1]) if column is not None and len(column) else None
 
 
+# a step ratio above rate * RATE_BREAK_SLACK breaks the certified rate
+RATE_BREAK_SLACK = 1.0 + 1e-9
+
+
+def _orbit_audit(trace: solve.IterationTrace) -> dict:
+    """Whether the orbit kept its certified rate: all None without a rate.
+
+    ``rate_breaks`` counts the finite step ratios above
+    ``rate * RATE_BREAK_SLACK``, ``max_ratio`` is the largest finite ratio
+    (None when there is none), and ``required_iterations`` the a priori step
+    count (``solve.required_iterations``) from the first step, None when
+    that step is 0 or not finite.
+    """
+    audit = dict.fromkeys(("rate_breaks", "max_ratio", "required_iterations"))
+    rate = trace.rate
+    if rate is None:
+        return audit
+    ratios = trace.ratios[np.isfinite(trace.ratios)]
+    audit["rate_breaks"] = int(np.count_nonzero(ratios > rate * RATE_BREAK_SLACK))
+    audit["max_ratio"] = float(ratios.max()) if ratios.size else None
+    first = trace.step_norms[0]
+    if 0.0 < first < math.inf:
+        audit["required_iterations"] = solve.required_iterations(rate, float(first), trace.tol)
+    return audit
+
+
 def trace_summary(trace: solve.IterationTrace) -> dict:
     return {
+        **_orbit_audit(trace),
         "status": trace.status,
         "iterations": trace.iterations,
         "final_point": _listify(trace.final),

@@ -27,7 +27,7 @@ from .exceptions import (
     InvalidConstantError,
     OutOfDomainError,
 )
-from .mappings import Mapping, as_point
+from .mappings import Mapping, as_point, stacked_dot
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter_reached"
@@ -45,6 +45,9 @@ DIVERGENCE_LIMIT = 1e12
 RATIO_MIN_STEP = 1e-15
 # Rows of a trace's first iterate buffer; it doubles whenever it fills.
 _FIRST_ROWS = 256
+# Most steps the solver runs before it tests its stop rule on them; batches
+# grow 1, 2, 4, ... up to it, so a short run computes few steps past its stop.
+_MAX_BATCH = 64
 
 
 def auto_lambda(k: float) -> float:
@@ -266,6 +269,28 @@ def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
     return grown
 
 
+def _first_stop(iterates, norms, first, last, scratch, scale, tol):
+    """Norms of steps ``first..last`` from their rows, and the first that ends the run.
+
+    Writes ||x_n - x_{n-1}|| into ``norms[n - 1]`` for each step n of the
+    span, as ``math.sqrt(dx.dot(dx))`` gives it bit for bit, and tests each
+    in order as the per-step loop did: a norm that is not at most
+    ``DIVERGENCE_LIMIT`` (NaN included) diverges, else a criterion
+    (``scale * step``, or the step when ``scale`` is None) at most ``tol``
+    converges. Returns ``(n, status)`` of the first such step, or None.
+    """
+    if last < first:
+        return None
+    dx = np.subtract(iterates[first : last + 1], iterates[first - 1 : last], out=scratch[: last - first + 1])
+    steps = np.sqrt(stacked_dot(dx, dx), out=norms[first - 1 : last])
+    diverged = ~(steps <= DIVERGENCE_LIMIT)
+    ends = diverged | ((steps if scale is None else scale * steps) <= tol)
+    if not ends.any():
+        return None
+    i = int(ends.argmax())
+    return first + i, STATUS_DIVERGED if diverged[i] else STATUS_CONVERGED
+
+
 def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     """Run the averaged iteration x_{n+1} = (1 - lam) x_n + lam T(x_n).
 
@@ -277,9 +302,16 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     ``DimensionMismatchError``.
 
     Each iterate is written into its row of a buffer that doubles when it
-    fills, and each step norm into an array; the ratios and bounds are
-    computed from the step norms after the loop, with the bits of the
-    per-step expressions.
+    fills. The steps run in batches of 1, 2, 4, ... up to ``_MAX_BATCH``
+    steps (never past ``cfg.max_iter``); a step inside a batch only maps
+    and averages. After each batch the step norms of its rows are computed
+    in one pass and the stop rule is tested on them in step order, so a run
+    that stops inside a batch has computed up to ``_MAX_BATCH - 1`` steps
+    past its stop, which are dropped. An exception raised inside a batch
+    (an escaped domain, a wrong image shape, or anything the mapping
+    raises) is raised only if no earlier step of the batch ends the run.
+    The ratios and bounds are computed from the step norms after the loop.
+    Every array, status and exception has the bits of the per-step loop.
     """
     lam, rate, stop_rule = _resolve(mapping, cfg)
     x = as_point(x0)
@@ -288,7 +320,8 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
         raise DimensionMismatchError(
             f"{type(mapping).__name__} acts on R^{mapping.dim}, got dim {d}"
         )
-    capacity = min(cfg.max_iter + 1, _FIRST_ROWS)
+    max_iter = cfg.max_iter
+    capacity = min(max_iter + 1, _FIRST_ROWS)
     iterates = np.empty((capacity, d))
     norms = np.empty(capacity)  # norms[n - 1] is step n's
     iterates[0] = x
@@ -297,60 +330,66 @@ def krasnoselskij(mapping: Mapping, x0, cfg: SolveConfig) -> IterationTrace:
     # same float64 products as (1 - lam) * x + lam * T(x)
     keep, weight = np.array(1.0 - lam), np.array(lam)
     image_part = np.empty(d)
+    scratch = np.empty((_MAX_BATCH, d))  # a batch's x_n - x_{n-1}
+    scale = None  # the criterion is the step norm, times this when given
     if rate is not None:
         # the same expressions as apriori_bound and aposteriori_bound; rate
         # was validated by _resolve
         complement = 1.0 - rate
         aposteriori_scale = rate / complement
-    aposteriori_stop = stop_rule == STOP_APOSTERIORI
-    status = STATUS_MAX_ITER
+        if stop_rule == STOP_APOSTERIORI:
+            scale = aposteriori_scale
 
     # x0 is checked once above and a non-finite iterate ends the run, so the
     # loop skips Mapping.apply's point checks and calls the parts it needs,
     # bound once, as are the ufuncs (their third argument is the output).
     # One np.errstate for the whole loop (about 1.5 us an entry): an iterate
-    # that overflows ends the run as diverged, below, and warns of nothing
-    check_domain, apply = mapping._check_domain, mapping._apply
-    multiply, add, subtract, sqrt = np.multiply, np.add, np.subtract, math.sqrt
+    # that overflows ends the run as diverged, and warns of nothing, nor do
+    # the steps a batch computes past it
+    check_domain = None if mapping._widened_domain is None else mapping._check_domain
+    apply, multiply, add = mapping._apply, np.multiply, np.add
     shape, tol = x.shape, cfg.tol
+    n, batch, stop = 0, 1, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cfg.max_iter + 1):
-            try:
-                check_domain(x)
-            except OutOfDomainError as exc:
-                raise DomainEscapeError(
-                    f"iterate {n - 1} escaped the mapping domain: {exc}",
-                    point=x.copy(),
-                    iteration=n - 1,
-                ) from exc
-            image = apply(x)
-            # checked before the arithmetic, which would broadcast it
-            if image.shape != shape:
-                raise DimensionMismatchError(
-                    f"{type(mapping).__name__} maps R^{d} to shape {image.shape}"
-                )
-            if n == capacity:
-                capacity = min(2 * capacity, cfg.max_iter + 1)
+        while stop is None and n < max_iter:
+            first, last = n + 1, min(n + batch, max_iter)
+            if last >= capacity:
+                capacity = min(2 * capacity, max_iter + 1)
                 iterates, norms = _grown(iterates, capacity), _grown(norms, capacity)
-                x = iterates[n - 1]
-            row = iterates[n]
-            multiply(x, keep, row)
-            multiply(image, weight, image_part)
-            add(row, image_part, row)
-            dx = subtract(row, x, image_part)
-            step = sqrt(dx.dot(dx))
-            norms[n - 1] = step
-
-            # a NaN or inf component makes the norm NaN or inf
-            if not step <= DIVERGENCE_LIMIT:
-                status = STATUS_DIVERGED
+                x = iterates[n]
+            try:
+                for n, row in enumerate(iterates[first : last + 1], first):
+                    if check_domain is not None:
+                        try:
+                            check_domain(x)
+                        except OutOfDomainError as exc:
+                            raise DomainEscapeError(
+                                f"iterate {n - 1} escaped the mapping domain: {exc}",
+                                point=x.copy(),
+                                iteration=n - 1,
+                            ) from exc
+                    image = apply(x)
+                    # checked before the arithmetic, which would broadcast it
+                    if image.shape != shape:
+                        raise DimensionMismatchError(
+                            f"{type(mapping).__name__} maps R^{d} to shape {image.shape}"
+                        )
+                    multiply(x, keep, row)
+                    multiply(image, weight, image_part)
+                    add(row, image_part, row)
+                    x = row
+            except Exception:
+                # step n raised: the steps before it may end the run first
+                stop = _first_stop(iterates, norms, first, n - 1, scratch, scale, tol)
+                if stop is None:
+                    raise
                 break
-            criterion = aposteriori_scale * step if aposteriori_stop else step
-            x = row
-            if criterion <= tol:
-                status = STATUS_CONVERGED
-                break
+            stop = _first_stop(iterates, norms, first, last, scratch, scale, tol)
+            batch = min(2 * batch, _MAX_BATCH)
 
+        status = STATUS_MAX_ITER
+        if stop is not None:
+            n, status = stop
         norms = norms[:n]
         ratios = np.full(n, np.nan)
         # a NaN step ends the run, so every previous step is a number

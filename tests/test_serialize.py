@@ -319,6 +319,70 @@ class TestCertificateDict:
         assert data["sample"]["seed"] == 0
 
 
+def _dip_map():
+    """``T = 0.3 x + 0.35`` (fixed point 0.5) but for a continuous V dipping
+    to 0.4853 at 0.5025, between the default 201-point sample's points."""
+    return PiecewiseTable(
+        breakpoints=np.array([0.0, 0.501, 0.5025, 0.504, 1.0]),
+        slopes=np.array([0.3, -10.0, 10.6, 0.3]),
+        intercepts=np.array([0.35, 5.5103, -4.84135, 0.35]),
+    )
+
+
+AUDIT_KEYS = ("rate_breaks", "max_ratio", "required_iterations")
+
+
+class TestOrbitAudit:
+    """``trace_summary``'s rate audit: how the orbit fared against its rate."""
+
+    def test_a_map_that_certifies_on_its_sample_but_breaks_its_rate(self):
+        mapping = _dip_map()
+        lo, hi = mapping.domain
+        sample = certify.default_sample(list(zip(lo.tolist(), hi.tolist())))
+        cert = certify.estimate_kannan_constants(mapping, sample, certify.DEFAULT_K_GRID)
+        assert cert.feasible and (cert.k, cert.class_tag) == (0.0, "kannan")
+        trace = solve.krasnoselskij(mapping, [0.51], solve.SolveConfig(certificate=cert))
+        assert trace.rate == pytest.approx(0.75, abs=1e-12)
+        # 0.51 -> 0.503 -> 0.49045: the second step is 1.79 times the first
+        assert (trace.status, trace.iterations) == (solve.STATUS_CONVERGED, 19)
+        summary = serialize.trace_summary(trace)
+        assert summary["rate_breaks"] == 1
+        assert summary["max_ratio"] == pytest.approx(1.79286, abs=1e-5)
+        assert summary["required_iterations"] == 68
+        assert summary["iterations"] == 19
+
+    def test_counts_only_finite_ratios_above_the_slack(self):
+        rate = 0.5
+        trace = _run(Scale1D(c=0.5), [1.0], rate=rate)
+        trace.ratios = np.array([np.nan, rate, rate * (1.0 + 1e-9), rate * (1.0 + 2e-9), np.inf, 0.9, np.nan])
+        summary = serialize.trace_summary(trace)
+        assert summary["rate_breaks"] == 2
+        assert summary["max_ratio"] == 0.9
+
+    def test_without_a_rate_every_field_is_null(self):
+        summary = serialize.trace_summary(_run(Scale1D(c=0.5), [1.0]))
+        assert [summary[key] for key in AUDIT_KEYS] == [None, None, None]
+
+    def test_a_one_step_run_has_no_ratio(self):
+        trace = _run(Scale1D(c=0.0), [1.0], rate=0.25, max_iter=1)
+        assert trace.iterations == 1 and np.isnan(trace.ratios).all()
+        summary = serialize.trace_summary(trace)
+        assert summary["rate_breaks"] == 0 and summary["max_ratio"] is None
+        assert summary["required_iterations"] == solve.required_iterations(0.25, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("first", [0.0, np.inf, np.nan])
+    def test_no_required_iterations_without_a_positive_finite_first_step(self, first):
+        trace = _run(Scale1D(c=0.5), [1.0], rate=0.5)
+        trace.step_norms[0] = first
+        assert serialize.trace_summary(trace)["required_iterations"] is None
+
+    def test_written_with_the_summary(self, tmp_path):
+        trace = _run(Scale1D(c=0.5), [1.0], rate=0.5)
+        serialize.write_json(tmp_path / "summary.json", serialize.trace_summary(trace))
+        written = serialize.load_json(tmp_path / "summary.json")
+        assert [written[key] for key in AUDIT_KEYS] == [0, 0.5, trace.iterations]
+
+
 class TestTraceCsv:
     def test_structure_and_precision(self, tmp_path):
         cfg = solve.SolveConfig(lam=2.0 / 3.0, tol=1e-10, max_iter=50, rate=1.0 / 3.0)

@@ -711,3 +711,149 @@ class TestColumnarTrace:
         trace = krasnoselskij(mapping, x0, cfg)
         assert np.isnan(trace.ratios[0]) and np.isnan(trace.ratios[-1]) and np.isnan(trace.step_norms[-1])
         assert trace.ratios[1:-1].tolist() == [1.0, 1.0]
+
+
+@dataclass(frozen=True, eq=False)
+class _Halt(Mapping):
+    """x -> x + (1, 1/2) from 0 until x_0 reaches ``last``, on step
+    ``last + 1``; there ``end`` is "fixed" (the point itself, a zero step),
+    "nan" (a NaN image) or "raise" (a RuntimeError naming the point).
+
+    Given a list ``calls``, it counts its calls there and raises on its
+    first call past step ``last + 1``."""
+
+    last: float
+    end: str = "fixed"
+    calls: list = None
+
+    @property
+    def dim(self):
+        return 2
+
+    def _apply(self, point):
+        if self.calls is not None:
+            self.calls.append(None)
+            if len(self.calls) > self.last + 1:
+                raise RuntimeError("called past the stop")
+        if point[0] < self.last:
+            return point + np.array([1.0, 0.5])
+        if self.end == "raise":
+            raise RuntimeError(f"raised on {point}")
+        return point.copy() if self.end == "fixed" else np.full(2, np.nan)
+
+
+@dataclass(frozen=True, eq=False)
+class _Square(Mapping):
+    """x -> x * x, entry by entry: from 10**0.03 the step norm passes 1e12 on
+    step 9, and later steps overflow to inf, then inf - inf is NaN."""
+
+    @property
+    def dim(self):
+        return 2
+
+    def _apply(self, point):
+        return point * point
+
+
+@dataclass(frozen=True, eq=False)
+class _Walk(Mapping):
+    """x -> x + 1 on the domain [0, hi] of R^1."""
+
+    hi: float
+
+    @property
+    def dim(self):
+        return 1
+
+    @property
+    def domain(self):
+        return np.zeros(1), np.full(1, self.hi)
+
+    def _apply(self, point):
+        return point + 1.0
+
+
+# every step of the first 130 covers each offset of the batches 1, 2, 4, ..., 64
+BATCH_STEPS = range(1, 131)
+
+
+class TestBatchedStopRule:
+    """The stop rule runs once per batch; every stop falls where it did step by step."""
+
+    @pytest.mark.parametrize("rule", [solve.STOP_STEP_NORM, solve.STOP_APOSTERIORI])
+    @pytest.mark.parametrize("end, status", [("fixed", solve.STATUS_CONVERGED), ("nan", solve.STATUS_DIVERGED)])
+    def test_a_stop_at_each_step(self, end, status, rule):
+        for stop in BATCH_STEPS:
+            mapping = _Halt(last=stop - 1.0, end=end)
+            cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=1000, stop_rule=rule, rate=0.5)
+            trace = krasnoselskij(mapping, np.zeros(2), cfg)
+            assert (trace.status, trace.iterations) == (status, stop)
+            assert_same_trace(trace, reference_krasnoselskij(mapping, np.zeros(2), cfg))
+
+    def test_the_step_cap_at_each_step(self):
+        mapping = _Halt(last=10**6)
+        for cap in BATCH_STEPS:
+            cfg = SolveConfig(lam=0.5, tol=1e-10, max_iter=cap, stop_rule=solve.STOP_STEP_NORM)
+            trace = krasnoselskij(mapping, np.zeros(2), cfg)
+            assert (trace.status, trace.iterations, len(trace.iterates.base)) == (solve.STATUS_MAX_ITER, cap, cap + 1)
+            assert_same_trace(trace, reference_krasnoselskij(mapping, np.zeros(2), cfg))
+
+    @pytest.mark.parametrize("end, status", [("fixed", solve.STATUS_CONVERGED), ("nan", solve.STATUS_DIVERGED)])
+    def test_a_mapping_that_raises_past_the_stop(self, end, status):
+        # the steps a batch computes past its stop are dropped, and so is an
+        # exception one of them raises
+        cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
+        for stop in BATCH_STEPS:
+            want = reference_krasnoselskij(_Halt(last=stop - 1.0, end=end), np.zeros(2), cfg)
+            trace = krasnoselskij(_Halt(last=stop - 1.0, end=end, calls=[]), np.zeros(2), cfg)
+            assert (trace.status, trace.iterations) == (status, stop)
+            assert_same_trace(trace, want)
+
+    def test_an_exception_before_any_stop_is_raised_at_its_step(self):
+        cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
+        for stop in BATCH_STEPS:
+            messages = []
+            for run in (krasnoselskij, reference_krasnoselskij):
+                with pytest.raises(RuntimeError) as info:
+                    run(_Halt(last=stop - 1.0, end="raise"), np.zeros(2), cfg)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == f"raised on {np.array([stop - 1.0, (stop - 1.0) / 2])}"
+
+    @pytest.mark.parametrize("stop", [1, 2, 3, 5, 8, 9, 40, 64, 65, 127])
+    def test_a_domain_escape_inside_a_batch(self, stop):
+        # x -> x + 1 on [0, stop + 0.5]: step ``stop + 1`` starts outside it,
+        # with the message, iterate and cause of the step-by-step loop
+        mapping = _Walk(hi=stop + 0.5)
+        cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
+        errors = []
+        for run in (krasnoselskij, reference_krasnoselskij):
+            with pytest.raises(DomainEscapeError) as err:
+                run(mapping, [0.0], cfg)
+            errors.append(err.value)
+        got, want = errors
+        assert got.iteration == want.iteration == stop + 1
+        assert got.point.tobytes() == want.point.tobytes()
+        assert str(got) == str(want)
+        assert type(got.__cause__) is type(want.__cause__) is OutOfDomainError
+
+    def test_steps_past_a_divergence_that_overflow_warn_of_nothing(self):
+        mapping = _Square()
+        x0 = np.full(2, 10.0**0.03)
+        cfg = SolveConfig(lam=1.0, tol=1e-10, max_iter=1000, stop_rule=solve.STOP_STEP_NORM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = krasnoselskij(mapping, x0, cfg)
+        assert (trace.status, trace.iterations) == (solve.STATUS_DIVERGED, 9)
+        assert np.isfinite(trace.iterates).all()
+        # the batch of steps 8 to 15 ran past the stop, into inf and NaN
+        buffer = trace.iterates.base
+        assert np.isinf(buffer[14]).all() and np.isnan(buffer[15] - buffer[14]).all()
+        assert_same_trace(trace, reference_krasnoselskij(mapping, x0, cfg))
+
+    def test_a_step_past_the_limit_and_within_tol_diverges(self):
+        # divergence is tested first, as step by step
+        mapping = AffineMap(matrix=np.full((1, 1), 1e13 + 1.0), offset=np.zeros(1))
+        cfg = SolveConfig(lam=1.0, tol=1e300, max_iter=10, stop_rule=solve.STOP_STEP_NORM)
+        trace = krasnoselskij(mapping, [1.0], cfg)
+        assert (trace.status, trace.iterations) == (solve.STATUS_DIVERGED, 1)
+        assert_same_trace(trace, reference_krasnoselskij(mapping, [1.0], cfg))
