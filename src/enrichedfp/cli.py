@@ -275,7 +275,8 @@ def _solve_config(settings: _Settings, default_lam, auto_certificate=None):
 
 def _report(settings, command, trace, certificate, fields, detail, check_exit=EXIT_OK) -> int:
     """Write trace.csv, certificate.json (if any) and summary.json (the trace
-    summary plus ``fields``) for solve, sfp and vip; print the status line.
+    summary plus ``fields``) for solve, sfp and vip; print the status line,
+    which ends in the orbit audit when the trace has a rate.
 
     Returns the code of an unconverged trace's status, else ``check_exit``,
     the verdict of the command's own check.
@@ -285,7 +286,12 @@ def _report(settings, command, trace, certificate, fields, detail, check_exit=EX
         serialize.write_json(
             settings.out_dir / "certificate.json", serialize.certificate_to_dict(certificate)
         )
-    _write_summary(settings, command, {**serialize.trace_summary(trace), **fields})
+    summary = serialize.trace_summary(trace)
+    _write_summary(settings, command, {**summary, **fields})
+    if trace.rate is not None:  # the orbit audit: whether the run kept its rate
+        for key, form in (("rate_breaks", "%d"), ("max_ratio", "%.6g"), ("required_iterations", "%d")):
+            value = summary[key]
+            detail += f" {key}={'null' if value is None else form % value}"
     print(f"status={trace.status} {detail}")
     return check_exit if trace.converged else _STATUS_EXIT[trace.status]
 

@@ -252,7 +252,9 @@ class AffineMap(Mapping):
         return self.matrix.shape[0]
 
     def _apply(self, point):
-        return self.matrix.dot(point) + self.offset
+        image = self.matrix.dot(point)
+        image += self.offset
+        return image
 
     def _apply_many(self, points):
         images = stacked_matvec(self.matrix, points)

@@ -277,25 +277,40 @@ def _final(column):
     return _finite_or_none(column[-1]) if column is not None and len(column) else None
 
 
-# a step ratio above rate * RATE_BREAK_SLACK breaks the certified rate
+# a step ratio above rate * RATE_BREAK_SLACK breaks the certified rate, unless
+# it passes that bound by no more than RATE_BREAK_ROUNDING rounding errors of
+# the iterates (``_orbit_audit``)
 RATE_BREAK_SLACK = 1.0 + 1e-9
+RATE_BREAK_ROUNDING = 8.0
+_EPS = np.finfo(np.float64).eps
 
 
 def _orbit_audit(trace: solve.IterationTrace) -> dict:
     """Whether the orbit kept its certified rate: all None without a rate.
 
-    ``rate_breaks`` counts the finite step ratios above
-    ``rate * RATE_BREAK_SLACK``, ``max_ratio`` is the largest finite ratio
-    (None when there is none), and ``required_iterations`` the a priori step
-    count (``solve.required_iterations``) from the first step, None when
-    that step is 0 or not finite.
+    ``rate_breaks`` counts the finite step ratios ``ratio_n = s_n / s_{n-1}``
+    (``s_n = ||x_{n+1} - x_n||``) above ``rate * RATE_BREAK_SLACK`` by more
+    than ``RATE_BREAK_ROUNDING * eps * max(||x_{n-1}||, ||x_n||,
+    ||x_{n+1}||) / s_{n-1}``: a step of a map that keeps its rate can exceed
+    ``rate * s_{n-1}`` by a few rounding errors of the iterates, which grow
+    with their norm. ``max_ratio`` is the largest finite ratio (None when
+    there is none), and ``required_iterations`` the a priori step count
+    (``solve.required_iterations``) from the first step, None when that step
+    is 0 or not finite.
     """
     audit = dict.fromkeys(("rate_breaks", "max_ratio", "required_iterations"))
     rate = trace.rate
     if rate is None:
         return audit
-    ratios = trace.ratios[np.isfinite(trace.ratios)]
-    audit["rate_breaks"] = int(np.count_nonzero(ratios > rate * RATE_BREAK_SLACK))
+    finite = np.isfinite(trace.ratios)
+    bound = rate * RATE_BREAK_SLACK
+    n = np.flatnonzero(finite & (trace.ratios > bound))  # n >= 1: the first step has no ratio
+    around = trace.iterates[(n[:, None] + np.arange(-1, 2)).ravel()]  # x_{n-1}, x_n, x_{n+1}
+    scale = np.sqrt(np.einsum("ij,ij->i", around, around).reshape(-1, 3).max(axis=1))
+    # the allowance times s_{n-1}, which is at least solve.RATIO_MIN_STEP here
+    excess = (trace.ratios[n] - bound) * trace.step_norms[n - 1]
+    audit["rate_breaks"] = int(np.count_nonzero(excess > RATE_BREAK_ROUNDING * _EPS * scale))
+    ratios = trace.ratios[finite]
     audit["max_ratio"] = float(ratios.max()) if ratios.size else None
     first = trace.step_norms[0]
     if 0.0 < first < math.inf:
@@ -321,7 +336,7 @@ def trace_summary(trace: solve.IterationTrace) -> dict:
 
 
 # rows of cells per block of arrays is _CHUNK_CELLS // (cells per row)
-_CHUNK_CELLS = 4096
+_CHUNK_CELLS = 8192
 
 
 def write_trace_csv(trace: solve.IterationTrace, path) -> None:
@@ -337,9 +352,12 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
     of about ``_CHUNK_CELLS`` cells, sliced from the trace's arrays into one
     block buffer, by exact integer arithmetic in numpy for finite, normal
     values with 1e-11 <= |v| < 2**51, and by ``FLOAT_FMT`` itself for zero,
-    subnormals, inf, nan and any other magnitude.
+    subnormals, inf, nan and any other magnitude. One ``_format.Formatter``,
+    sized to the smaller of a block and the trace, formats every block on
+    the arrays it allocated once, and compacts each block's text with one
+    ``bytes.translate``.
     """
-    from ._format import format_rows  # loaded by the first trace written
+    from ._format import Formatter  # loaded by the first trace written
 
     with open(path, "wb") as fh:
         fh.write(b"iter,components,step_norm,ratio,apriori,aposteriori\r\n")
@@ -352,6 +370,7 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
         step = max(1, _CHUNK_CELLS // len(seps))
         block = np.zeros((min(step, rows), len(seps)))
         blank = np.zeros(block.shape, dtype=bool)
+        formatter = Formatter(len(block), seps)
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             values, empty = block[: stop - start], blank[: stop - start]
@@ -369,7 +388,7 @@ def write_trace_csv(trace: solve.IterationTrace, path) -> None:
             empty[: after - start, ratio] = True
             if stop > after:
                 empty[after - start :, ratio] = trace.step_norms[after - 2 : stop - 2] < solve.RATIO_MIN_STEP
-            fh.write(format_rows(values, empty, seps))
+            fh.write(formatter.format(values, empty))
 
 
 def write_json(path, payload: dict) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,38 @@ class TestSolve:
             "--stop-rule", "step_norm",
         )
         assert result.returncode == cli.EXIT_DIVERGED
+
+    def test_the_status_line_ends_in_the_orbit_audit(self, tmp_path, capsys):
+        # the map of test_serialize.TestOrbitAudit: T = 0.3 x + 0.35 but for a V
+        # dipping to 0.4853 at 0.5025, between the default sample's points. It
+        # certifies on its sample but breaks its rate once; the run still
+        # converges and exits 0
+        mapping = write_json(tmp_path / "dip.json", {
+            "variant": "piecewise_table", "breakpoints": [0, 0.501, 0.5025, 0.504, 1],
+            "slopes": [0.3, -10, 10.6, 0.3], "intercepts": [0.35, 5.5103, -4.84135, 0.35],
+        })
+        argv = ["solve", "--input", mapping, "--lambda", "auto", "--x0", "0.51", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_OK
+        line = capsys.readouterr().out
+        assert line.startswith("status=converged iterations=19 ")
+        assert line.endswith(" rate_breaks=1 max_ratio=1.79286 required_iterations=68\n")
+
+    def test_the_audit_of_a_rate_kept_up_to_rounding(self, tmp_path, capsys):
+        config = str(Path(__file__).parent / "data" / "rotation5_solve.json")
+        assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith(" rate_breaks=0 max_ratio=1.0644 required_iterations=2934\n")
+
+    def test_an_audit_without_ratios_prints_null(self, tmp_path, reflection_json, capsys):
+        # from the fixed point: one step of 0, so no ratio and no a priori count
+        argv = ["solve", "--input", reflection_json, "--lambda", "auto", "--x0", "0.5", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith(" rate_breaks=0 max_ratio=null required_iterations=null\n")
+
+    def test_no_audit_without_a_rate(self, tmp_path, reflection_json, capsys):
+        argv = ["solve", "--input", reflection_json, "--lambda", "0.5", "--x0", "0.1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_OK
+        line = capsys.readouterr().out
+        assert line.startswith("status=converged ") and "rate_breaks" not in line
 
     def test_auto_refused_exit_code(self, tmp_path):
         mapping = write_json(

@@ -1,7 +1,9 @@
 import copy
 import csv
+import hashlib
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,9 @@ def mapping_examples():
             intercepts=np.array([0.0, 0.0]),
         ),
     ]
+
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestMappingRoundTrip:
@@ -382,6 +387,36 @@ class TestOrbitAudit:
         written = serialize.load_json(tmp_path / "summary.json")
         assert [written[key] for key in AUDIT_KEYS] == [0, 0.5, trace.iterations]
 
+    def test_a_rate_kept_up_to_rounding_has_no_break(self):
+        # rotation5's rate is the exact spectral norm of its normal map: 760 of
+        # its ratios pass rate * RATE_BREAK_SLACK, each by less than one
+        # rounding error of the largest of the three iterates it spans
+        trace = _rotation5()
+        summary = serialize.trace_summary(trace)
+        assert summary["rate_breaks"] == 0
+        assert summary["max_ratio"] == pytest.approx(1.0644, abs=1e-4)
+        bound = trace.rate * serialize.RATE_BREAK_SLACK
+        n = np.flatnonzero(np.isfinite(trace.ratios) & (trace.ratios > bound))
+        assert n.size == 760
+        norms = np.linalg.norm(trace.iterates, axis=1)
+        scale = np.maximum.reduce([norms[n - 1], norms[n], norms[n + 1]])
+        assert np.all((trace.ratios[n] - bound) * trace.step_norms[n - 1] <= np.finfo(float).eps * scale)
+
+    def test_the_rounding_allowance_is_per_step(self):
+        # a ratio above the slack bound by RATE_BREAK_ROUNDING * eps * scale / s
+        # is rounding; by twice that, a break
+        rate = 0.5
+        trace = _run(Scale1D(c=0.5), [1.0], rate=rate)
+        n = 3
+        scale = float(np.abs(trace.iterates[n - 1 : n + 2]).max())
+        allowance = serialize.RATE_BREAK_ROUNDING * np.finfo(float).eps * scale / trace.step_norms[n - 1]
+        bound = rate * serialize.RATE_BREAK_SLACK
+        trace.ratios = np.full_like(trace.ratios, np.nan)
+        trace.ratios[n] = bound + 0.5 * allowance
+        assert serialize.trace_summary(trace)["rate_breaks"] == 0
+        trace.ratios[n] = bound + 2.0 * allowance
+        assert serialize.trace_summary(trace)["rate_breaks"] == 1
+
 
 class TestTraceCsv:
     def test_structure_and_precision(self, tmp_path):
@@ -465,6 +500,51 @@ class TestTraceCsv:
         ]
 
 
+# block sizes of the trace writer: 7 cells is one row a block at d <= 5
+CHUNK_CELLS = [7, 25, 4096, serialize._CHUNK_CELLS, 4 * serialize._CHUNK_CELLS]
+# tests/data/rotation5_solve.json's trace.csv, as tests/test_golden.py pins it
+ROTATION5_SHA256 = "a69b501d508689e7f274c782b3a5ac0139a9ba345232ac0170f445d627381c8e"
+
+
+class TestBlockSizes:
+    """Every block size of ``write_trace_csv`` writes the same bytes."""
+
+    @pytest.mark.parametrize("cells", CHUNK_CELLS)
+    def test_rotation5(self, tmp_path, monkeypatch, cells):
+        monkeypatch.setattr(serialize, "_CHUNK_CELLS", cells)
+        serialize.write_trace_csv(_rotation5(), tmp_path / "trace.csv")
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == ROTATION5_SHA256
+
+    @pytest.mark.parametrize("cells", CHUNK_CELLS)
+    def test_blank_bounds_nan_ratios_and_spliced_cells(self, tmp_path, monkeypatch, cells):
+        trace = _awkward_trace()
+        reference_write_trace_csv(trace, tmp_path / "want.csv")
+        monkeypatch.setattr(serialize, "_CHUNK_CELLS", cells)
+        serialize.write_trace_csv(trace, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _awkward_trace():
+    """A 3-D trace of 400 rows with no rate (blank bounds), NaN ratios, steps
+    below ``RATIO_MIN_STEP`` (blank ratios after them) and, every fifth cell,
+    a value FLOAT_FMT prints: zeros, subnormals, inf, nan, and magnitudes
+    outside [1e-11, 2**51)."""
+    rng = np.random.default_rng(33)
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e-300, -3e-12, 2.0**51, 1e200, -1e17]
+    iterates = rng.standard_normal((400, 3))
+    cells = iterates.reshape(-1)[::5]  # a view
+    cells[:] = np.resize(specials, cells.size)
+    steps = rng.standard_normal(399) ** 2
+    steps[::11] = 1e-16
+    steps[::13] = np.nan
+    steps[::17] = np.resize(specials, steps[::17].size)
+    ratios = np.full(399, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(steps[1:], steps[:-1], out=ratios[1:], where=steps[:-1] >= solve.RATIO_MIN_STEP)
+    assert np.isnan(ratios[1:]).any() and np.isfinite(ratios).any()
+    return solve.IterationTrace(iterates=iterates, step_norms=steps, ratios=ratios)
+
+
 def reference_write_trace_csv(trace, path):
     """The trace writer as it was when it used ``csv.writer``, over the
     trace's arrays: a ratio cell is blank by the solver's rule (row 1, or a
@@ -519,6 +599,14 @@ def _rotation(d):
 
 
 _CHUNK_ROWS = serialize._CHUNK_CELLS // 8
+
+
+def _rotation5():
+    """The solve of ``tests/data/rotation5_solve.json``, as the CLI runs it."""
+    config = serialize.load_json(DATA / "rotation5_solve.json")
+    solver = config["solver"]
+    cfg = solve.SolveConfig(lam=solver["lambda"], tol=solver["tol"], max_iter=solver["max_iter"], rate=solver["rate"])
+    return solve.krasnoselskij(serialize.mapping_from_dict(config["mapping"]), np.zeros(5), cfg)
 
 
 def _rotation_rows(rows):
@@ -599,3 +687,38 @@ class TestCellFormat:
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
     def test_hypothesis_floats(self, values):
         assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values]
+        # the formatter drops every NUL byte of a block, spliced-in text too
+        assert not any("\0" in serialize.FLOAT_FMT % v for v in values)
+
+    def test_the_integer_path_prints_every_value_in_its_range(self, monkeypatch):
+        # spliced-in text would read '%.16e' here: each value with
+        # 10**-11 <= |v| < 2**51 gets its digits from the integer path, so its
+        # decimal exponent is exact, at every power of ten and next to it
+        monkeypatch.setattr(_format, "FLOAT_FMT", "%.16e")
+        inside = [np.nextafter(1e-11, 1.0), np.nextafter(2.0**51, 0.0)]
+        for k in range(-10, 16):
+            ten = float(f"1e{k}")
+            inside += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, np.inf)]
+        rng = np.random.default_rng(11)
+        inside += (10.0 ** rng.uniform(-11.0, np.log10(2.0**51), 2**14)).tolist()
+        values = inside + [-v for v in inside]
+        assert _formatted(values) == [serialize.FLOAT_FMT % v for v in values]
+        outside = [1e-11, 2.0**51, 1e16, 1e-300, 0.0, 5e-324, np.inf, np.nan]
+        assert _formatted(outside) == ["%.16e" % v for v in outside]
+
+    def test_no_kept_byte_is_nul(self):
+        # a byte the keep table keeps is a digit from the table of 4-digit
+        # groups or the first digit ('0' + d), or the template's byte ANDed
+        # with the keep byte; only a one-character separator's pad is NUL
+        digits4, _, keep_rows, template, _, _ = _format._tables()
+        assert np.all(digits4.view(np.uint8) != 0)
+        cell = template.copy()
+        cell[48:50] = np.frombuffer(b"\r\n", np.uint8)
+        keep = keep_rows.view(np.uint8)
+        digit = np.zeros(_format._W, dtype=bool)
+        digit[3:20] = digit[27:44] = True
+        assert np.array_equal((keep & cell)[:, ~digit] != 0, keep[:, ~digit] != 0)
+        # the bytes the AND leaves are the text's: '-', '0', '.', 'e', the
+        # exponent's digits and the separator
+        kept = set((keep & cell)[:, ~digit].ravel().tolist()) - {0}
+        assert kept <= set(b"-0.e123456789\r\n")

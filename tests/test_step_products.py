@@ -64,6 +64,18 @@ class TestDot:
         r = _vector(rng, m, strided)
         assert matrix.T.dot(r).tobytes() == (matrix.T @ r).tobytes()
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=SEEDS, n=DIMS, layout=st.sampled_from(LAYOUTS), strided=st.booleans())
+    def test_affine_apply_adds_the_offset_in_place(self, seed, n, layout, strided):
+        rng = np.random.default_rng(seed)
+        f = AffineMap(matrix=_matrix(rng, n, n, layout), offset=_vector(rng, n, False))
+        x = _vector(rng, n, strided)
+        offset = f.offset.tobytes()
+        image = f.apply(x)
+        assert image.tobytes() == (f.matrix.dot(x) + f.offset).tobytes()
+        # a fresh image each call: the in-place add touches neither the offset nor x
+        assert f.offset.tobytes() == offset and not np.shares_memory(image, x)
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(seed=SEEDS, n=DIMS, strided=st.booleans(), exponent=st.integers(-150, 150))
     def test_vector_dot_is_matmul_and_norm(self, seed, n, strided, exponent):
